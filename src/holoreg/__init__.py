@@ -8,11 +8,11 @@ theorem over an explicit decomposition N = M x| P; a brute-force oracle over
 the holomorph cross-checks every verdict.
 """
 
-from .groups import (ASSOC_CHECK_BOUND, AUT_SEARCH_BOUND, BoundExceeded,
-                     FiniteGroup, GroupDefinitionError, Homomorphism,
-                     HomomorphismError, all_homomorphisms, all_subgroups,
-                     as_subgroup, automorphism_group, automorphism_perms,
-                     center, characteristic_subgroups, commutator_subgroup,
+from .groups import (AUT_SEARCH_BOUND, BoundExceeded, FiniteGroup,
+                     GroupDefinitionError, Homomorphism, HomomorphismError,
+                     all_homomorphisms, all_subgroups, as_subgroup,
+                     automorphism_group, automorphism_perms, center,
+                     characteristic_subgroups, commutator_subgroup,
                      cyclic_group, dihedral_group, direct_product,
                      element_order, find_isomorphism, generating_set,
                      is_cgroup, is_normal, is_subgroup,

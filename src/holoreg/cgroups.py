@@ -12,14 +12,14 @@ raw Cayley table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     is_cgroup, is_normal, subgroup_generated)
+                     is_cgroup, is_normal, memoized, subgroup_generated)
 
 
 def geometric_sum(h: int, length: int, modulus: int) -> int:
@@ -84,6 +84,8 @@ class CGroupPresentation:
     e: int
     d: int
     k: int
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)  # filled only by ``memoized``
 
     def __post_init__(self):
         if self.e < 1 or self.d < 1:
@@ -346,8 +348,12 @@ def cgroup_coordinates(G: FiniteGroup, x: int, y: int, M: CGroupPresentation):
     return coords, index_of
 
 
+@memoized
 def cgroup_aut_group(M: CGroupPresentation) -> FiniteGroup:
-    """Aut(C(e,d,k)) in canonical coordinates, of order g_theta * phi(e) * |U_k(d)|."""
+    """Aut(C(e,d,k)) in canonical coordinates, of order g_theta * phi(e) * |U_k(d)|.
+
+    Memoized per presentation.
+    """
     ue, ukd = unit_groups(M)
     triples = [(c, u, v) for c in range(M.g_theta) for u in ue for v in ukd]
     index = {t: i for i, t in enumerate(triples)}

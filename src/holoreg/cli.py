@@ -117,8 +117,8 @@ def _oracle_report(request: Request) -> tuple:
     report.add("spec", _group_source(request))
     report.add("order", group.order)
     report.add("generator_count", len(found))
+    gens = generating_set(group)
     for idx, h in enumerate(found):
-        gens = generating_set(group)
         twist = ",".join(
             f"{group.format_element(g)}->{group.format_element(h.twist[g])}"
             for g in gens)

@@ -4,19 +4,19 @@ Every group is an ``n x n`` table of element indices.  Structured labels
 (generator-exponent tuples) ride alongside the table so that symbolic
 formulas can be read back from a concrete group.  All objects are immutable
 after construction and every function here is pure, so values may be shared
-freely between threads.
+freely between threads.  Values computed from a group by other functions are
+cached per group through ``memoized``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-ASSOC_CHECK_BOUND = 512
 AUT_SEARCH_BOUND = 256
 SUBGROUP_ENUM_BOUND = 128
 
@@ -44,13 +44,12 @@ class FiniteGroup:
     """A finite group given by a Cayley table on element indices 0..n-1.
 
     ``table[a, b]`` is the index of the product ``a*b``.  Construction
-    validates the identity, the Latin-square property, and (for orders up to
-    ``assoc_bound``) associativity on all triples.
+    validates the identity, the Latin-square property, and associativity on
+    all triples, at every order (Light's test over a generating sequence).
     """
 
     def __init__(self, table, labels=None, name: str = "",
-                 label_style: Optional[str] = None,
-                 assoc_bound: int = ASSOC_CHECK_BOUND):
+                 label_style: Optional[str] = None):
         table = _as_int_table(table)
         n = table.shape[0]
         if n == 0:
@@ -68,9 +67,9 @@ class FiniteGroup:
         self.labels = labels
         self.identity = self._find_identity()
         self._check_latin()
-        if n <= assoc_bound:
-            self._check_associative()
+        self._check_associative()
         table.setflags(write=False)
+        self.memo = {}  # filled only by ``memoized``
 
     # -- construction checks ------------------------------------------------
 
@@ -90,12 +89,22 @@ class FiniteGroup:
             raise GroupDefinitionError("table is not a Latin square")
 
     def _check_associative(self):
+        """Light's test: (a*g)*b == a*(g*b) for all a, b, checked only for g
+        in a generating sequence, each g the least index not yet reached.
+
+        Exact: the g that pass contain the identity and are closed under the
+        product, and every element is a left-nested product of the sequence.
+        """
         t = self.table
+        reached = {self.identity}
+        gens = []
         for g in range(self.order):
-            left = t[t[g], :]          # (g*h)*k
-            right = t[g][t]            # g*(h*k)
-            if not np.array_equal(left, right):
+            if g in reached:
+                continue
+            if not np.array_equal(t[t[:, g]], t[:, t[g]]):
                 raise GroupDefinitionError(f"associativity fails at element {g}")
+            gens.append(g)
+            reached = set(subgroup_generated(self, gens))
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -191,9 +200,8 @@ class FiniteGroup:
         return f"<FiniteGroup {tag}>"
 
     @classmethod
-    def from_product_function(cls, elements: Sequence, op: Callable,
-                              name: str = "", label_style: Optional[str] = None,
-                              **kwargs) -> "FiniteGroup":
+    def from_product_function(cls, elements: Sequence, op: Callable, name: str = "",
+                              label_style: Optional[str] = None) -> "FiniteGroup":
         """Build a group from explicit elements and a binary operation."""
         elements = list(elements)
         index = {e: i for i, e in enumerate(elements)}
@@ -202,7 +210,24 @@ class FiniteGroup:
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 table[i, j] = index[op(a, b)]
-        return cls(table, labels=elements, name=name, label_style=label_style, **kwargs)
+        return cls(table, labels=elements, name=name, label_style=label_style)
+
+
+def memoized(fn):
+    """Compute ``fn(obj, ...)`` once per ``obj`` and keep it in ``obj.memo``.
+
+    ``obj`` is a FiniteGroup or a CGroupPresentation: both are immutable and
+    own the dict their memoized values live in, so a value lives exactly as
+    long as the object it was computed from.  Arguments after ``obj`` may
+    only cut the computation short by raising; they are not part of the key.
+    """
+    @wraps(fn)
+    def wrapper(obj, *args, **kwargs):
+        memo = obj.memo
+        if fn not in memo:
+            memo[fn] = fn(obj, *args, **kwargs)
+        return memo[fn]
+    return wrapper
 
 
 def format_label(label, style: Optional[str], idx: int) -> str:
@@ -527,7 +552,7 @@ def is_cgroup(G: FiniteGroup) -> bool:
     """True when every Sylow subgroup is cyclic."""
     n = G.order
     orders = set(int(x) for x in G.orders)
-    for p in _prime_factors(n):
+    for p in _prime_divisors(n):
         pk = 1
         m = n
         while m % p == 0:
@@ -538,7 +563,7 @@ def is_cgroup(G: FiniteGroup) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list:
+def _prime_divisors(n: int) -> list:
     out = []
     d = 2
     while d * d <= n:
@@ -700,24 +725,26 @@ def automorphism_group(G: FiniteGroup, bound: Optional[int] = AUT_SEARCH_BOUND,
                        max_count: Optional[int] = None) -> list:
     """All automorphisms of G, by generator-image backtracking.
 
-    Results are cached on the group.  ``bound`` limits the group order the
+    Results are memoized per group.  ``bound`` limits the group order the
     search will accept; ``max_count`` aborts early once more than that many
     automorphisms have been found.
     """
     if bound is not None and G.order > bound:
         raise BoundExceeded(f"automorphism search bound {bound} exceeded by order {G.order}")
-    cached = getattr(G, "_aut_cache", None)
-    if cached is None:
-        gens = generating_set(G)
-        fps = _fingerprints(G)
-        cands = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
-        images = _search_homomorphisms(G, G, gens, cands, injective=True,
-                                       max_count=max_count)
-        cached = [Homomorphism(G, G, img, validate=False) for img in images]
-        G._aut_cache = cached
-    if max_count is not None and len(cached) > max_count:
+    auts = _automorphisms(G, max_count)
+    if max_count is not None and len(auts) > max_count:
         raise BoundExceeded(f"more than {max_count} automorphisms")
-    return list(cached)
+    return list(auts)
+
+
+@memoized
+def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> tuple:
+    gens = generating_set(G)
+    fps = _fingerprints(G)
+    cands = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
+    images = _search_homomorphisms(G, G, gens, cands, injective=True,
+                                   max_count=max_count)
+    return tuple(Homomorphism(G, G, img, validate=False) for img in images)
 
 
 def automorphism_perms(G: FiniteGroup, bound: Optional[int] = AUT_SEARCH_BOUND,

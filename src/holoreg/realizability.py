@@ -19,19 +19,20 @@ subgroup.  A brute-force oracle cross-checks every verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
-                      cgroup_aut_group, cgroup_group, recognize_cgroup)
+                      cgroup_aut_group, cgroup_coordinates, cgroup_group,
+                      recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms, as_subgroup,
-                     automorphism_perms, find_isomorphism, is_cgroup,
-                     quotient_group, semidirect_product, subgroup_generated,
-                     sylow_subgroup)
+                     automorphism_perms, find_isomorphism, is_cgroup, memoized,
+                     normal_hall_odd_subgroup, quotient_group,
+                     subgroup_generated, sylow_subgroup)
 from .holomorph import HolElement, conjugation_perm
+from .specs import build_semidirect_from_auts, parse_group_spec
 
 REASON_CGROUP = "c-group"
 REASON_CASE_1 = "theorem-case-1"
@@ -41,14 +42,15 @@ REASON_P_SHAPE = "fails-P-shape"
 REASON_ALPHA = "fails-alpha-condition"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     """A split N = M x| P with structured witnesses inside N.
 
     M is the normal Hall subgroup of odd order with presentation witnesses
     x, y; P is a Sylow 2-subgroup with witnesses r, s satisfying the dihedral
     or quaternion relations; alpha records conjugation by each element of P
-    as a canonical-form automorphism of M.
+    as a canonical-form automorphism of M, and alpha_hom is alpha checked to
+    be an action.  Built only by ``_split`` and never changed afterwards.
     """
 
     group: FiniteGroup
@@ -67,7 +69,7 @@ class Decomposition:
     r: int
     s: int
     alpha: tuple             # p_group index -> CGroupAut
-    alpha_hom: Optional[Homomorphism] = None
+    alpha_hom: Homomorphism  # P -> cgroup_aut_group(pres)
     model: Optional[FiniteGroup] = None       # abstract M x| P built from alpha
     model_iso: Optional[Homomorphism] = None  # N -> model
 
@@ -83,35 +85,30 @@ class Decomposition:
     def alpha_s(self) -> CGroupAut:
         return self.alpha[self.p_to_n.index(self.s)]
 
+    @cached_property
+    def factors(self) -> tuple:
+        """factors[g] = (i, j, a, b) with g = x^i y^j r^a s^b."""
+        N = self.group
+        out = [None] * N.order
+        for m in self.m_elems:
+            i, j = self.coords[m]
+            for pi, t in enumerate(self.p_to_n):
+                a, b = self.p_group.label(pi)
+                out[N.mul(m, t)] = (i, j, a, b)
+        if any(f is None for f in out):
+            raise GroupDefinitionError("M and P do not factor N uniquely")
+        return tuple(out)
+
     def factorization(self, g: int):
         """(i, j, a, b) with g = x^i y^j r^a s^b."""
-        cached = getattr(self, "_factors", None)
-        if cached is None:
-            N = self.group
-            cached = [None] * N.order
-            for m in self.m_elems:
-                i, j = self.coords[m]
-                for pi, t in enumerate(self.p_to_n):
-                    a, b = self.p_group.label(pi)
-                    cached[N.mul(m, t)] = (i, j, a, b)
-            if any(f is None for f in cached):
-                raise GroupDefinitionError("M and P do not factor N uniquely")
-            self._factors = cached
-        return cached[g]
-
-    def element_of(self, i: int, j: int, a: int, b: int) -> int:
-        N = self.group
-        m = self.index_of[(i % max(self.pres.e, 1), j % self.pres.d)]
-        half = max(self.p_group.order // 2, 1)
-        t = self.p_to_n[self.p_group.labels.index((a % half, b % 2))]
-        return N.mul(m, t)
+        return self.factors[g]
 
     def summary(self) -> str:
         return (f"e={self.pres.e} d={self.pres.d} k={self.pres.k} "
                 f"P={self.p_kind} m={self.m_exp} alpha_image={self.alpha_image_size}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of the classifier, with a verified witness when realizable."""
 
@@ -161,73 +158,72 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
     Returns None when no such split exists, which already certifies that the
     holomorph of N has no cyclic regular subgroup.
     """
-    n = N.order
-    odd_part = n
-    m_exp_total = 0
-    while odd_part % 2 == 0:
-        odd_part //= 2
-        m_exp_total += 1
-    m_elems = tuple(g for g in range(n) if int(N.orders[g]) % 2 == 1)
-    if len(m_elems) != odd_part:
+    odd = _odd_part(N)
+    if odd is None:
         return None
-    mset = set(m_elems)
-    if any(N.mul(a, b) not in mset for a in m_elems for b in m_elems):
+    m_elems, m_group, pres, x, y = odd
+    p_elems = sylow_subgroup(N, 2)
+    shape = _two_group_witnesses(N, p_elems)
+    if shape is None:
+        return None
+    kind, m_exp, r, s = shape
+    try:
+        return _split(N, m_elems, m_group, pres, x, y, p_elems, kind, m_exp, r, s)
+    except HomomorphismError:
+        return None
+
+
+@memoized
+def _odd_part(N: FiniteGroup) -> Optional[tuple]:
+    """(m_elems, m_group, pres, x, y) for the odd Hall part M of N, or None
+    when M does not exist or is not a C-group.
+
+    Memoized, so a failing ``classify`` reads its reason off the same pass
+    that ``decompose`` made.
+    """
+    m_elems = normal_hall_odd_subgroup(N)
+    if m_elems is None:
         return None
     m_group, _ = as_subgroup(N, m_elems, name=f"odd part of ({N.name})")
     recognized = recognize_cgroup(m_group)
     if recognized is None:
         return None
-    pres, x_sub, y_sub = recognized
-    x, y = m_elems[x_sub], m_elems[y_sub]
-    coords_list = [None] * N.order
-    index_of = {}
-    xi = N.identity
-    for i in range(pres.e):
-        g = xi
-        for j in range(pres.d):
-            coords_list[g] = (i, j)
-            index_of[(i, j)] = g
-            g = N.mul(g, y)
-        xi = N.mul(xi, x)
-    p_elems = sylow_subgroup(N, 2) if n % 2 == 0 else (N.identity,)
-    shape = _two_group_witnesses(N, p_elems)
-    if shape is None:
-        return None
-    kind, m_exp, r, s = shape
-    # relabel P by (a, b) exponents over (r, s)
-    if kind == "cyclic":
-        p_to_n = [N.power(r, a) for a in range(len(p_elems))]
-        plabels = [(a, 0) for a in range(len(p_elems))]
-    else:
-        p_to_n = []
-        plabels = []
-        ra = N.identity
-        for a in range(len(p_elems) // 2):
-            p_to_n.append(ra)
-            plabels.append((a, 0))
-            p_to_n.append(N.mul(ra, s))
-            plabels.append((a, 1))
-            ra = N.mul(ra, r)
-    if sorted(p_to_n) != sorted(p_elems) or len(set(p_to_n)) != len(p_elems):
-        return None
+    pres, x, y = recognized
+    return m_elems, m_group, pres, m_elems[x], m_elems[y]
+
+
+def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
+           pres: CGroupPresentation, x: int, y: int, p_elems: tuple,
+           p_kind: str, m_exp: int, r: int, s: int) -> Decomposition:
+    """The one builder of a Decomposition: M in x^i y^j coordinates, P
+    relabelled as r^a s^b, and the action alpha of P on M."""
+    coords, index_of = cgroup_coordinates(N, x, y, pres)
+    p_to_n, p_group = _relabel_p(N, p_elems, p_kind, r, s)
+    alpha = tuple(_conjugation_as_aut(N, t, pres, coords, index_of)
+                  for t in p_to_n)
+    return Decomposition(N, m_elems, m_group, pres, x, y, tuple(coords),
+                         index_of, p_elems, p_group, p_to_n, p_kind, m_exp,
+                         r, s, alpha, _alpha_as_homomorphism(p_group, pres, alpha))
+
+
+def _relabel_p(N: FiniteGroup, p_elems: tuple, kind: str, r: int, s: int):
+    """P as the words r^a s^b, with b = 0 only when P is cyclic: returns the
+    N-index of each word and P as its own group labelled (a, b)."""
+    b_range = (0,) if kind == "cyclic" else (0, 1)
+    p_to_n, labels = [], []
+    ra = N.identity
+    for a in range(len(p_elems) // len(b_range)):
+        for b in b_range:
+            p_to_n.append(N.mul(ra, s) if b else ra)
+            labels.append((a, b))
+        ra = N.mul(ra, r)
+    if sorted(p_to_n) != sorted(p_elems):
+        raise GroupDefinitionError("witnesses r, s do not generate P")
     pos = {e: i for i, e in enumerate(p_to_n)}
-    table = np.zeros((len(p_to_n), len(p_to_n)), dtype=np.int32)
-    for i, a in enumerate(p_to_n):
-        for j, b in enumerate(p_to_n):
-            table[i, j] = pos[N.mul(a, b)]
-    p_group = FiniteGroup(table, labels=plabels,
-                          name=f"Sylow 2-subgroup of ({N.name})",
-                          label_style="twogroup" if kind != "cyclic" else None)
-    try:
-        alpha = tuple(_conjugation_as_aut(N, t, pres, coords_list, index_of)
-                      for t in p_to_n)
-    except HomomorphismError:
-        return None
-    dec = Decomposition(N, m_elems, m_group, pres, x, y, tuple(coords_list),
-                        index_of, tuple(p_elems), p_group, tuple(p_to_n),
-                        kind, m_exp, r, s, alpha)
-    dec.alpha_hom = _alpha_as_homomorphism(dec)
-    return dec
+    table = [[pos[N.mul(a, b)] for b in p_to_n] for a in p_to_n]
+    p_group = FiniteGroup(table, labels=labels, name=f"{kind} {len(p_elems)}",
+                          label_style=None if kind == "cyclic" else "twogroup")
+    return tuple(p_to_n), p_group
 
 
 def _conjugation_as_aut(N: FiniteGroup, t: int, pres: CGroupPresentation,
@@ -241,11 +237,11 @@ def _conjugation_as_aut(N: FiniteGroup, t: int, pres: CGroupPresentation,
     return aut_decompose(pres, cx, cy)
 
 
-def _alpha_as_homomorphism(dec: Decomposition) -> Homomorphism:
-    aut_grp = cgroup_aut_group(dec.pres)
+def _alpha_as_homomorphism(p_group: FiniteGroup, pres: CGroupPresentation,
+                           alpha: tuple) -> Homomorphism:
+    aut_grp = cgroup_aut_group(pres)
     index = {lab: i for i, lab in enumerate(aut_grp.labels)}
-    images = tuple(index[(a.c, a.u, a.v)] for a in dec.alpha)
-    return Homomorphism(dec.p_group, aut_grp, images)
+    return Homomorphism(p_group, aut_grp, tuple(index[(a.c, a.u, a.v)] for a in alpha))
 
 
 def _cyclic_index2_trivial(dec: Decomposition) -> bool:
@@ -259,42 +255,21 @@ def _cyclic_index2_trivial(dec: Decomposition) -> bool:
     return all(dec.alpha[t].is_identity for t in powers)
 
 
+@memoized
 def classify(N: FiniteGroup) -> Verdict:
     """Decide whether the holomorph of N contains a cyclic regular subgroup.
 
     Every positive verdict carries a holomorph element whose cycle through
-    the identity is verified to have full length.  Verdicts are cached on
-    the (immutable) group.
+    the identity is verified to have full length.  Verdicts are memoized per
+    group.
     """
-    cached = getattr(N, "_verdict_cache", None)
-    if cached is not None:
-        return cached
-    verdict = _classify_uncached(N)
-    N._verdict_cache = verdict
-    return verdict
-
-
-def _classify_uncached(N: FiniteGroup) -> Verdict:
     if is_cgroup(N):
-        witness = cgroup_witness(N)
-        return Verdict(True, REASON_CGROUP, None, witness)
+        return Verdict(True, REASON_CGROUP, None, cgroup_witness(N))
     dec = decompose(N)
     if dec is None:
-        odd = tuple(g for g in range(N.order) if int(N.orders[g]) % 2 == 1)
-        odd_part = N.order
-        while odd_part % 2 == 0:
-            odd_part //= 2
-        oset = set(odd)
-        bad_odd = len(odd) != odd_part or \
-            any(N.mul(a, b) not in oset for a in odd for b in odd)
-        if not bad_odd:
-            sub, _ = as_subgroup(N, odd)
-            bad_odd = recognize_cgroup(sub) is None
-        reason = REASON_NOT_2NILPOTENT if bad_odd else REASON_P_SHAPE
+        reason = REASON_NOT_2NILPOTENT if _odd_part(N) is None else REASON_P_SHAPE
         return Verdict(False, reason, None, None)
-    if dec.p_kind == "cyclic":  # then N is a C-group, handled above
-        witness = cgroup_witness(N)
-        return Verdict(True, REASON_CGROUP, dec, witness)
+    # P is not cyclic here: with an odd C-group M that would make N a C-group
     small = (dec.p_group.order == 4) or \
         (dec.p_kind == "quaternion" and dec.p_group.order == 8)
     if small:
@@ -359,17 +334,14 @@ def normalize_alpha(dec: Decomposition) -> Decomposition:
     action of s lands in the phi family.  The rewitnessed split is packaged
     with an explicit isomorphism onto the abstract model M x| P.
     """
-    N = dec.group
-    dec = _retarget_r(dec)
-    dec = _retarget_s(dec)
+    dec = _retarget_s(_retarget_r(dec))
     if not dec.alpha_r.is_identity:
         raise GroupDefinitionError("normalization failed to trivialize the r action")
     a_s = dec.alpha_s
     if a_s.c != 0 or a_s.v != 1:
         raise GroupDefinitionError("normalization failed to reduce s to the phi family")
     model, iso = _build_model(dec)
-    dec.model, dec.model_iso = model, iso
-    return dec
+    return replace(dec, model=model, model_iso=iso)
 
 
 def _retarget_r(dec: Decomposition) -> Decomposition:
@@ -408,78 +380,23 @@ def _retarget_s(dec: Decomposition) -> Decomposition:
     if target is None:
         raise GroupDefinitionError("no conjugate of the s action lies in the phi family")
     pi_inv = target.inverse()
-    N = dec.group
     new_x = dec.index_of[pi_inv.apply(1 % dec.pres.e, 0)]
     new_y = dec.index_of[pi_inv.apply(0, 1 % dec.pres.d)]
     return _rewitness(dec, dec.r, dec.s, new_x, new_y)
 
 
 def _rewitness(dec: Decomposition, r: int, s: int, x: int, y: int) -> Decomposition:
-    """Rebuild the decomposition data from new witnesses inside the same N."""
-    N = dec.group
-    pres = dec.pres
-    coords_list = [None] * N.order
-    index_of = {}
-    xi = N.identity
-    for i in range(pres.e):
-        g = xi
-        for j in range(pres.d):
-            if coords_list[g] is not None:
-                raise GroupDefinitionError("new witnesses do not factor M")
-            coords_list[g] = (i, j)
-            index_of[(i, j)] = g
-            g = N.mul(g, y)
-        xi = N.mul(xi, x)
-    half = max(dec.p_group.order // 2, 1)
-    p_to_n = []
-    plabels = []
-    ra = N.identity
-    for a in range(half):
-        p_to_n.append(ra)
-        plabels.append((a, 0))
-        p_to_n.append(N.mul(ra, s))
-        plabels.append((a, 1))
-        ra = N.mul(ra, r)
-    if sorted(p_to_n) != sorted(dec.p_elems):
-        raise GroupDefinitionError("new witnesses do not generate P")
-    pos = {e: i for i, e in enumerate(p_to_n)}
-    table = np.zeros((len(p_to_n), len(p_to_n)), dtype=np.int32)
-    for i, a in enumerate(p_to_n):
-        for j, b in enumerate(p_to_n):
-            table[i, j] = pos[N.mul(a, b)]
-    p_group = FiniteGroup(table, labels=plabels, name=dec.p_group.name,
-                          label_style="twogroup")
-    alpha = tuple(_conjugation_as_aut(N, t, pres, coords_list, index_of)
-                  for t in p_to_n)
-    out = Decomposition(N, dec.m_elems, dec.m_group, pres, x, y,
-                        tuple(coords_list), index_of, dec.p_elems, p_group,
-                        tuple(p_to_n), dec.p_kind, dec.m_exp, r, s, alpha)
-    out.alpha_hom = _alpha_as_homomorphism(out)
-    return out
+    """The same split of the same N over new witnesses r, s, x, y."""
+    return _split(dec.group, dec.m_elems, dec.m_group, dec.pres, x, y,
+                  dec.p_elems, dec.p_kind, dec.m_exp, r, s)
 
 
 def _build_model(dec: Decomposition):
     """Abstract M x| P from the normalized action, with the explicit isomorphism."""
-    M = cgroup_group(dec.pres)
-    coords = [M.label(i) for i in range(M.order)]
-    index_m = {lab: i for i, lab in enumerate(coords)}
-    P = dec.p_group
-    perms = [np.array(a.as_permutation(coords, index_m), dtype=np.int32)
-             for a in dec.alpha]
-    ctor = "dihedral" if dec.p_kind == "dihedral" else "quaternion"
-    alpha_spec = " ".join(
-        f"{g}->{dec.alpha[P.labels.index(lab)].spec}"
-        for g, lab in (("r", (1 % (P.order // 2), 0)), ("s", (0, 1))))
-    name = (f"semidirect ({dec.pres.spec}) ({ctor} {P.order}) "
-            f"alpha {alpha_spec}")
-    model = semidirect_product(M, P, perms, name=name)
-    images = [0] * dec.group.order
-    for g in range(dec.group.order):
-        i, j, a, b = dec.factorization(g)
-        mi = index_m[(i, j)]
-        pi = P.labels.index((a, b))
-        images[g] = mi * P.order + pi
-    iso = Homomorphism(dec.group, model, tuple(images))
+    model = build_semidirect_from_auts(dec.pres, dec.p_group, dec.alpha_r, dec.alpha_s)
+    index = {lab: g for g, lab in enumerate(model.labels)}
+    images = tuple(index[((i, j), (a, b))] for i, j, a, b in dec.factors)
+    iso = Homomorphism(dec.group, model, images)
     if not iso.is_bijective:
         raise GroupDefinitionError("model map is not bijective")
     return model, iso
@@ -579,21 +496,12 @@ def classify_rump(G: FiniteGroup) -> bool:
     containing a copy of G exactly when G is 2-nilpotent with a C-group odd
     part and a Sylow 2-subgroup that is trivial, cyclic, or contains a cyclic
     subgroup of index 2."""
-    n = G.order
-    odd_part = n
-    while odd_part % 2 == 0:
-        odd_part //= 2
-    odd = tuple(g for g in range(n) if int(G.orders[g]) % 2 == 1)
-    if len(odd) != odd_part:
-        return False
-    oset = set(odd)
-    if any(G.mul(a, b) not in oset for a in odd for b in odd):
+    odd = normal_hall_odd_subgroup(G)
+    if odd is None:
         return False
     m_group, _ = as_subgroup(G, odd)
     if not is_cgroup(m_group):
         return False
-    if n == odd_part:
-        return True
     p_elems = sylow_subgroup(G, 2)
     size = len(p_elems)
     if size <= 2:
@@ -637,21 +545,11 @@ TWO_GROUP_SPECS = ("dihedral 4", "quaternion 8", "dihedral 8",
                    "dihedral 16", "quaternion 16")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusEntry:
     spec: str
     group: FiniteGroup
     duplicate_of: Optional[int] = None  # index of an isomorphic earlier entry
-
-
-def _two_group_from_spec(spec: str) -> FiniteGroup:
-    from .groups import dihedral_group, quaternion_group
-    kind, order = spec.split()
-    ctor = dihedral_group if kind == "dihedral" else quaternion_group
-    return ctor(int(order))
-
-
-_CORPUS_CACHE: dict = {}
 
 
 def generate_corpus(max_m_order: int = 21,
@@ -661,45 +559,36 @@ def generate_corpus(max_m_order: int = 21,
 
     Entries are deterministic; when ``mark_duplicates`` is set, later entries
     isomorphic to an earlier one carry its index in ``duplicate_of``.  The
-    result is cached per process and must be treated as read-only.
+    result is cached per process: the entries are frozen, and the list must
+    not be modified.
     """
-    cache_key = (max_m_order, tuple(two_groups), mark_duplicates)
-    if cache_key in _CORPUS_CACHE:
-        return _CORPUS_CACHE[cache_key]
-    entries = []
+    return _corpus(max_m_order, tuple(two_groups), mark_duplicates)
+
+
+@cache
+def _corpus(max_m_order: int, two_groups: tuple, mark_duplicates: bool) -> list:
+    built = []
     for pres in cgroup_pool(max_m_order):
-        M = cgroup_group(pres)
-        coords = [M.label(i) for i in range(M.order)]
-        index_m = {lab: i for i, lab in enumerate(coords)}
         aut_grp = cgroup_aut_group(pres)
         for p_spec in two_groups:
-            P = _two_group_from_spec(p_spec)
+            P = parse_group_spec(p_spec)
+            r, s = P.labels.index((1, 0)), P.labels.index((0, 1))
             for hom in all_homomorphisms(P, aut_grp):
-                auts = [CGroupAut(pres, *aut_grp.label(hom(t)))
-                        for t in range(P.order)]
-                perms = [np.array(a.as_permutation(coords, index_m), dtype=np.int32)
-                         for a in auts]
-                r_idx = P.labels.index((1 % (P.order // 2), 0))
-                s_idx = P.labels.index((0, 1))
-                spec = (f"semidirect ({pres.spec}) ({p_spec}) alpha "
-                        f"r->{auts[r_idx].spec} s->{auts[s_idx].spec}")
-                group = semidirect_product(M, P, perms, name=spec)
-                entries.append(CorpusEntry(spec, group))
+                aut_r, aut_s = (CGroupAut(pres, *aut_grp.label(hom(t))) for t in (r, s))
+                built.append(build_semidirect_from_auts(pres, P, aut_r, aut_s))
+    duplicate_of = [None] * len(built)
     if mark_duplicates:
         by_invariant: dict = {}
-        for idx, entry in enumerate(entries):
-            g = entry.group
+        for idx, g in enumerate(built):
             key = (g.order, tuple(sorted(g.orders.tolist())),
                    tuple(sorted(g.class_sizes.tolist())))
             bucket = by_invariant.setdefault(key, [])
-            for prev in bucket:
-                if find_isomorphism(entries[prev].group, g, bound=None) is not None:
-                    entry.duplicate_of = prev
-                    break
-            if entry.duplicate_of is None:
+            duplicate_of[idx] = next(
+                (prev for prev in bucket
+                 if find_isomorphism(built[prev], g, bound=None) is not None), None)
+            if duplicate_of[idx] is None:
                 bucket.append(idx)
-    _CORPUS_CACHE[cache_key] = entries
-    return entries
+    return [CorpusEntry(g.name, g, dup) for g, dup in zip(built, duplicate_of)]
 
 
 def corpus_representatives(entries: Sequence[CorpusEntry]) -> list:

@@ -74,17 +74,36 @@ def _parse_atom(tokens: list):
         if head == "quaternion":
             n, rest = _take_int(rest, "quaternion order")
             return quaternion_group(n), rest
-        if head == "cgroup":
-            e, rest = _take_int(rest, "cgroup e")
-            d, rest = _take_int(rest, "cgroup d")
-            k, rest = _take_int(rest, "cgroup k")
-            return cgroup_group(CGroupPresentation(e, d, k)), rest
     except GroupDefinitionError as exc:
         raise SpecError(str(exc)) from exc
+    if head == "cgroup":
+        pres, rest = _parse_presentation(tokens)
+        return cgroup_group(pres), rest
     raise SpecError(f"unknown group constructor {head!r}")
 
 
-def _parse_parenthesized(tokens: list):
+def _parse_presentation(tokens: list):
+    """A ``cyclic n`` or ``cgroup e d k`` atom as its presentation; a cyclic
+    atom is C(n, 1, 1)."""
+    if not tokens:
+        raise SpecError("empty group spec")
+    head, rest = tokens[0], tokens[1:]
+    if head == "cyclic":
+        e, rest = _take_int(rest, "cyclic order")
+        d = k = 1
+    elif head == "cgroup":
+        e, rest = _take_int(rest, "cgroup e")
+        d, rest = _take_int(rest, "cgroup d")
+        k, rest = _take_int(rest, "cgroup k")
+    else:
+        raise SpecError("semidirect base must be a cyclic or cgroup atom")
+    try:
+        return CGroupPresentation(e, d, k), rest
+    except GroupDefinitionError as exc:
+        raise SpecError(str(exc)) from exc
+
+
+def _parse_parenthesized(tokens: list, parse):
     if not tokens or tokens[0] != "(":
         raise SpecError("expected '(' in semidirect spec")
     depth, i = 1, 1
@@ -97,19 +116,10 @@ def _parse_parenthesized(tokens: list):
     if depth:
         raise SpecError("unbalanced parentheses in spec")
     inner, rest = tokens[1:i - 1], tokens[i:]
-    group, leftover = _parse_spec(inner)
+    value, leftover = parse(inner)
     if leftover:
         raise SpecError(f"trailing tokens inside parentheses: {' '.join(leftover)}")
-    return group, rest
-
-
-def _presentation_of(M: FiniteGroup) -> CGroupPresentation:
-    if M.label_style == "cyclic":
-        return CGroupPresentation(M.order, 1, 1)
-    if M.label_style == "cgroup":
-        e, d, k = (int(v) for v in M.name.split()[1:4])
-        return CGroupPresentation(e, d, k)
-    raise SpecError("semidirect base must be a cyclic or cgroup atom")
+    return value, rest
 
 
 def parse_aut_spec(text: str, pres: CGroupPresentation) -> CGroupAut:
@@ -139,10 +149,8 @@ def parse_aut_spec(text: str, pres: CGroupPresentation) -> CGroupAut:
 
 
 def _parse_semidirect(tokens: list):
-    M, tokens = _parse_parenthesized(tokens)
-    if M.label_style not in ("cyclic", "cgroup"):
-        raise SpecError("semidirect base must be a cyclic or cgroup atom")
-    P, tokens = _parse_parenthesized(tokens)
+    pres, tokens = _parse_parenthesized(tokens, _parse_presentation)
+    P, tokens = _parse_parenthesized(tokens, _parse_spec)
     if P.label_style != "twogroup":
         raise SpecError("semidirect acting factor must be dihedral or quaternion")
     if not tokens or tokens[0] != "alpha":
@@ -159,7 +167,6 @@ def _parse_semidirect(tokens: list):
         tokens = tokens[1:]
     if set(images) != {"r", "s"}:
         raise SpecError("action must assign both r-> and s->")
-    pres = _presentation_of(M)  # a cyclic atom acts through its form C(n, 1, 1)
     group = build_semidirect_from_auts(
         pres, P, parse_aut_spec(images["r"], pres), parse_aut_spec(images["s"], pres))
     return group, tokens
@@ -168,40 +175,32 @@ def _parse_semidirect(tokens: list):
 def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
                                aut_r: CGroupAut, aut_s: CGroupAut,
                                name: str = "") -> FiniteGroup:
-    """Semidirect product of a presented C-group by a two-group, from the
-    images of r and s in canonical automorphism coordinates."""
-    M = cgroup_group(pres)
+    """Semidirect product of a presented C-group by a dihedral or quaternion
+    group P, from the images of r and s in canonical automorphism coordinates.
+
+    The default name is the spec string that parses back to the product.
+    """
     half = P.order // 2
-    # relations of P must be preserved, else the assignment is not an action
-    a_r, a_s = aut_r, aut_s
-    power = CGroupAut(pres, 0, 1, 1)
+    r_powers = [CGroupAut(pres, 0, 1, 1)]
     for _ in range(half):
-        power = power.compose(a_r)
-    if not power.is_identity:
+        r_powers.append(r_powers[-1].compose(aut_r))
+    # relations of P must be preserved, else the assignment is not an action
+    if not r_powers[half].is_identity:
         raise SpecError("action of r violates its order relation")
-    s_sq = a_s.compose(a_s)
-    expected = CGroupAut(pres, 0, 1, 1)
-    if P.name.startswith("quaternion"):
-        for _ in range(half // 2):
-            expected = expected.compose(a_r)
-    if (s_sq.c, s_sq.u, s_sq.v) != (expected.c, expected.u, expected.v):
+    s = P.labels.index((0, 1))
+    s_sq_exp, _ = P.label(P.mul(s, s))  # s^2 = r^s_sq_exp
+    if aut_s.compose(aut_s) != r_powers[s_sq_exp]:
         raise SpecError("action of s violates the s^2 relation")
-    conj = a_s.compose(a_r).compose(a_s.inverse())
-    if (conj.c, conj.u, conj.v) != (a_r.inverse().c, a_r.inverse().u, a_r.inverse().v):
+    if aut_s.compose(aut_r).compose(aut_s.inverse()) != aut_r.inverse():
         raise SpecError("action violates the conjugation relation s r s^-1 = r^-1")
+    M = cgroup_group(pres)
     coords = [M.label(i) for i in range(M.order)]
     index_m = {lab: i for i, lab in enumerate(coords)}
-    auts = []
+    perms = []
     for t in range(P.order):
         a, b = P.label(t)
-        aut = CGroupAut(pres, 0, 1, 1)
-        for _ in range(a):
-            aut = aut.compose(a_r)
-        for _ in range(b):
-            aut = aut.compose(a_s)
-        auts.append(aut)
-    perms = [np.array(a.as_permutation(coords, index_m), dtype=np.int32)
-             for a in auts]
+        aut = r_powers[a].compose(aut_s) if b else r_powers[a]
+        perms.append(np.array(aut.as_permutation(coords, index_m), dtype=np.int32))
     spec = (f"semidirect ({pres.spec}) ({P.name}) alpha "
             f"r->{aut_r.spec} s->{aut_s.spec}")
     return semidirect_product(M, P, perms, name=name or spec)

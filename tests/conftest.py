@@ -1,5 +1,6 @@
 """Shared fixtures: the generated test corpus is expensive, so build it once."""
 
+import numpy as np
 import pytest
 
 from holoreg import (CGroupPresentation, cgroup_group, corpus_representatives,
@@ -40,3 +41,19 @@ def cgroup_test_presentations():
 @pytest.fixture(scope="session")
 def cgroup_test_groups(cgroup_test_presentations):
     return [(p, cgroup_group(p)) for p in cgroup_test_presentations]
+
+
+@pytest.fixture(scope="session")
+def loop_table():
+    """``loop_table(m)``: the table of L5 x C_m, a Latin square with identity 0
+    that is not associative because its order-5 factor L5 is a loop."""
+    loop5 = np.array([[0, 1, 2, 3, 4],
+                      [1, 0, 3, 4, 2],
+                      [2, 4, 0, 1, 3],
+                      [3, 2, 4, 0, 1],
+                      [4, 3, 1, 2, 0]])
+
+    def build(m):
+        a, i = np.arange(5 * m) // m, np.arange(5 * m) % m
+        return loop5[a[:, None], a[None, :]] * m + (i[:, None] + i[None, :]) % m
+    return build

@@ -2,7 +2,7 @@
 
 import pytest
 
-from holoreg import dihedral_group, dump_cayley_table
+from holoreg import cyclic_group, dihedral_group, direct_product, dump_cayley_table
 from holoreg.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, Request,
                          default_hol_bound, main, run)
 from holoreg.specs import SpecError
@@ -98,6 +98,120 @@ def test_table_input(tmp_path):
     text, code = run(Request("classify", table=str(path)))
     assert code == EXIT_OK
     assert "realizable: true" in text
+
+
+def test_classify_table_rejects_non_associative_loop(tmp_path, loop_table):
+    # order 515: associativity is checked at every order, so the loop is an
+    # input error, not a verdict
+    path = tmp_path / "loop515.tbl"
+    table = loop_table(103)
+    path.write_text(f"order {len(table)}\n" +
+                    "".join(" ".join(map(str, row)) + "\n" for row in table.tolist()))
+    text, code = run(Request("classify", table=str(path)))
+    assert code == EXIT_ERROR
+    assert text.startswith("error:")
+
+
+# Exact classify reports, pinned so that no refactor of the classifier can
+# change a byte of them.  Together they cover every reason, table input, and
+# both retargeting steps of the normalization: r->phi:20 s->phi:20 moves the
+# alpha-trivial rs onto r, and r->theta:1*phi:6 s->id moves the action of s
+# into the phi family.
+GOLDEN_CLASSIFY = {
+    "cyclic 9": (EXIT_OK, """\
+command: classify
+spec: cyclic 9
+order: 9
+realizable: true
+reason: c-group
+witness_translation: g^8
+witness_twist: g^1->g^1
+"""),
+    "cgroup 7 3 2": (EXIT_OK, """\
+command: classify
+spec: cgroup 7 3 2
+order: 21
+realizable: true
+reason: c-group
+witness_translation: x^5*y
+witness_twist: x->x, y->x^6*y
+"""),
+    "quaternion 8": (EXIT_OK, """\
+command: classify
+spec: quaternion 8
+order: 8
+realizable: true
+reason: theorem-case-1
+decomposition: e=1 d=1 k=1 P=quaternion m=3 alpha_image=1
+witness_translation: r^3*s
+witness_twist: s->r^2*s, r->r^3*s
+"""),
+    "dihedral 16": (EXIT_OK, """\
+command: classify
+spec: dihedral 16
+order: 16
+realizable: true
+reason: theorem-case-2
+decomposition: e=1 d=1 k=1 P=dihedral m=4 alpha_image=1
+witness_translation: r*s
+witness_twist: r->r^7, s->r*s
+"""),
+    "semidirect (cyclic 5) (dihedral 8) alpha r->id s->phi:4": (EXIT_OK, """\
+command: classify
+spec: semidirect (cyclic 5) (dihedral 8) alpha r->id s->phi:4
+order: 40
+realizable: true
+reason: theorem-case-2
+decomposition: e=5 d=1 k=1 P=dihedral m=3 alpha_image=2
+witness_translation: x*r*s
+witness_twist: x*r->x^4*r^3, s->r*s
+"""),
+    ORDER_84_SPEC: (EXIT_NEGATIVE, """\
+command: classify
+spec: semidirect (cgroup 21 1 1) (dihedral 4) alpha r->phi:8 s->phi:13
+order: 84
+realizable: false
+reason: fails-alpha-condition
+decomposition: e=21 d=1 k=1 P=dihedral m=2 alpha_image=4
+"""),
+    "semidirect (cgroup 21 1 1) (dihedral 4) alpha r->phi:20 s->phi:20": (EXIT_OK, """\
+command: classify
+spec: semidirect (cgroup 21 1 1) (dihedral 4) alpha r->phi:20 s->phi:20
+order: 84
+realizable: true
+reason: theorem-case-1
+decomposition: e=21 d=1 k=1 P=dihedral m=2 alpha_image=2
+witness_translation: x*s
+witness_twist: x*r*s->x^20*r*s, s->r
+"""),
+    "semidirect (cgroup 7 3 2) (dihedral 4) alpha r->theta:1*phi:6 s->id": (EXIT_OK, """\
+command: classify
+spec: semidirect (cgroup 7 3 2) (dihedral 4) alpha r->theta:1*phi:6 s->id
+order: 84
+realizable: true
+reason: theorem-case-1
+decomposition: e=7 d=3 k=2 P=dihedral m=2 alpha_image=2
+witness_translation: y*r*s
+witness_twist: x*s->x^3*s, y*r->x^6*y*r*s
+"""),
+}
+
+GOLDEN_TABLES = {
+    "c3xc3": (direct_product(cyclic_group(3), cyclic_group(3)),
+              "fails-supersolvable-reduction"),
+    "c2xc4": (direct_product(cyclic_group(2), cyclic_group(4)), "fails-P-shape"),
+}
+
+
+def test_classify_reports_match_recorded_text(tmp_path):
+    for spec, (want_code, want_text) in GOLDEN_CLASSIFY.items():
+        assert run(Request("classify", spec=spec)) == (want_text, want_code), spec
+    for name, (group, reason) in GOLDEN_TABLES.items():
+        path = tmp_path / f"{name}.tbl"
+        dump_cayley_table(group, path)
+        want = (f"command: classify\nspec: table:{path}\norder: {group.order}\n"
+                f"realizable: false\nreason: {reason}\n")
+        assert run(Request("classify", table=str(path))) == (want, EXIT_NEGATIVE), name
 
 
 def test_env_var_overrides_default_bound(monkeypatch):

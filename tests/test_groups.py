@@ -315,15 +315,12 @@ def test_constructor_rejects_non_latin_table():
         FiniteGroup([[0, 0], [1, 1]])
 
 
-def test_constructor_rejects_non_associative_table():
-    # a Latin square with identity that fails associativity (order 5 loop)
-    table = [[0, 1, 2, 3, 4],
-             [1, 0, 3, 4, 2],
-             [2, 4, 0, 1, 3],
-             [3, 2, 4, 0, 1],
-             [4, 3, 1, 2, 0]]
-    with pytest.raises(GroupDefinitionError):
-        FiniteGroup(table)
+def test_constructor_rejects_non_associative_table(loop_table):
+    # Latin squares with identity that fail associativity: an order-5 loop,
+    # and its product with C_103, of order 515
+    for m in (1, 103):
+        with pytest.raises(GroupDefinitionError):
+            FiniteGroup(loop_table(m))
 
 
 def test_trivial_group_is_valid():

@@ -1,5 +1,7 @@
 """The classifier, the decomposition, normalization, and the constructor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,8 @@ def test_decompose_order_84_group():
     assert dec.pres.order == 21
     assert dec.p_kind == "dihedral" and dec.m_exp == 2
     assert dec.alpha_image_size == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.r = dec.s
 
 
 def test_decompose_quaternion_8():
