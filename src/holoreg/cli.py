@@ -44,6 +44,10 @@ class Request:
     def __post_init__(self):
         if self.hol_bound <= 0:
             raise SpecError("bounds must be positive")
+        if self.workers < 1:
+            raise SpecError("workers must be positive")
+        if self.limit is not None and self.limit < 0:
+            raise SpecError("limit must not be negative")
         if self.command != "sweep" and (self.spec is None) == (self.table is None):
             raise SpecError("exactly one of --spec or --table is required")
 
@@ -266,7 +270,7 @@ def run(request: Request) -> tuple:
         return f"error: {exc}\n", EXIT_ERROR
     except BoundExceeded as exc:
         return f"error: bound exceeded: {exc}\n", EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return f"error: {exc}\n", EXIT_ERROR
 
 
@@ -309,8 +313,12 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     text, code = run(request)
     if request.out:
-        with open(request.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(request.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     return code

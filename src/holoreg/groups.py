@@ -261,7 +261,7 @@ class Homomorphism:
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(x) for x in self.images))
+        object.__setattr__(self, "images", tuple(map(int, self.images)))
         if len(self.images) != self.source.order:
             raise HomomorphismError("images must list one target index per source element")
         if self.validate:
@@ -361,17 +361,19 @@ def _normalize_action(M: FiniteGroup, P: FiniteGroup, alpha) -> np.ndarray:
     if act.shape != (P.order, M.order):
         raise HomomorphismError(f"action must map each of {P.order} elements "
                                 f"to a permutation of {M.order} points")
-    idx = np.arange(M.order, dtype=np.int32)
-    for t in range(P.order):
-        perm = act[t]
-        if not np.array_equal(np.sort(perm), idx):
-            raise HomomorphismError(f"action of element {t} is not a permutation")
-        if not np.array_equal(perm[M.table], M.table[perm[:, None], perm[None, :]]):
-            raise HomomorphismError(f"action of element {t} is not an automorphism")
-    for t1 in range(P.order):
-        for t2 in range(P.order):
-            if not np.array_equal(act[P.mul(t1, t2)], act[t1][act[t2]]):
-                raise HomomorphismError("action is not a homomorphism into Aut(M)")
+    not_perm = (np.sort(act, axis=1) != np.arange(M.order)).any(axis=1)
+    first_bad = int(np.argmax(not_perm)) if not_perm.any() else P.order
+    perms = act[:first_bad]  # the rows before the first non-permutation
+    not_aut = (perms[:, M.table]
+               != M.table[perms[:, :, None], perms[:, None, :]]).any(axis=(1, 2))
+    if not_aut.any():
+        raise HomomorphismError(
+            f"action of element {int(np.argmax(not_aut))} is not an automorphism")
+    if first_bad < P.order:
+        raise HomomorphismError(f"action of element {first_bad} is not a permutation")
+    # act[:, act][t1, t2] is act[t1] after act[t2]
+    if not np.array_equal(act[P.table], act[:, act]):
+        raise HomomorphismError("action is not a homomorphism into Aut(M)")
     return act
 
 
@@ -442,8 +444,12 @@ def is_subgroup(G: FiniteGroup, elems: Iterable[int]) -> bool:
 
 
 def is_normal(G: FiniteGroup, elems: Iterable[int]) -> bool:
-    elems = set(int(x) for x in elems)
-    return all(G.conj(a, g) in elems for a in elems for g in range(G.order))
+    """True when every conjugate g a g^-1 of every a in ``elems`` is in ``elems``."""
+    elems = np.fromiter(elems, dtype=np.intp)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[elems] = True
+    t = G.table
+    return bool(inside[t[t[:, elems], G.inverses[:, None]]].all())
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
@@ -594,17 +600,23 @@ def normal_hall_odd_subgroup(G: FiniteGroup) -> Optional[tuple]:
 
 def generating_set(G: FiniteGroup) -> list:
     """Greedy minimal-ish generating set: repeatedly add the element whose
-    addition grows the generated subgroup the most (least index on ties)."""
+    addition grows the generated subgroup the most (least index on ties).
+
+    An element inside a candidate subgroup already computed in the same pass
+    generates no more than that candidate did, so it is skipped unexamined.
+    """
     gens: list = []
     current = {G.identity}
     while len(current) < G.order:
         best_g, best_set = -1, current
+        covered = set(current)
         for g in range(G.order):
-            if g in current:
+            if g in covered:
                 continue
-            cand = set(subgroup_generated(G, gens + [g]))
+            cand = subgroup_generated(G, gens + [g])
+            covered.update(cand)
             if len(cand) > len(best_set):
-                best_g, best_set = g, cand
+                best_g, best_set = g, set(cand)
                 if len(cand) == G.order:
                     break
         gens.append(best_g)
@@ -638,21 +650,18 @@ def _bfs_words(G: FiniteGroup, gens: Sequence[int]) -> _WordData:
     return _WordData(elems, parent)
 
 
-def _search_homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
-                          candidates: Sequence[Sequence[int]], injective: bool,
-                          first_only: bool = False, max_count: Optional[int] = None):
+def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
+                         injective: bool) -> Callable:
     """DFS over generator images with prefix-subgroup pruning.
 
-    Yields full image tuples in lexicographic candidate order.
+    Returns ``search(candidates, first_only=False)``, which lists full image
+    tuples in lexicographic candidate order.  The BFS words of the generator
+    prefixes are computed once, here, and shared by every search.
     """
     prefixes = [_bfs_words(G, gens[:i + 1]) for i in range(len(gens))]
     tH = H.rows
     tG = G.rows
     n = G.order
-    results: list = []
-
-    if not gens:  # trivial source group
-        return [(H.identity,)]
 
     def fill(depth: int, chosen: list) -> Optional[list]:
         words = prefixes[depth]
@@ -689,29 +698,31 @@ def _search_homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
                     return None
         return img
 
-    def dfs(depth: int, chosen: list):
-        for cand in candidates[depth]:
-            chosen.append(cand)
-            img = fill(depth, chosen)
-            if img is not None:
-                if depth + 1 == len(gens):
-                    results.append(tuple(img))
-                    if first_only:
-                        chosen.pop()
-                        raise StopIteration
-                    if max_count is not None and len(results) > max_count:
-                        chosen.pop()
-                        raise BoundExceeded(
-                            f"more than {max_count} homomorphisms found")
-                else:
-                    dfs(depth + 1, chosen)
-            chosen.pop()
+    def search(candidates: Sequence[Sequence[int]], first_only: bool = False) -> list:
+        if not gens:  # trivial source group
+            return [(H.identity,)]
+        results: list = []
 
-    try:
-        dfs(0, [])
-    except StopIteration:
-        pass
-    return results
+        def dfs(depth: int, chosen: list):
+            for cand in candidates[depth]:
+                chosen.append(cand)
+                img = fill(depth, chosen)
+                if img is not None:
+                    if depth + 1 == len(gens):
+                        results.append(tuple(img))
+                        if first_only:
+                            raise StopIteration
+                    else:
+                        dfs(depth + 1, chosen)
+                chosen.pop()
+
+        try:
+            dfs(0, [])
+        except StopIteration:
+            pass
+        return results
+
+    return search
 
 
 def _fingerprints(G: FiniteGroup) -> list:
@@ -723,11 +734,13 @@ def _fingerprints(G: FiniteGroup) -> list:
 
 def automorphism_group(G: FiniteGroup, bound: Optional[int] = AUT_SEARCH_BOUND,
                        max_count: Optional[int] = None) -> list:
-    """All automorphisms of G, by generator-image backtracking.
+    """All automorphisms of G, ordered lexicographically by their images of
+    ``generating_set(G)``.
 
     Results are memoized per group.  ``bound`` limits the group order the
-    search will accept; ``max_count`` aborts early once more than that many
-    automorphisms have been found.
+    search will accept.  ``max_count`` is checked against |Aut(G)|, which a
+    stabilizer chain counts exactly before any automorphism is enumerated:
+    more than ``max_count`` raises BoundExceeded.
     """
     if bound is not None and G.order > bound:
         raise BoundExceeded(f"automorphism search bound {bound} exceeded by order {G.order}")
@@ -737,14 +750,67 @@ def automorphism_group(G: FiniteGroup, bound: Optional[int] = AUT_SEARCH_BOUND,
     return list(auts)
 
 
+def _orbit(x: int, perms: Sequence[np.ndarray], n: int) -> dict:
+    """The orbit of x under the group generated by ``perms``, each point
+    mapped to a product of ``perms`` that sends x to it."""
+    reps = {x: np.arange(n, dtype=np.int32)}
+    queue = [x]
+    qi = 0
+    while qi < len(queue):
+        p = queue[qi]
+        qi += 1
+        for s in perms:
+            q = int(s[p])
+            if q not in reps:
+                reps[q] = s[reps[p]]
+                queue.append(q)
+    return reps
+
+
 @memoized
 def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> tuple:
+    """Aut(G) through a stabilizer chain over ``gens = generating_set(G)``.
+
+    Level i is a transversal of the orbit of gens[i] under the automorphisms
+    fixing gens[:i].  Levels are built deepest first: an orbit is closed under
+    the automorphisms found so far, all of which fix gens[:i], and a remaining
+    fingerprint candidate is decided by one search with gens[:i] pinned.
+    Fingerprints are invariant under automorphisms, so the candidates cover
+    the orbit, and by orbit-stabilizer |Aut(G)| is the product of the orbit
+    sizes.  Every automorphism is t_0 o ... o t_(k-1) for exactly one choice
+    of level representatives t_i.
+    """
+    n = G.order
     gens = generating_set(G)
     fps = _fingerprints(G)
-    cands = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
-    images = _search_homomorphisms(G, G, gens, cands, injective=True,
-                                   max_count=max_count)
-    return tuple(Homomorphism(G, G, img, validate=False) for img in images)
+    cands = [[h for h in range(n) if fps[h] == fps[g]] for g in gens]
+    search = _homomorphism_search(G, G, gens, injective=True)
+    found: list = []   # automorphisms found by search, each fixing a prefix of gens
+    levels: list = []  # transversals, deepest level first
+    count = 1
+    for i in reversed(range(len(gens))):
+        pinned = [[g] for g in gens[:i]]
+        orbit = _orbit(gens[i], found, n)
+        outside: set = set()
+        for c in cands[i]:
+            if c in orbit or c in outside:
+                continue
+            images = search(pinned + [[c]] + cands[i + 1:], first_only=True)
+            if images:
+                found.append(np.array(images[0], dtype=np.int32))
+                orbit = _orbit(gens[i], found, n)
+            else:  # what the known automorphisms move c to is outside too
+                outside.update(_orbit(c, found, n))
+        count *= len(orbit)
+        if max_count is not None and count > max_count:
+            raise BoundExceeded(f"more than {max_count} homomorphisms found")
+        levels.append(np.array(list(orbit.values())))
+    auts = np.arange(n, dtype=np.int32)[None, :]
+    for reps in levels:  # reps[:, auts][r, a] is reps[r] after auts[a]
+        auts = reps[:, auts].reshape(-1, n)
+    if gens:  # the order of the generator-image DFS
+        auts = auts[np.lexsort([auts[:, g] for g in reversed(gens)])]
+    return tuple(Homomorphism(G, G, img, validate=False) for img in auts.tolist())
 
 
 def automorphism_perms(G: FiniteGroup, bound: Optional[int] = AUT_SEARCH_BOUND,
@@ -766,7 +832,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
         return None
     gens = generating_set(G)
     cands = [[h for h in range(H.order) if fps_H[h] == fps_G[g]] for g in gens]
-    images = _search_homomorphisms(G, H, gens, cands, injective=True, first_only=True)
+    images = _homomorphism_search(G, H, gens, injective=True)(cands, first_only=True)
     if not images:
         return None
     return Homomorphism(G, H, images[0], validate=False)
@@ -778,7 +844,7 @@ def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list:
     ordersG, ordersH = G.orders, H.orders
     cands = [[h for h in range(H.order) if int(ordersG[g]) % int(ordersH[h]) == 0]
              for g in gens]
-    images = _search_homomorphisms(G, H, gens, cands, injective=False)
+    images = _homomorphism_search(G, H, gens, injective=False)(cands)
     return [Homomorphism(G, H, img, validate=False) for img in images]
 
 

@@ -37,7 +37,7 @@ class HolElement:
     twist: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "twist", tuple(int(x) for x in self.twist))
+        object.__setattr__(self, "twist", tuple(map(int, self.twist)))
         if len(self.twist) != self.group.order:
             raise GroupDefinitionError("twist must be a permutation of the group")
 
@@ -187,8 +187,10 @@ def cyclic_regular_oracle(N: FiniteGroup,
     """All holomorph elements whose cycle through the identity has full length.
 
     Any such element generates a cyclic regular subgroup, so an empty result
-    certifies that no cyclic regular subgroup exists.  The scan is vectorized
-    over all (translation, twist) pairs at once.
+    certifies that no cyclic regular subgroup exists.  The scan walks all
+    (translation, twist) pairs at once and drops a pair as soon as its walk is
+    back at the identity: the pairs left after n - 1 steps are exactly those
+    whose cycle has length n.  Winners come in (translation, twist) order.
     """
     n = N.order
     perms = automorphism_perms(N, bound=None, max_count=max(hol_bound // n, 1))
@@ -198,18 +200,21 @@ def cyclic_regular_oracle(N: FiniteGroup,
             f"holomorph order {n * a_count} exceeds bound {hol_bound}")
     e = N.identity
     inv = N.inverses
-    table = N.table
-    # cur[p, a] is the walk position for the pair (a, perms[p]).
-    cur = table[perms[:, e:e + 1], inv[None, :]]
-    lengths = np.zeros((a_count, n), dtype=np.int32)
-    lengths[cur == e] = 1
-    for step in range(2, n + 1):
-        cur = table[np.take_along_axis(perms, cur, axis=1), inv[None, :]]
-        hit = (cur == e) & (lengths == 0)
-        lengths[hit] = step
-    winners = np.argwhere(lengths.T == n)  # (translation, twist) in scan order
-    return [HolElement(N, int(a), tuple(int(x) for x in perms[p]))
-            for a, p in winners]
+    flat_perms = perms.ravel()
+    flat_table = N.table.ravel()
+    # The live pairs in scan order, which masking keeps: the offset of each
+    # twist's row in flat_perms, the inverse of each translation, and the
+    # position of each walk.
+    offset = np.tile(np.arange(a_count) * n, n)
+    a_inv = np.repeat(inv.astype(np.intp), a_count)
+    pos = np.full(n * a_count, e)
+    for _ in range(n - 1):
+        pos = flat_table[flat_perms[offset + pos] * n + a_inv]
+        live = pos != e
+        offset, a_inv, pos = offset[live], a_inv[live], pos[live]
+    twists = [tuple(p) for p in perms.tolist()]
+    return [HolElement(N, a, twists[p])
+            for a, p in zip(inv[a_inv].tolist(), (offset // n).tolist())]
 
 
 def all_regular_subgroups(N: FiniteGroup,

@@ -150,6 +150,31 @@ def test_criterion_4_classifier_oracle_equivalence(corpus_reps):
     _report("4 classifier-oracle-equivalence", ok)
 
 
+def test_criterion_4b_oracle_equivalence_at_hol_bound_100000(corpus_reps):
+    # criterion 4 at five times its bound: every in-bound witness is also one
+    # of the oracle's generators, and sympy sees it as a single n-cycle
+    from sympy.combinatorics import Permutation
+    ok = True
+    checked = 0
+    for entry in corpus_reps:
+        N = entry.group
+        try:
+            found = cyclic_regular_oracle(N, hol_bound=100_000)
+        except BoundExceeded:
+            continue
+        checked += 1
+        verdict = classify(N)
+        ok = ok and verdict.realizable == bool(found)
+        phi = sum(1 for a in range(1, N.order + 1) if math.gcd(a, N.order) == 1)
+        ok = ok and len(found) % phi == 0  # each cyclic subgroup has phi(n) generators
+        if verdict.realizable:
+            ok = ok and verdict.witness.key() in {h.key() for h in found}
+            cycle = Permutation(list(verdict.witness.action_perm()))
+            ok = ok and cycle.size == N.order and cycle.cycles == 1
+    print(f"  (criterion 4b: {checked} groups oracle-checked)")
+    _report("4b classifier-oracle-equivalence-at-100000", ok and checked == 114)
+
+
 def test_criterion_5_constructor_soundness(corpus_reps):
     ok = True
     checked = 0

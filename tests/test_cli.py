@@ -85,6 +85,29 @@ def test_bound_exceeded_exits_2():
     assert "bound" in text
 
 
+def test_unreadable_table_exits_2(tmp_path):
+    text, code = run(Request("classify", table=str(tmp_path)))  # a directory
+    assert code == EXIT_ERROR
+    assert text.startswith("error:") and text.count("\n") == 1
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    code = main(["classify", "--spec", "cyclic 3", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--limit", "-1"],
+                                  ["sweep", "--workers", "0"],
+                                  ["classify", "--spec", "cyclic 3", "--workers", "-2"]])
+def test_invalid_limit_and_workers_exit_2(argv, capsys):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_request_requires_exactly_one_source():
     with pytest.raises(SpecError):
         Request("classify")

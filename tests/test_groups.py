@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from holoreg import (FiniteGroup, GroupDefinitionError, Homomorphism,
-                     HomomorphismError, all_homomorphisms, all_subgroups,
-                     as_subgroup, automorphism_group, center,
+from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
+                     Homomorphism, HomomorphismError, all_homomorphisms,
+                     all_subgroups, as_subgroup, automorphism_group, center,
                      characteristic_subgroups, commutator_subgroup,
                      cyclic_group, dihedral_group, direct_product,
                      element_order, find_isomorphism, is_cgroup, is_normal,
                      is_subgroup, normal_hall_odd_subgroup, quaternion_group,
                      quotient_group, semidirect_product, subgroup_generated,
                      sylow_subgroup, CGroupPresentation, cgroup_group)
+from holoreg.groups import (_fingerprints, _homomorphism_search,
+                            generating_set)
 
 
 def klein_group():
@@ -105,6 +107,22 @@ def test_semidirect_validates_action():
     # x -> x^2 has order 4 mod 5, not an involution: not a homomorphism from C2
     with pytest.raises(HomomorphismError):
         semidirect_product(M, P, bad)
+
+
+def test_semidirect_names_the_first_failing_element():
+    M, P = cyclic_group(5), cyclic_group(4)
+    ident, swap = [0, 1, 2, 3, 4], [0, 2, 1, 3, 4]
+    cases = [
+        ([ident, [0, 1, 1, 3, 4], ident, ident], "element 1 is not a permutation"),
+        ([ident, swap, [0, 0, 1, 2, 3], ident], "element 1 is not an automorphism"),
+        ([ident, ident, [0, 1, 2, 3, 9], swap], "element 2 is not a permutation"),
+        ([ident, ident, ident, swap], "element 3 is not an automorphism"),
+        # every row inverts, but 1 + 1 = 2 in C4 needs row 2 to be ident
+        ([ident] + [[0, 4, 3, 2, 1]] * 3, "action is not a homomorphism into Aut"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(HomomorphismError, match=message):
+            semidirect_product(M, P, np.array(rows, dtype=np.int32))
 
 
 def test_semidirect_embeds_normal_factor():
@@ -222,6 +240,20 @@ def test_quotient_requires_normal_subgroup():
         quotient_group(G, subgroup_generated(G, [reflection]))
 
 
+def test_is_normal_matches_the_definition():
+    S3 = cgroup_group(CGroupPresentation(3, 2, 2))
+    for G in (S3, dihedral_group(8), quaternion_group(8), dihedral_group(16)):
+        subsets = all_subgroups(G) + [(G.identity, 1), (), tuple(range(G.order))]
+        verdicts = set()
+        for elems in subsets:
+            by_definition = all(G.conj(a, g) in elems
+                                for a in elems for g in range(G.order))
+            assert is_normal(G, elems) == by_definition
+            assert is_normal(G, iter(elems)) == by_definition
+            verdicts.add(by_definition)
+        assert verdicts == {True, False}
+
+
 def test_normal_hall_odd_subgroup_absent_in_alternating_group():
     # A4 as the Klein group extended by a 3-cycle rotation of coordinates
     K = klein_group()
@@ -261,6 +293,54 @@ def test_automorphisms_are_valid_homomorphisms():
     for aut in automorphism_group(G):
         Homomorphism(G, G, aut.images)  # re-validates the product rule
         assert aut.is_bijective
+
+
+def _aut_search_cases(cgroup_test_groups, corpus_reps):
+    c2 = cyclic_group(2)
+    return ([G for _, G in cgroup_test_groups]
+            + [dihedral_group(8), quaternion_group(8), dihedral_group(16),
+               quaternion_group(16), direct_product(direct_product(c2, c2), c2)]
+            + [e.group for e in corpus_reps if e.group.order <= 64][::3])
+
+
+def test_automorphism_group_matches_plain_search(cgroup_test_groups, corpus_reps):
+    # the stabilizer chain lists the images of the one generator-image DFS,
+    # in the same order
+    for G in _aut_search_cases(cgroup_test_groups, corpus_reps):
+        gens = generating_set(G)
+        fps = _fingerprints(G)
+        cands = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
+        plain = _homomorphism_search(G, G, gens, injective=True)(cands)
+        assert [a.images for a in automorphism_group(G, bound=None)] == plain
+
+
+def test_automorphism_count_bound_is_exact(cgroup_test_groups, corpus_reps):
+    for G in _aut_search_cases(cgroup_test_groups, corpus_reps):
+        count = len(automorphism_group(G, bound=None))
+        if count == 1:
+            continue
+        fresh = FiniteGroup(G.table, labels=G.labels)  # nothing memoized yet
+        with pytest.raises(BoundExceeded,
+                           match=f"more than {count - 1} homomorphisms found"):
+            automorphism_group(fresh, bound=None, max_count=count - 1)
+        assert len(automorphism_group(fresh, bound=None, max_count=count)) == count
+
+
+def test_generating_set_is_the_greedy_choice():
+    # the greedy rule, with no element skipped
+    def greedy(G):
+        gens, current = [], (G.identity,)
+        while len(current) < G.order:
+            best = max(range(G.order),
+                       key=lambda g: (len(subgroup_generated(G, gens + [g])), -g))
+            gens.append(best)
+            current = subgroup_generated(G, gens)
+        return gens
+    c2 = cyclic_group(2)
+    for G in (cyclic_group(1), cyclic_group(12), dihedral_group(16),
+              quaternion_group(16), direct_product(direct_product(c2, c2), c2),
+              cgroup_group(CGroupPresentation(7, 9, 2))):
+        assert generating_set(G) == greedy(G)
 
 
 def test_characteristic_subgroups_of_klein():

@@ -155,6 +155,19 @@ def test_oracle_winners_generate_regular_subgroups():
             assert is_regular_subgroup(N, sub)
 
 
+def test_oracle_matches_brute_force_cycle_lengths():
+    # the compacted scan keeps exactly the full-cycle pairs, in scan order
+    c2 = cyclic_group(2)
+    for N in (cyclic_group(1), cyclic_group(2), cyclic_group(9), klein_group(),
+              dihedral_group(8), quaternion_group(8), direct_product(cyclic_group(3), c2),
+              direct_product(direct_product(c2, c2), c2),
+              cgroup_group(CGroupPresentation(7, 3, 2))):
+        brute = [h for h in hol_elements(N)
+                 if h.cycle_length_through_identity() == N.order]
+        assert [h.key() for h in cyclic_regular_oracle(N)] == \
+            [h.key() for h in brute]
+
+
 # -- subgroup-level enumeration ----------------------------------------------------
 
 
