@@ -5,21 +5,20 @@ optional structured labels, so the same object supports both raw index
 arithmetic and symbolic reading like r^3*s.
 """
 
-from holoreg import (center, commutator_subgroup, cyclic_group,
-                     dihedral_group, direct_product, element_order,
-                     is_cgroup, normal_hall_odd_subgroup, quaternion_group,
-                     quotient_group, sylow_subgroup)
+from holoreg import (center, commutator_subgroup, cyclic_group, dihedral_group,
+                     direct_product, is_cgroup, normal_hall_odd_subgroup,
+                     quaternion_group, quotient_group, sylow_subgroup)
 
 # cyclic groups: the generator always sits at index 1
 C12 = cyclic_group(12)
-print("C12 element orders:", [element_order(C12, g) for g in range(12)])
+print("C12 element orders:", [C12.order_of(g) for g in range(12)])
 
 # dihedral and generalized quaternion groups of 2-power order, on r and s;
 # the order-4 dihedral group is the Klein four-group
 D16 = dihedral_group(16)
 Q16 = quaternion_group(16)
 r, s = 2, 1
-print("in D16:  |r| =", element_order(D16, r), " |s| =", element_order(D16, s))
+print("in D16:  |r| =", D16.order_of(r), " |s| =", D16.order_of(s))
 print("in Q16:  s^2 =", Q16.format_element(Q16.mul(s, s)),
       " (the unique involution is", Q16.format_element(Q16.power(r, 4)) + ")")
 

@@ -6,10 +6,10 @@ mod e, and the psi_v family indexed by units mod d fixing k.  Every
 automorphism has a unique normal form theta^c phi_u psi_v.
 """
 
-from holoreg import (CGroupAut, CGroupPresentation, aut_compose,
-                     aut_decompose, automorphism_group, cgroup_aut_group,
-                     cgroup_group, cgroup_power, geometric_sum,
-                     recognize_cgroup, standard_aut, unit_groups)
+from holoreg import (CGroupAut, CGroupPresentation, aut_decompose,
+                     automorphism_group, cgroup_aut_group, cgroup_group,
+                     geometric_sum, recognize_cgroup, standard_aut,
+                     unit_groups)
 
 M = CGroupPresentation(7, 3, 2)
 print(f"presentation C(7,3,2): z = {M.z}, theta order = {M.g_theta}, "
@@ -17,14 +17,14 @@ print(f"presentation C(7,3,2): z = {M.z}, theta order = {M.g_theta}, "
 
 # powers collapse through geometric sums: (x y)^3 = x^(1+2+4) y^3 = 1
 print("S(2, 3) mod 7 =", geometric_sum(2, 3, 7))
-print("(x y)^3 has coordinates", cgroup_power(M, 1, 1, 3))
+print("(x y)^3 has coordinates", M.power(1, 1, 3))
 
 # the three generator families
 theta = standard_aut(M, "theta")
 phi3 = standard_aut(M, "phi", 3)
 print("theta sends y to x^z y:", theta.y_image())
 print("phi_3 after theta equals theta^3 after phi_3:",
-      aut_compose(M, phi3, theta) == aut_compose(M, CGroupAut(M, 3, 1, 1), phi3))
+      phi3.compose(theta) == CGroupAut(M, 3, 1, 1).compose(phi3))
 
 # normal forms round trip through images of the generators
 aut = CGroupAut(M, 4, 5, 1)

@@ -26,7 +26,7 @@ print("decomposition:", verdict.decomposition.summary())
 d14 = cgroup_group(CGroupPresentation(7, 2, 6))
 d6 = cgroup_group(CGroupPresentation(3, 2, 2))
 print("isomorphic to D14 x D6?",
-      find_isomorphism(N, direct_product(d14, d6), bound=None) is not None)
+      find_isomorphism(N, direct_product(d14, d6)) is not None)
 
 # the holomorph splits over the two factors; scan their element orders
 hol14, hol6 = hol_group(d14), hol_group(d6)

@@ -8,28 +8,25 @@ theorem over an explicit decomposition N = M x| P; a brute-force oracle over
 the holomorph cross-checks every verdict.
 """
 
-from .groups import (AUT_SEARCH_BOUND, BoundExceeded, FiniteGroup,
-                     GroupDefinitionError, Homomorphism, HomomorphismError,
-                     all_homomorphisms, all_subgroups, as_subgroup,
-                     automorphism_group, automorphism_perms, center,
-                     characteristic_subgroups, commutator_subgroup,
-                     cyclic_group, dihedral_group, direct_product,
-                     element_order, find_isomorphism, generating_set,
+from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
+                     Homomorphism, HomomorphismError, all_homomorphisms,
+                     all_subgroups, as_subgroup, automorphism_group,
+                     automorphism_perms, center, characteristic_subgroups,
+                     commutator_subgroup, cyclic_group, dihedral_group,
+                     direct_product, find_isomorphism, generating_set,
                      is_cgroup, is_normal, is_subgroup,
                      normal_hall_odd_subgroup, quaternion_group,
                      quotient_group, semidirect_product, subgroup_generated,
                      sylow_subgroup)
-from .cgroups import (CGroupAut, CGroupPresentation, aut_compose,
-                      aut_decompose, cgroup_aut_group, cgroup_coordinates,
-                      cgroup_group, cgroup_power, geometric_sum,
-                      multiplicative_order, recognize_cgroup, standard_aut,
-                      unit_groups)
+from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
+                      cgroup_aut_group, cgroup_auts, cgroup_coordinates,
+                      cgroup_group, geometric_sum, multiplicative_order,
+                      recognize_cgroup, standard_aut, unit_groups)
 from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement, SkewBrace,
                         all_regular_subgroups, conjugation_perm,
                         crossed_from_regular, cyclic_regular_oracle,
-                        fpf_search, hol_elements, hol_element_orders,
-                        hol_group, holomorph_order, identity_hol,
-                        induction_quotient, induction_restrict,
+                        fpf_search, hol_elements, hol_group, holomorph_order,
+                        identity_hol, induction_quotient, induction_restrict,
                         is_regular_subgroup, lambda_embedding,
                         regular_from_crossed, regular_from_fpf,
                         regular_subgroup_as_group,

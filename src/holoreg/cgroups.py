@@ -158,10 +158,6 @@ class CGroupPresentation:
         return step
 
 
-def cgroup_power(M: CGroupPresentation, i: int, j: int, length: int):
-    return M.power(i, j, length)
-
-
 def unit_groups(M: CGroupPresentation):
     """Explicit lists of U(e) and of the units v mod d with k^v = k mod e."""
     ue = [1] if M.e == 1 else [u for u in range(1, M.e) if math.gcd(u, M.e) == 1]
@@ -277,13 +273,6 @@ def _verify_preserves_relations(aut: CGroupAut):
         raise HomomorphismError("generator order relation not preserved")
 
 
-def aut_compose(M: CGroupPresentation, a: CGroupAut, b: CGroupAut) -> CGroupAut:
-    """Canonical form of a o b (b applied first)."""
-    if a.pres != M or b.pres != M:
-        raise HomomorphismError("automorphisms must belong to the given presentation")
-    return a.compose(b)
-
-
 def aut_decompose(M: CGroupPresentation, x_image, y_image) -> CGroupAut:
     """Recover (c, u, v) from the images of x and y, validating each relation."""
     xi, xj = x_image[0] % max(M.e, 1), x_image[1] % M.d
@@ -349,25 +338,28 @@ def cgroup_coordinates(G: FiniteGroup, x: int, y: int, M: CGroupPresentation):
 
 
 @memoized
-def cgroup_aut_group(M: CGroupPresentation) -> FiniteGroup:
-    """Aut(C(e,d,k)) in canonical coordinates, of order g_theta * phi(e) * |U_k(d)|.
+def cgroup_auts(M: CGroupPresentation) -> tuple:
+    """Every canonical automorphism theta^c phi_u psi_v of M, in (c, u, v) order.
 
     Memoized per presentation.
     """
     ue, ukd = unit_groups(M)
-    triples = [(c, u, v) for c in range(M.g_theta) for u in ue for v in ukd]
-    index = {t: i for i, t in enumerate(triples)}
+    return tuple(CGroupAut(M, c, u, v)
+                 for c in range(M.g_theta) for u in ue for v in ukd)
 
-    def op(a, b):
-        out = CGroupAut(M, *a).compose(CGroupAut(M, *b))
-        return (out.c, out.u, out.v)
 
-    n = len(triples)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(triples):
-        for j, b in enumerate(triples):
-            table[i, j] = index[op(a, b)]
-    return FiniteGroup(table, labels=triples, name=f"aut of ({M.spec})")
+@memoized
+def cgroup_aut_group(M: CGroupPresentation) -> FiniteGroup:
+    """Aut(C(e,d,k)) in canonical coordinates, of order g_theta * phi(e) * |U_k(d)|.
+
+    Element i is ``cgroup_auts(M)[i]``, labelled by its (c, u, v).  Memoized
+    per presentation.
+    """
+    auts = cgroup_auts(M)
+    index = {a: i for i, a in enumerate(auts)}
+    table = [[index[a.compose(b)] for b in auts] for a in auts]
+    return FiniteGroup(table, labels=[(a.c, a.u, a.v) for a in auts],
+                       name=f"aut of ({M.spec})")
 
 
 # -- recognition ---------------------------------------------------------------

@@ -9,7 +9,6 @@ such as parse failures or exceeded bounds.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ from .holomorph import (DEFAULT_HOL_BOUND, cyclic_regular_oracle,
 from .realizability import (classify, classify_rump, corpus_representatives,
                             generate_corpus)
 from .specs import SpecError, load_cayley_table, parse_group_spec
-
-BOUND_ENV_VAR = "HOLOREG_BOUND"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -65,19 +62,6 @@ class _Report:
         return "\n".join(self.lines) + "\n"
 
 
-def default_hol_bound() -> int:
-    value = os.environ.get(BOUND_ENV_VAR)
-    if value is None:
-        return DEFAULT_HOL_BOUND
-    try:
-        bound = int(value)
-    except ValueError:
-        raise SpecError(f"{BOUND_ENV_VAR} must be an integer, got {value!r}")
-    if bound <= 0:
-        raise SpecError(f"{BOUND_ENV_VAR} must be positive")
-    return bound
-
-
 def _load_group(request: Request) -> FiniteGroup:
     if request.spec is not None:
         return parse_group_spec(request.spec)
@@ -88,13 +72,16 @@ def _group_source(request: Request) -> str:
     return request.spec if request.spec is not None else f"table:{request.table}"
 
 
+def _images(group: FiniteGroup, gens, images, sep: str) -> str:
+    """``g->images[g]`` over ``gens`` joined by ``sep``, or ``id`` when empty."""
+    fmt = group.format_element
+    return sep.join(f"{fmt(g)}->{fmt(images[g])}" for g in gens) or "id"
+
+
 def _witness_lines(report: _Report, group: FiniteGroup, witness):
     report.add("witness_translation", group.format_element(witness.translation))
-    gens = generating_set(group)
-    images = ", ".join(
-        f"{group.format_element(g)}->{group.format_element(witness.twist[g])}"
-        for g in gens)
-    report.add("witness_twist", images if images else "id")
+    report.add("witness_twist",
+               _images(group, generating_set(group), witness.twist, ", "))
 
 
 def _classify_report(request: Request) -> tuple:
@@ -123,11 +110,9 @@ def _oracle_report(request: Request) -> tuple:
     report.add("generator_count", len(found))
     gens = generating_set(group)
     for idx, h in enumerate(found):
-        twist = ",".join(
-            f"{group.format_element(g)}->{group.format_element(h.twist[g])}"
-            for g in gens)
+        twist = _images(group, gens, h.twist, ",")
         report.add(f"generator_{idx}",
-                   f"({group.format_element(h.translation)}; {twist or 'id'})")
+                   f"({group.format_element(h.translation)}; {twist})")
     return report.text(), EXIT_OK if found else EXIT_NEGATIVE
 
 
@@ -185,7 +170,7 @@ def _rump_report(request: Request) -> tuple:
 def _aut_report(request: Request) -> tuple:
     from .groups import automorphism_group
     group = _load_group(request)
-    auts = automorphism_group(group, bound=None,
+    auts = automorphism_group(group,
                               max_count=max(request.hol_bound // group.order, 1))
     report = _Report()
     report.add("command", "aut")
@@ -194,9 +179,7 @@ def _aut_report(request: Request) -> tuple:
     report.add("aut_count", len(auts))
     gens = generating_set(group)
     for idx, aut in enumerate(auts):
-        images = ", ".join(
-            f"{group.format_element(g)}->{group.format_element(aut(g))}" for g in gens)
-        report.add(f"aut_{idx}", images or "id")
+        report.add(f"aut_{idx}", _images(group, gens, aut.images, ", "))
     return report.text(), EXIT_OK
 
 
@@ -285,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "sweep":
             cmd.add_argument("--spec", help="group spec in the mini-language")
             cmd.add_argument("--table", help="path to a Cayley-table file")
-        cmd.add_argument("--hol-bound", type=int, default=None,
-                         help="holomorph size bound (default 20000, or "
-                              f"${BOUND_ENV_VAR})")
+        cmd.add_argument("--hol-bound", type=int, default=DEFAULT_HOL_BOUND,
+                         help=f"holomorph size bound (default {DEFAULT_HOL_BOUND})")
         cmd.add_argument("--workers", type=int, default=1,
                          help="parallel workers (sweep only)")
         cmd.add_argument("--out", help="write the report to this file")
@@ -300,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        bound = args.hol_bound if args.hol_bound is not None else default_hol_bound()
         request = Request(command=args.command,
                           spec=getattr(args, "spec", None),
                           table=getattr(args, "table", None),
-                          hol_bound=bound,
+                          hol_bound=args.hol_bound,
                           workers=args.workers,
                           out=args.out,
                           limit=getattr(args, "limit", None))

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-AUT_SEARCH_BOUND = 256
 SUBGROUP_ENUM_BOUND = 128
 
 
@@ -452,11 +451,6 @@ def is_normal(G: FiniteGroup, elems: Iterable[int]) -> bool:
     return bool(inside[t[t[:, elems], G.inverses[:, None]]].all())
 
 
-def element_order(G: FiniteGroup, g: int) -> int:
-    """Least l >= 1 with g^l equal to the identity."""
-    return G.order_of(g)
-
-
 def center(G: FiniteGroup) -> tuple:
     t = G.table
     return tuple(int(z) for z in range(G.order)
@@ -732,22 +726,23 @@ def _fingerprints(G: FiniteGroup) -> list:
     return [(int(orders[g]), int(sizes[g]), int(orders[t[g][g]])) for g in range(G.order)]
 
 
-def automorphism_group(G: FiniteGroup, bound: Optional[int] = AUT_SEARCH_BOUND,
-                       max_count: Optional[int] = None) -> list:
+def automorphism_group(G: FiniteGroup, max_count: Optional[int] = None) -> list:
     """All automorphisms of G, ordered lexicographically by their images of
     ``generating_set(G)``.
 
-    Results are memoized per group.  ``bound`` limits the group order the
-    search will accept.  ``max_count`` is checked against |Aut(G)|, which a
-    stabilizer chain counts exactly before any automorphism is enumerated:
-    more than ``max_count`` raises BoundExceeded.
+    Results are memoized per group.  ``max_count`` is checked against
+    |Aut(G)|, which a stabilizer chain counts exactly before any automorphism
+    is enumerated: more than ``max_count`` raises BoundExceeded, whether the
+    count is fresh or memoized.
     """
-    if bound is not None and G.order > bound:
-        raise BoundExceeded(f"automorphism search bound {bound} exceeded by order {G.order}")
     auts = _automorphisms(G, max_count)
-    if max_count is not None and len(auts) > max_count:
-        raise BoundExceeded(f"more than {max_count} automorphisms")
+    _check_count(len(auts), max_count)
     return list(auts)
+
+
+def _check_count(count: int, max_count: Optional[int]):
+    if max_count is not None and count > max_count:
+        raise BoundExceeded(f"more than {max_count} homomorphisms found")
 
 
 def _orbit(x: int, perms: Sequence[np.ndarray], n: int) -> dict:
@@ -802,8 +797,7 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> tuple:
             else:  # what the known automorphisms move c to is outside too
                 outside.update(_orbit(c, found, n))
         count *= len(orbit)
-        if max_count is not None and count > max_count:
-            raise BoundExceeded(f"more than {max_count} homomorphisms found")
+        _check_count(count, max_count)
         levels.append(np.array(list(orbit.values())))
     auts = np.arange(n, dtype=np.int32)[None, :]
     for reps in levels:  # reps[:, auts][r, a] is reps[r] after auts[a]
@@ -813,18 +807,14 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> tuple:
     return tuple(Homomorphism(G, G, img, validate=False) for img in auts.tolist())
 
 
-def automorphism_perms(G: FiniteGroup, bound: Optional[int] = AUT_SEARCH_BOUND,
-                       max_count: Optional[int] = None) -> np.ndarray:
+def automorphism_perms(G: FiniteGroup, max_count: Optional[int] = None) -> np.ndarray:
     """Automorphisms as an (|Aut|, n) index array, in enumeration order."""
-    auts = automorphism_group(G, bound=bound, max_count=max_count)
+    auts = automorphism_group(G, max_count=max_count)
     return np.array([a.images for a in auts], dtype=np.int32)
 
 
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
-                     bound: Optional[int] = AUT_SEARCH_BOUND) -> Optional[Homomorphism]:
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     """A bijective homomorphism G -> H if one exists, else None."""
-    if bound is not None and max(G.order, H.order) > bound:
-        raise BoundExceeded(f"isomorphism search bound {bound} exceeded")
     if G.order != H.order:
         return None
     fps_G, fps_H = _fingerprints(G), _fingerprints(H)
@@ -875,9 +865,10 @@ def all_subgroups(G: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list:
 
 def characteristic_subgroups(G: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     """Subgroups invariant under every automorphism of G."""
-    auts = automorphism_perms(G, bound=max(bound, AUT_SEARCH_BOUND))
+    subgroups = all_subgroups(G, bound=bound)  # refuses an oversized G first
+    auts = automorphism_perms(G)
     out = []
-    for sub in all_subgroups(G, bound=bound):
+    for sub in subgroups:
         sset = set(sub)
         if all(set(int(perm[g]) for g in sub) == sset for perm in auts):
             out.append(sub)

@@ -124,8 +124,18 @@ def conjugation_perm(N: FiniteGroup, a: int) -> tuple:
     return tuple(row[row[a][x]][a_inv] for x in range(N.order))
 
 
-def holomorph_order(N: FiniteGroup, aut_bound: Optional[int] = None) -> int:
-    return N.order * len(automorphism_perms(N, bound=aut_bound))
+def holomorph_order(N: FiniteGroup) -> int:
+    return N.order * len(automorphism_perms(N))
+
+
+def _hol_perms(N: FiniteGroup, hol_bound: int) -> np.ndarray:
+    """automorphism_perms(N), refused when |Hol(N)| = n |Aut(N)| exceeds
+    ``hol_bound``; the count is checked before any automorphism is listed."""
+    perms = automorphism_perms(N, max_count=max(hol_bound // N.order, 1))
+    total = N.order * len(perms)
+    if total > hol_bound:
+        raise BoundExceeded(f"holomorph order {total} exceeds bound {hol_bound}")
+    return perms
 
 
 def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
@@ -134,12 +144,10 @@ def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
     Memory grows with the square of |N| * |Aut(N)|, so this is intended for
     holomorphs into the low thousands; pair arithmetic covers the rest.
     """
-    perms = automorphism_perms(N, bound=None, max_count=max(bound // N.order, 1))
+    perms = _hol_perms(N, bound)
     a_count = len(perms)
     n = N.order
     total = n * a_count
-    if total > bound:
-        raise BoundExceeded(f"holomorph order {total} exceeds bound {bound}")
     perm_index = {tuple(int(x) for x in p): i for i, p in enumerate(perms)}
     comp = np.zeros((a_count, a_count), dtype=np.int32)
     for i in range(a_count):
@@ -159,11 +167,8 @@ def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
 
 def hol_elements(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> list:
     """All holomorph elements as pairs, translations outer, twists inner."""
-    perms = automorphism_perms(N, bound=None, max_count=max(bound // N.order, 1))
-    if N.order * len(perms) > bound:
-        raise BoundExceeded(f"holomorph order exceeds bound {bound}")
-    return [HolElement(N, a, tuple(int(x) for x in p))
-            for a in range(N.order) for p in perms]
+    twists = [tuple(p) for p in _hol_perms(N, bound).tolist()]
+    return [HolElement(N, a, t) for a in range(N.order) for t in twists]
 
 
 def is_regular_subgroup(N: FiniteGroup, subgroup: Sequence[HolElement]) -> bool:
@@ -193,11 +198,8 @@ def cyclic_regular_oracle(N: FiniteGroup,
     whose cycle has length n.  Winners come in (translation, twist) order.
     """
     n = N.order
-    perms = automorphism_perms(N, bound=None, max_count=max(hol_bound // n, 1))
+    perms = _hol_perms(N, hol_bound)
     a_count = len(perms)
-    if n * a_count > hol_bound:
-        raise BoundExceeded(
-            f"holomorph order {n * a_count} exceeds bound {hol_bound}")
     e = N.identity
     inv = N.inverses
     flat_perms = perms.ravel()
@@ -225,11 +227,8 @@ def all_regular_subgroups(N: FiniteGroup,
     search assigns a twist to each translation and propagates closure.
     """
     n = N.order
-    perms = automorphism_perms(N, bound=None, max_count=max(hol_bound // n, 1))
+    perms = _hol_perms(N, hol_bound)
     a_count = len(perms)
-    if n * a_count > hol_bound:
-        raise BoundExceeded(
-            f"holomorph order {n * a_count} exceeds bound {hol_bound}")
     perm_rows = [tuple(int(x) for x in p) for p in perms]
     perm_index = {p: i for i, p in enumerate(perm_rows)}
     comp = [[perm_index[tuple(perm_rows[i][x] for x in perm_rows[j])]
@@ -306,7 +305,7 @@ def regular_subgroups_isomorphic_to(G: FiniteGroup, N: FiniteGroup,
     out = []
     for sub in all_regular_subgroups(N, hol_bound=hol_bound):
         abstract = regular_subgroup_as_group(N, sub)
-        if find_isomorphism(G, abstract, bound=None) is not None:
+        if find_isomorphism(G, abstract) is not None:
             out.append(sub)
     return out
 
@@ -387,7 +386,7 @@ def regular_from_crossed(N: FiniteGroup, ch: CrossedHom) -> list:
 
 def _verify_characteristic(N: FiniteGroup, elems: Iterable[int]):
     sset = set(int(x) for x in elems)
-    for perm in automorphism_perms(N, bound=None):
+    for perm in automorphism_perms(N):
         if {int(perm[x]) for x in sset} != sset:
             raise GroupDefinitionError("subgroup is not characteristic")
 
@@ -543,11 +542,6 @@ def regular_from_fpf(N: FiniteGroup, f: Homomorphism, h: Homomorphism) -> list:
         translation = N.mul(hs, N.inv(fs))
         out.append(HolElement(N, translation, conjugation_perm(N, fs)))
     return out
-
-
-def hol_element_orders(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> list:
-    """Orders of all holomorph elements, in (translation, twist) scan order."""
-    return [h.order() for h in hol_elements(N, bound=bound)]
 
 
 def subgroup_generated_by_hol(h: HolElement) -> list:

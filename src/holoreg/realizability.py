@@ -24,8 +24,8 @@ from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
-                      cgroup_aut_group, cgroup_coordinates, cgroup_group,
-                      recognize_cgroup)
+                      cgroup_aut_group, cgroup_auts, cgroup_coordinates,
+                      cgroup_group, recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms, as_subgroup,
                      automorphism_perms, find_isomorphism, is_cgroup, memoized,
@@ -49,8 +49,8 @@ class Decomposition:
     M is the normal Hall subgroup of odd order with presentation witnesses
     x, y; P is a Sylow 2-subgroup with witnesses r, s satisfying the dihedral
     or quaternion relations; alpha records conjugation by each element of P
-    as a canonical-form automorphism of M, and alpha_hom is alpha checked to
-    be an action.  Built only by ``_split`` and never changed afterwards.
+    as a canonical-form automorphism of M, checked to be an action.  Built
+    only by ``_split`` and never changed afterwards.
     """
 
     group: FiniteGroup
@@ -69,13 +69,12 @@ class Decomposition:
     r: int
     s: int
     alpha: tuple             # p_group index -> CGroupAut
-    alpha_hom: Homomorphism  # P -> cgroup_aut_group(pres)
     model: Optional[FiniteGroup] = None       # abstract M x| P built from alpha
     model_iso: Optional[Homomorphism] = None  # N -> model
 
     @property
     def alpha_image_size(self) -> int:
-        return len({(a.c, a.u, a.v) for a in self.alpha})
+        return len(set(self.alpha))
 
     @property
     def alpha_r(self) -> CGroupAut:
@@ -201,9 +200,10 @@ def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
     p_to_n, p_group = _relabel_p(N, p_elems, p_kind, r, s)
     alpha = tuple(_conjugation_as_aut(N, t, pres, coords, index_of)
                   for t in p_to_n)
+    _check_action(p_group, alpha, [p_to_n.index(g) for g in (r, s)])
     return Decomposition(N, m_elems, m_group, pres, x, y, tuple(coords),
                          index_of, p_elems, p_group, p_to_n, p_kind, m_exp,
-                         r, s, alpha, _alpha_as_homomorphism(p_group, pres, alpha))
+                         r, s, alpha)
 
 
 def _relabel_p(N: FiniteGroup, p_elems: tuple, kind: str, r: int, s: int):
@@ -237,11 +237,17 @@ def _conjugation_as_aut(N: FiniteGroup, t: int, pres: CGroupPresentation,
     return aut_decompose(pres, cx, cy)
 
 
-def _alpha_as_homomorphism(p_group: FiniteGroup, pres: CGroupPresentation,
-                           alpha: tuple) -> Homomorphism:
-    aut_grp = cgroup_aut_group(pres)
-    index = {lab: i for i, lab in enumerate(aut_grp.labels)}
-    return Homomorphism(p_group, aut_grp, tuple(index[(a.c, a.u, a.v)] for a in alpha))
+def _check_action(P: FiniteGroup, alpha: tuple, gens: Sequence[int]):
+    """Raise unless alpha, listed per element of P, is a homomorphism P -> Aut(M).
+
+    With alpha[1] the identity and alpha[t g] = alpha[t] o alpha[g] for every
+    t in P and every g in ``gens``, induction on words in ``gens`` gives the
+    law on all pairs once ``gens`` generates P.
+    """
+    if not alpha[P.identity].is_identity or any(
+            alpha[P.mul(t, g)] != alpha[t].compose(alpha[g])
+            for t in range(P.order) for g in gens):
+        raise HomomorphismError("conjugation by P is not an action on M")
 
 
 def _cyclic_index2_trivial(dec: Decomposition) -> bool:
@@ -369,17 +375,13 @@ def _retarget_s(dec: Decomposition) -> Decomposition:
     a_s = dec.alpha_s
     if a_s.c == 0 and a_s.v == 1:
         return dec
-    aut_grp = cgroup_aut_group(dec.pres)
-    target = None
-    for lab in aut_grp.labels:
-        pi = CGroupAut(dec.pres, *lab)
+    for pi in cgroup_auts(dec.pres):
         conj = pi.compose(a_s).compose(pi.inverse())
         if conj.c == 0 and conj.v == 1:
-            target = pi
             break
-    if target is None:
+    else:
         raise GroupDefinitionError("no conjugate of the s action lies in the phi family")
-    pi_inv = target.inverse()
+    pi_inv = pi.inverse()
     new_x = dec.index_of[pi_inv.apply(1 % dec.pres.e, 0)]
     new_y = dec.index_of[pi_inv.apply(0, 1 % dec.pres.d)]
     return _rewitness(dec, dec.r, dec.s, new_x, new_y)
@@ -474,21 +476,16 @@ def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> list:
     The quotient is the Klein four-group P/P'; when the classifier condition
     fails, this image is trivial, which certifies non-realizability.
     """
+    import numpy as np
     r2 = N.mul(dec.r, dec.r)
     m0 = subgroup_generated(N, list(dec.m_elems) + [r2])
     Q, coset = quotient_group(N, m0)
-    perms = automorphism_perms(N, bound=None)
-    induced = set()
-    for perm in perms:
-        img = [None] * Q.order
-        for g in range(N.order):
-            cg, ci = coset[g], coset[int(perm[g])]
-            if img[cg] is None:
-                img[cg] = ci
-            elif img[cg] != ci:
-                raise GroupDefinitionError("M x| P' is not characteristic")
-        induced.add(tuple(img))
-    return [Homomorphism(Q, Q, img) for img in sorted(induced)]
+    coset = np.asarray(coset)
+    images = coset[automorphism_perms(N)]   # images[a, g]: coset of aut a of g
+    induced = images[:, np.unique(coset, return_index=True)[1]]
+    if not np.array_equal(induced[:, coset], images):
+        raise GroupDefinitionError("M x| P' is not characteristic")
+    return [Homomorphism(Q, Q, img) for img in np.unique(induced, axis=0)]
 
 
 def classify_rump(G: FiniteGroup) -> bool:
@@ -569,13 +566,13 @@ def generate_corpus(max_m_order: int = 21,
 def _corpus(max_m_order: int, two_groups: tuple, mark_duplicates: bool) -> list:
     built = []
     for pres in cgroup_pool(max_m_order):
-        aut_grp = cgroup_aut_group(pres)
+        auts, aut_grp = cgroup_auts(pres), cgroup_aut_group(pres)
         for p_spec in two_groups:
             P = parse_group_spec(p_spec)
             r, s = P.labels.index((1, 0)), P.labels.index((0, 1))
             for hom in all_homomorphisms(P, aut_grp):
-                aut_r, aut_s = (CGroupAut(pres, *aut_grp.label(hom(t))) for t in (r, s))
-                built.append(build_semidirect_from_auts(pres, P, aut_r, aut_s))
+                built.append(build_semidirect_from_auts(pres, P, auts[hom(r)],
+                                                        auts[hom(s)]))
     duplicate_of = [None] * len(built)
     if mark_duplicates:
         by_invariant: dict = {}
@@ -585,7 +582,7 @@ def _corpus(max_m_order: int, two_groups: tuple, mark_duplicates: bool) -> list:
             bucket = by_invariant.setdefault(key, [])
             duplicate_of[idx] = next(
                 (prev for prev in bucket
-                 if find_isomorphism(built[prev], g, bound=None) is not None), None)
+                 if find_isomorphism(built[prev], g) is not None), None)
             if duplicate_of[idx] is None:
                 bucket.append(idx)
     return [CorpusEntry(g.name, g, dup) for g, dup in zip(built, duplicate_of)]

@@ -107,13 +107,13 @@ def test_criterion_3_order_84_counterexample():
     d14 = cgroup_group(CGroupPresentation(7, 2, 6))
     d6 = cgroup_group(CGroupPresentation(3, 2, 2))
     product = direct_product(d14, d6)
-    ok = find_isomorphism(N, product, bound=None) is not None
+    ok = find_isomorphism(N, product) is not None
 
     # both factors are characteristic, so the holomorph splits accordingly
     from holoreg import automorphism_perms
     first = set(range(0, product.order, 6))      # (a, identity) indices
     second = set(range(6))                       # (identity, b) indices
-    for perm in automorphism_perms(product, bound=None):
+    for perm in automorphism_perms(product):
         ok = ok and {int(perm[g]) for g in first} == first
         ok = ok and {int(perm[g]) for g in second} == second
 
@@ -121,7 +121,7 @@ def test_criterion_3_order_84_counterexample():
     hol_d6 = hol_group(d6)     # order 36
     ok = ok and hol_d14.order == 588 and hol_d6.order == 36
     ok = ok and hol_d14.order * hol_d6.order == 84 * len(
-        automorphism_perms(product, bound=None))
+        automorphism_perms(product))
     orders_14 = set(int(o) for o in hol_d14.orders)
     orders_6 = set(int(o) for o in hol_d6.orders)
     ok = ok and 4 not in orders_14 and 4 not in orders_6
@@ -209,7 +209,7 @@ def test_criterion_6_aut_decomposition(cgroup_test_groups):
     for pres, G in cgroup_test_groups:
         ue, ukd = unit_groups(pres)
         expected = pres.g_theta * len(ue) * len(ukd)
-        brute = automorphism_group(G, bound=None)
+        brute = automorphism_group(G)
         ok = ok and len(brute) == expected
         coords = [G.label(i) for i in range(G.order)]
         index_of = {lab: i for i, lab in enumerate(coords)}
@@ -218,9 +218,9 @@ def test_criterion_6_aut_decomposition(cgroup_test_groups):
                      for i in range(aut_grp.order)}
         ok = ok and canonical == {aut.images for aut in brute}
     ok = ok and len(automorphism_group(
-        cgroup_group(CGroupPresentation(7, 3, 2)), bound=None)) == 42
+        cgroup_group(CGroupPresentation(7, 3, 2)))) == 42
     ok = ok and len(automorphism_group(
-        cgroup_group(CGroupPresentation(5, 4, 2)), bound=None)) == 20
+        cgroup_group(CGroupPresentation(5, 4, 2)))) == 20
     _report("6 aut-decomposition", ok)
 
 

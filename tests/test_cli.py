@@ -4,7 +4,7 @@ import pytest
 
 from holoreg import cyclic_group, dihedral_group, direct_product, dump_cayley_table
 from holoreg.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, Request,
-                         default_hol_bound, main, run)
+                         build_parser, main, run)
 from holoreg.specs import SpecError
 
 ORDER_84_SPEC = "semidirect (cgroup 21 1 1) (dihedral 4) alpha r->phi:8 s->phi:13"
@@ -237,14 +237,10 @@ def test_classify_reports_match_recorded_text(tmp_path):
         assert run(Request("classify", table=str(path))) == (want, EXIT_NEGATIVE), name
 
 
-def test_env_var_overrides_default_bound(monkeypatch):
-    monkeypatch.setenv("HOLOREG_BOUND", "123")
-    assert default_hol_bound() == 123
-    monkeypatch.setenv("HOLOREG_BOUND", "junk")
-    with pytest.raises(SpecError):
-        default_hol_bound()
-    monkeypatch.delenv("HOLOREG_BOUND")
-    assert default_hol_bound() == 20000
+def test_hol_bound_flag_defaults_to_20000():
+    for name in ("oracle", "aut", "sweep"):
+        assert build_parser().parse_args([name]).hol_bound == 20000
+        assert build_parser().parse_args([name, "--hol-bound", "7"]).hol_bound == 7
 
 
 def test_main_writes_out_file(tmp_path, capsys):

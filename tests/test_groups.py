@@ -10,8 +10,8 @@ from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      all_subgroups, as_subgroup, automorphism_group, center,
                      characteristic_subgroups, commutator_subgroup,
                      cyclic_group, dihedral_group, direct_product,
-                     element_order, find_isomorphism, is_cgroup, is_normal,
-                     is_subgroup, normal_hall_odd_subgroup, quaternion_group,
+                     find_isomorphism, is_cgroup, is_normal, is_subgroup,
+                     normal_hall_odd_subgroup, quaternion_group,
                      quotient_group, semidirect_product, subgroup_generated,
                      sylow_subgroup, CGroupPresentation, cgroup_group)
 from holoreg.groups import (_fingerprints, _homomorphism_search,
@@ -32,12 +32,12 @@ def test_cyclic_trivial_group():
 
 def test_cyclic_generator_has_full_order():
     G = cyclic_group(6)
-    assert element_order(G, 1) == 6
+    assert G.order_of(1) == 6
 
 
 def test_cyclic_generator_count_matches_totient():
     G = cyclic_group(12)
-    generators = [g for g in range(12) if element_order(G, g) == 12]
+    generators = [g for g in range(12) if G.order_of(g) == 12]
     assert len(generators) == 4  # phi(12), by scanning orders
 
 
@@ -49,7 +49,7 @@ def test_cyclic_rejects_zero():
 def test_dihedral_4_is_klein():
     G = klein_group()
     assert G.is_abelian
-    assert all(element_order(G, g) <= 2 for g in range(4))
+    assert all(G.order_of(g) <= 2 for g in range(4))
 
 
 def test_dihedral_8_center():
@@ -60,8 +60,8 @@ def test_dihedral_8_center():
 def test_dihedral_16_generator_orders():
     G = dihedral_group(16)
     r, s = 2, 1
-    assert element_order(G, r) == 8
-    assert element_order(G, s) == 2
+    assert G.order_of(r) == 8
+    assert G.order_of(s) == 2
 
 
 def test_dihedral_rejects_bad_orders():
@@ -72,7 +72,7 @@ def test_dihedral_rejects_bad_orders():
 
 def test_quaternion_8_order_profile():
     G = quaternion_group(8)
-    profile = sorted(element_order(G, g) for g in range(8))
+    profile = sorted(G.order_of(g) for g in range(8))
     assert profile == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
@@ -85,7 +85,7 @@ def test_quaternion_s_squared_is_r_squared():
 def test_quaternion_16_unique_involution():
     G = quaternion_group(16)
     r = 2
-    involutions = [g for g in range(16) if element_order(G, g) == 2]
+    involutions = [g for g in range(16) if G.order_of(g) == 2]
     assert involutions == [G.power(r, 4)]
 
 
@@ -161,13 +161,13 @@ def test_conjugation_inside_semidirect_recovers_action():
 
 
 def test_identity_has_order_one():
-    assert element_order(dihedral_group(16), 0) == 1
+    assert dihedral_group(16).order_of(0) == 1
 
 
 def test_element_order_in_presented_group():
     G = cgroup_group(CGroupPresentation(7, 3, 2))
     xy = G.labels.index((1, 1))
-    assert element_order(G, xy) == 3
+    assert G.order_of(xy) == 3
 
 
 def test_power_negative_exponent():
@@ -311,19 +311,29 @@ def test_automorphism_group_matches_plain_search(cgroup_test_groups, corpus_reps
         fps = _fingerprints(G)
         cands = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
         plain = _homomorphism_search(G, G, gens, injective=True)(cands)
-        assert [a.images for a in automorphism_group(G, bound=None)] == plain
+        assert [a.images for a in automorphism_group(G)] == plain
 
 
 def test_automorphism_count_bound_is_exact(cgroup_test_groups, corpus_reps):
     for G in _aut_search_cases(cgroup_test_groups, corpus_reps):
-        count = len(automorphism_group(G, bound=None))
+        count = len(automorphism_group(G))
         if count == 1:
             continue
         fresh = FiniteGroup(G.table, labels=G.labels)  # nothing memoized yet
         with pytest.raises(BoundExceeded,
                            match=f"more than {count - 1} homomorphisms found"):
-            automorphism_group(fresh, bound=None, max_count=count - 1)
-        assert len(automorphism_group(fresh, bound=None, max_count=count)) == count
+            automorphism_group(fresh, max_count=count - 1)
+        assert len(automorphism_group(fresh, max_count=count)) == count
+        with pytest.raises(BoundExceeded,  # the memoized count, same text
+                           match=f"more than {count - 1} homomorphisms found"):
+            automorphism_group(fresh, max_count=count - 1)
+
+
+def test_searches_have_no_order_cutoff():
+    assert len(automorphism_group(cyclic_group(257))) == 256
+    iso = find_isomorphism(cyclic_group(260),
+                           direct_product(cyclic_group(4), cyclic_group(65)))
+    assert iso is not None and iso.is_bijective
 
 
 def test_generating_set_is_the_greedy_choice():

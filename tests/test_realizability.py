@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from holoreg import (CGroupAut, CGroupPresentation, GroupDefinitionError,
-                     cgroup_group, classify, classify_rump,
-                     closed_form_product, construct, cyclic_group,
-                     cyclic_regular_oracle, decompose, dihedral_group,
-                     direct_product, find_isomorphism, generate_corpus,
-                     normalize_alpha, parse_group_spec, quaternion_group,
-                     quotient_action_probe, semidirect_product,
+                     HomomorphismError, automorphism_perms, cgroup_group,
+                     classify, classify_rump, closed_form_product, construct,
+                     cyclic_group, cyclic_regular_oracle, decompose,
+                     dihedral_group, direct_product, find_isomorphism,
+                     generate_corpus, normalize_alpha, parse_group_spec,
+                     quaternion_group, quotient_action_probe, quotient_group,
+                     semidirect_product, standard_aut, subgroup_generated,
                      twisted_partial_products)
 from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
-                                   REASON_P_SHAPE)
+                                   REASON_P_SHAPE, _check_action)
 
 
 def klein_group():
@@ -89,6 +90,23 @@ def test_decompose_alpha_matches_conjugation():
         for m in dec.m_elems:
             i, j = dec.coords[m]
             assert dec.coords[N.conj(m, t)] == aut.apply(i, j)
+
+
+def test_action_check_rejects_a_non_action():
+    # over C_7, phi:6 is an involution and phi:2 has order 3, so with r -> id
+    # only s -> phi:6 is an action of the Klein group
+    P = klein_group()
+    pres = CGroupPresentation(7, 1, 1)
+    gens = [P.labels.index((1, 0)), P.labels.index((0, 1))]
+    ident = standard_aut(pres, "phi", 1)
+    for u, is_action in ((6, True), (2, False)):
+        phi = standard_aut(pres, "phi", u)
+        alpha = tuple(phi if P.label(t)[1] else ident for t in range(P.order))
+        if is_action:
+            _check_action(P, alpha, gens)
+        else:
+            with pytest.raises(HomomorphismError, match="not an action"):
+                _check_action(P, alpha, gens)
 
 
 # -- classify --------------------------------------------------------------------
@@ -291,6 +309,23 @@ def test_probe_nontrivial_for_dihedral_8():
     assert len(probe) > 1
 
 
+def test_probe_matches_coset_by_coset_reference(corpus_reps):
+    # the plain loop over automorphisms and elements that the probe vectorizes
+    groups = [faithful_order_84_group(), dihedral_group(8)] + \
+        [e.group for e in corpus_reps if e.group.order <= 96][::7]
+    for N in groups:
+        dec = decompose(N)
+        Q, coset = quotient_group(N, subgroup_generated(
+            N, list(dec.m_elems) + [N.mul(dec.r, dec.r)]))
+        induced = set()
+        for perm in automorphism_perms(N):
+            img = [None] * Q.order
+            for g in range(N.order):
+                img[coset[g]] = coset[perm[g]]
+            induced.add(tuple(img))
+        assert [h.images for h in quotient_action_probe(N, dec)] == sorted(induced)
+
+
 # -- the companion classifier ------------------------------------------------------------
 
 
@@ -360,7 +395,7 @@ def test_corpus_duplicates_really_are_isomorphic(corpus):
     for entry in corpus:
         if entry.duplicate_of is not None and entry.group.order <= 60:
             other = corpus[entry.duplicate_of].group
-            assert find_isomorphism(entry.group, other, bound=None) is not None
+            assert find_isomorphism(entry.group, other) is not None
             seen += 1
             if seen >= 10:
                 break
@@ -391,4 +426,4 @@ def test_classify_is_isomorphism_invariant_up_to_96(corpus):
         for i, a in enumerate(bucket):
             for b in bucket[i + 1:]:
                 if classify(a.group).realizable != classify(b.group).realizable:
-                    assert find_isomorphism(a.group, b.group, bound=None) is None
+                    assert find_isomorphism(a.group, b.group) is None
