@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .groups import BoundExceeded, FiniteGroup, GroupDefinitionError, generating_set
 from .holomorph import (DEFAULT_HOL_BOUND, cyclic_regular_oracle,
                         skew_brace_from_regular, subgroup_generated_by_hol)
@@ -109,10 +111,11 @@ def _oracle_report(request: Request) -> tuple:
     report.add("order", group.order)
     report.add("generator_count", len(found))
     gens = generating_set(group)
-    for idx, h in enumerate(found):
-        twist = _images(group, gens, h.twist, ",")
-        report.add(f"generator_{idx}",
-                   f"({group.format_element(h.translation)}; {twist})")
+    twists = {p: _images(group, gens, found.perms[p].tolist(), ",")
+              for p in np.unique(found.twists).tolist()}
+    for idx, (a, p) in enumerate(zip(found.translations.tolist(),
+                                     found.twists.tolist())):
+        report.add(f"generator_{idx}", f"({group.format_element(a)}; {twists[p]})")
     return report.text(), EXIT_OK if found else EXIT_NEGATIVE
 
 
@@ -178,8 +181,8 @@ def _aut_report(request: Request) -> tuple:
     report.add("order", group.order)
     report.add("aut_count", len(auts))
     gens = generating_set(group)
-    for idx, aut in enumerate(auts):
-        report.add(f"aut_{idx}", _images(group, gens, aut.images, ", "))
+    for idx, images in enumerate(auts.perms.tolist()):
+        report.add(f"aut_{idx}", _images(group, gens, images, ", "))
     return report.text(), EXIT_OK
 
 
@@ -255,6 +258,8 @@ def run(request: Request) -> tuple:
         return f"error: bound exceeded: {exc}\n", EXIT_ERROR
     except OSError as exc:
         return f"error: {exc}\n", EXIT_ERROR
+    except MemoryError as exc:  # numpy's ArrayMemoryError included
+        return f"error: out of memory: {exc}\n", EXIT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

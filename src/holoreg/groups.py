@@ -11,9 +11,10 @@ cached per group through ``memoized``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -726,18 +727,37 @@ def _fingerprints(G: FiniteGroup) -> list:
     return [(int(orders[g]), int(sizes[g]), int(orders[t[g][g]])) for g in range(G.order)]
 
 
-def automorphism_group(G: FiniteGroup, max_count: Optional[int] = None) -> list:
+@dataclass(frozen=True, eq=False)
+class Automorphisms(Sequence):
+    """Aut(G) as its read-only (|Aut|, n) image array ``perms``, row i the
+    images of automorphism i; a Homomorphism is built only when indexed."""
+
+    group: FiniteGroup
+    perms: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.perms)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return Homomorphism(self.group, self.group, self.perms[i].tolist(),
+                            validate=False)
+
+
+def automorphism_group(G: FiniteGroup, max_count: Optional[int] = None) -> Automorphisms:
     """All automorphisms of G, ordered lexicographically by their images of
     ``generating_set(G)``.
 
-    Results are memoized per group.  ``max_count`` is checked against
-    |Aut(G)|, which a stabilizer chain counts exactly before any automorphism
-    is enumerated: more than ``max_count`` raises BoundExceeded, whether the
-    count is fresh or memoized.
+    The result is a sequence over the memoized image array: indexing it
+    builds a Homomorphism, ``.perms`` is the array itself.  ``max_count`` is
+    checked against |Aut(G)|, which a stabilizer chain counts exactly before
+    any automorphism is enumerated: more than ``max_count`` raises
+    BoundExceeded, whether the count is fresh or memoized.
     """
-    auts = _automorphisms(G, max_count)
-    _check_count(len(auts), max_count)
-    return list(auts)
+    perms = _automorphisms(G, max_count)
+    _check_count(len(perms), max_count)
+    return Automorphisms(G, perms)
 
 
 def _check_count(count: int, max_count: Optional[int]):
@@ -763,7 +783,7 @@ def _orbit(x: int, perms: Sequence[np.ndarray], n: int) -> dict:
 
 
 @memoized
-def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> tuple:
+def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> np.ndarray:
     """Aut(G) through a stabilizer chain over ``gens = generating_set(G)``.
 
     Level i is a transversal of the orbit of gens[i] under the automorphisms
@@ -773,7 +793,8 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> tuple:
     Fingerprints are invariant under automorphisms, so the candidates cover
     the orbit, and by orbit-stabilizer |Aut(G)| is the product of the orbit
     sizes.  Every automorphism is t_0 o ... o t_(k-1) for exactly one choice
-    of level representatives t_i.
+    of level representatives t_i.  The (|Aut|, n) int32 image array returned
+    is the memo itself, so it is read-only.
     """
     n = G.order
     gens = generating_set(G)
@@ -804,13 +825,18 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> tuple:
         auts = reps[:, auts].reshape(-1, n)
     if gens:  # the order of the generator-image DFS
         auts = auts[np.lexsort([auts[:, g] for g in reversed(gens)])]
-    return tuple(Homomorphism(G, G, img, validate=False) for img in auts.tolist())
+    auts = np.ascontiguousarray(auts, dtype=np.int32)
+    auts.setflags(write=False)
+    return auts
 
 
 def automorphism_perms(G: FiniteGroup, max_count: Optional[int] = None) -> np.ndarray:
-    """Automorphisms as an (|Aut|, n) index array, in enumeration order."""
-    auts = automorphism_group(G, max_count=max_count)
-    return np.array([a.images for a in auts], dtype=np.int32)
+    """Automorphisms as an (|Aut|, n) index array, in enumeration order.
+
+    This is the memoized array of ``automorphism_group(G).perms``, read-only
+    like ``G.table``: copy it before writing.
+    """
+    return automorphism_group(G, max_count=max_count).perms
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:

@@ -13,9 +13,10 @@ dense holomorph table, which is only materialized on request.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -103,6 +104,35 @@ class HolElement:
         return (self.translation, self.twist)
 
 
+@dataclass(frozen=True, eq=False)
+class HolElements(Sequence):
+    """Holomorph elements held as arrays: element i is the pair
+    (translations[i], perms[twists[i]]).  A HolElement is built only when
+    one is indexed."""
+
+    group: FiniteGroup
+    perms: np.ndarray          # (|Aut|, n) twists, from automorphism_perms
+    translations: np.ndarray
+    twists: np.ndarray         # row indices into perms
+
+    def __len__(self) -> int:
+        return len(self.translations)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return HolElement(self.group, int(self.translations[i]),
+                          tuple(self.perms[self.twists[i]].tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class OracleResult(HolElements):
+    """The oracle's winners, with the number of (pair, step) moves its scan
+    made."""
+
+    pair_steps: int
+
+
 def identity_hol(N: FiniteGroup) -> HolElement:
     return HolElement(N, N.identity, tuple(range(N.order)))
 
@@ -138,6 +168,17 @@ def _hol_perms(N: FiniteGroup, hol_bound: int) -> np.ndarray:
     return perms
 
 
+def _composition_index(perms: np.ndarray) -> np.ndarray:
+    """comp[i, j] is the row of ``perms`` holding perms[i] o perms[j]
+    (perms[j] applied first); the rows must form a group under composition."""
+    a_count, n = perms.shape
+    row = np.dtype((np.void, perms.itemsize * n))  # one row as one sortable key
+    keys = perms.view(row).ravel()
+    order = np.argsort(keys)
+    composed = perms[:, perms].reshape(-1, n).view(row).ravel()
+    return order[np.searchsorted(keys[order], composed)].reshape(a_count, a_count)
+
+
 def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
     """The holomorph as a dense Cayley table over (translation, twist) labels.
 
@@ -147,28 +188,24 @@ def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
     perms = _hol_perms(N, bound)
     a_count = len(perms)
     n = N.order
-    total = n * a_count
-    perm_index = {tuple(int(x) for x in p): i for i, p in enumerate(perms)}
-    comp = np.zeros((a_count, a_count), dtype=np.int32)
-    for i in range(a_count):
-        pi = perms[i]
-        for j in range(a_count):
-            comp[i, j] = perm_index[tuple(int(x) for x in pi[perms[j]])]
-    table = np.zeros((total, total), dtype=np.int32)
-    cols_a = np.repeat(np.arange(n, dtype=np.int32), a_count)
-    cols_p = np.tile(np.arange(a_count, dtype=np.int32), n)
-    for a in range(n):
-        for p in range(a_count):
-            trans = N.table[a, perms[p][cols_a]]
-            table[a * a_count + p] = trans * a_count + comp[p, cols_p]
+    comp = _composition_index(perms)
+    b = np.repeat(np.arange(n), a_count)   # translation of each column
+    q = np.tile(np.arange(a_count), n)     # twist of each column
+    table = np.empty((n * a_count, n * a_count), dtype=np.int32)
+    for a in range(n):  # rows (a, p) for every p: (a, p)(b, q) = (a * p(b), p o q)
+        table[a * a_count:(a + 1) * a_count] = \
+            N.table[a, perms[:, b]] * a_count + comp[:, q]
     labels = [(a, p) for a in range(n) for p in range(a_count)]
     return FiniteGroup(table, labels=labels, name=f"holomorph of ({N.name})")
 
 
-def hol_elements(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> list:
-    """All holomorph elements as pairs, translations outer, twists inner."""
-    twists = [tuple(p) for p in _hol_perms(N, bound).tolist()]
-    return [HolElement(N, a, t) for a in range(N.order) for t in twists]
+def hol_elements(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> HolElements:
+    """All holomorph elements as a HolElements sequence, translations outer,
+    twists inner."""
+    perms = _hol_perms(N, bound)
+    a_count = len(perms)
+    return HolElements(N, perms, np.repeat(np.arange(N.order), a_count),
+                       np.tile(np.arange(a_count), N.order))
 
 
 def is_regular_subgroup(N: FiniteGroup, subgroup: Sequence[HolElement]) -> bool:
@@ -188,14 +225,16 @@ def is_regular_subgroup(N: FiniteGroup, subgroup: Sequence[HolElement]) -> bool:
 
 
 def cyclic_regular_oracle(N: FiniteGroup,
-                          hol_bound: int = DEFAULT_HOL_BOUND) -> list:
+                          hol_bound: int = DEFAULT_HOL_BOUND) -> OracleResult:
     """All holomorph elements whose cycle through the identity has full length.
 
     Any such element generates a cyclic regular subgroup, so an empty result
     certifies that no cyclic regular subgroup exists.  The scan walks all
     (translation, twist) pairs at once and drops a pair as soon as its walk is
     back at the identity: the pairs left after n - 1 steps are exactly those
-    whose cycle has length n.  Winners come in (translation, twist) order.
+    whose cycle has length n.  Winners come in (translation, twist) order, as
+    arrays: a HolElement is built only when the result is indexed.
+    ``pair_steps`` counts the moves the scan made, one per live pair per step.
     """
     n = N.order
     perms = _hol_perms(N, hol_bound)
@@ -210,13 +249,13 @@ def cyclic_regular_oracle(N: FiniteGroup,
     offset = np.tile(np.arange(a_count) * n, n)
     a_inv = np.repeat(inv.astype(np.intp), a_count)
     pos = np.full(n * a_count, e)
+    pair_steps = 0
     for _ in range(n - 1):
+        pair_steps += len(pos)
         pos = flat_table[flat_perms[offset + pos] * n + a_inv]
         live = pos != e
         offset, a_inv, pos = offset[live], a_inv[live], pos[live]
-    twists = [tuple(p) for p in perms.tolist()]
-    return [HolElement(N, a, twists[p])
-            for a, p in zip(inv[a_inv].tolist(), (offset // n).tolist())]
+    return OracleResult(N, perms, inv[a_inv], offset // n, pair_steps)
 
 
 def all_regular_subgroups(N: FiniteGroup,
@@ -224,18 +263,17 @@ def all_regular_subgroups(N: FiniteGroup,
     """Every regular subgroup of the holomorph, by transversal backtracking.
 
     A regular subgroup contains exactly one element per translation, so the
-    search assigns a twist to each translation and propagates closure.
+    search assigns a twist to each translation and propagates closure.  Each
+    subgroup is a HolElements in translation order; the list is sorted by
+    the elements' keys.
     """
     n = N.order
     perms = _hol_perms(N, hol_bound)
     a_count = len(perms)
-    perm_rows = [tuple(int(x) for x in p) for p in perms]
-    perm_index = {p: i for i, p in enumerate(perm_rows)}
-    comp = [[perm_index[tuple(perm_rows[i][x] for x in perm_rows[j])]
-             for j in range(a_count)] for i in range(a_count)]
+    perm_rows = perms.tolist()
+    comp = _composition_index(perms).tolist()
     rows = N.rows
-    orders = N.orders
-    identity_perm = perm_index[tuple(range(n))]
+    identity_perm = perm_rows.index(list(range(n)))
     results = []
 
     def propagate(assign: dict) -> Optional[dict]:
@@ -263,7 +301,7 @@ def all_regular_subgroups(N: FiniteGroup,
 
     def dfs(assign: dict):
         if len(assign) == n:
-            results.append(dict(assign))
+            results.append([assign[a] for a in range(n)])
             return
         a = min(x for x in range(n) if x not in assign)
         for p in range(a_count):
@@ -275,12 +313,8 @@ def all_regular_subgroups(N: FiniteGroup,
                 dfs(closed)
 
     dfs({N.identity: identity_perm})
-    subgroups = []
-    for assign in results:
-        subgroups.append([HolElement(N, a, perm_rows[assign[a]])
-                          for a in sorted(assign)])
-    subgroups.sort(key=lambda s: [h.key() for h in s])
-    return subgroups
+    results.sort(key=lambda twists: [perm_rows[p] for p in twists])
+    return [HolElements(N, perms, np.arange(n), np.array(t)) for t in results]
 
 
 def regular_subgroup_as_group(N: FiniteGroup, subgroup: Sequence[HolElement],

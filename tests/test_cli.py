@@ -1,8 +1,10 @@
 """The batch front end: reports, exit codes, determinism, bounds."""
 
+from pathlib import Path
+
 import pytest
 
-from holoreg import cyclic_group, dihedral_group, direct_product, dump_cayley_table
+from holoreg import cli, cyclic_group, dihedral_group, direct_product, dump_cayley_table
 from holoreg.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, Request,
                          build_parser, main, run)
 from holoreg.specs import SpecError
@@ -235,6 +237,37 @@ def test_classify_reports_match_recorded_text(tmp_path):
         want = (f"command: classify\nspec: table:{path}\norder: {group.order}\n"
                 f"realizable: false\nreason: {reason}\n")
         assert run(Request("classify", table=str(path))) == (want, EXIT_NEGATIVE), name
+
+
+# Exact oracle and aut reports, recorded before both were rendered from the
+# automorphism arrays; the third spec is a corpus representative.
+RECORDED = Path(__file__).parent / "recorded"
+GOLDEN_ARRAY_REPORTS = {
+    "dihedral-8": "dihedral 8",
+    "cgroup-7-3-2": "cgroup 7 3 2",
+    "c3-by-klein": "semidirect (cgroup 3 1 1) (dihedral 4) alpha r->phi:2 s->id",
+}
+
+
+@pytest.mark.parametrize("command", ["oracle", "aut"])
+def test_oracle_and_aut_reports_match_recorded_text(command):
+    for name, spec in GOLDEN_ARRAY_REPORTS.items():
+        want = (RECORDED / f"{command}-{name}.txt").read_text(encoding="utf-8")
+        assert run(Request(command, spec=spec)) == (want, EXIT_OK), name
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    # the loader raises instead of allocating, as numpy does for a dense
+    # table that does not fit
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 37.3 GiB for an array with shape "
+                          "(100000, 100000) and data type int32")
+    monkeypatch.setattr(cli, "parse_group_spec", out_of_memory)
+    text, code = run(Request("classify", spec="cyclic 100000"))
+    assert code == EXIT_ERROR
+    assert text.startswith("error: out of memory:") and text.count("\n") == 1
+    assert main(["classify", "--spec", "cyclic 100000"]) == EXIT_ERROR
+    assert capsys.readouterr().out == text
 
 
 def test_hol_bound_flag_defaults_to_20000():

@@ -7,7 +7,8 @@ import pytest
 
 from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
-                     all_subgroups, as_subgroup, automorphism_group, center,
+                     all_subgroups, as_subgroup, automorphism_group,
+                     automorphism_perms, center,
                      characteristic_subgroups, commutator_subgroup,
                      cyclic_group, dihedral_group, direct_product,
                      find_isomorphism, is_cgroup, is_normal, is_subgroup,
@@ -293,6 +294,19 @@ def test_automorphisms_are_valid_homomorphisms():
     for aut in automorphism_group(G):
         Homomorphism(G, G, aut.images)  # re-validates the product rule
         assert aut.is_bijective
+
+
+def test_automorphism_array_is_a_read_only_memo():
+    G = dihedral_group(16)
+    perms = automorphism_perms(G)
+    before = perms.copy()
+    with pytest.raises(ValueError):
+        perms[0, 1] = 0
+    assert np.array_equal(automorphism_perms(G), before)
+    auts = automorphism_group(G)  # the lazy sequence reads the same memo
+    assert auts.perms is perms
+    assert [a.images for a in auts] == [tuple(row) for row in before.tolist()]
+    assert [a.images for a in auts[-2:]] == [auts[-2].images, auts[len(auts) - 1].images]
 
 
 def _aut_search_cases(cgroup_test_groups, corpus_reps):

@@ -1,5 +1,7 @@
 """Holomorph pairs, regular subgroups, crossed pairs, braces, and fpf pairs."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from holoreg import (CGroupPresentation, CrossedHom, GroupDefinitionError,
                      regular_subgroups_isomorphic_to, rho_embedding,
                      skew_brace_from_regular, subgroup_generated_by_hol,
                      BoundExceeded)
+from holoreg.holomorph import _composition_index
 from holoreg.realizability import classify
 
 
@@ -141,7 +144,7 @@ def test_oracle_klein_gives_three_subgroups():
 
 def test_oracle_elementary_9_is_empty():
     N = direct_product(cyclic_group(3), cyclic_group(3))
-    assert cyclic_regular_oracle(N) == []
+    assert len(cyclic_regular_oracle(N)) == 0
 
 
 def test_oracle_respects_bound():
@@ -159,6 +162,18 @@ def test_oracle_winners_generate_regular_subgroups():
             assert is_regular_subgroup(N, sub)
 
 
+def test_oracle_result_is_a_lazy_sequence():
+    found = cyclic_regular_oracle(dihedral_group(8))
+    elements = list(found)
+    assert len(elements) == len(found) == 16
+    assert found[-1] == elements[-1] and found[2:5] == elements[2:5]
+    assert set(random.Random(0).sample(found, 4)) <= set(elements)
+    assert type(found[0].translation) is int
+    assert all(type(x) is int for x in found[0].twist)
+    with pytest.raises(IndexError):
+        found[len(found)]
+
+
 def test_oracle_matches_brute_force_cycle_lengths():
     # the compacted scan keeps exactly the full-cycle pairs, in scan order
     c2 = cyclic_group(2)
@@ -166,10 +181,13 @@ def test_oracle_matches_brute_force_cycle_lengths():
               dihedral_group(8), quaternion_group(8), direct_product(cyclic_group(3), c2),
               direct_product(direct_product(c2, c2), c2),
               cgroup_group(CGroupPresentation(7, 3, 2))):
-        brute = [h for h in hol_elements(N)
-                 if h.cycle_length_through_identity() == N.order]
-        assert [h.key() for h in cyclic_regular_oracle(N)] == \
-            [h.key() for h in brute]
+        lengths = [h.cycle_length_through_identity() for h in hol_elements(N)]
+        brute = [h for h, length in zip(hol_elements(N), lengths)
+                 if length == N.order]
+        found = cyclic_regular_oracle(N)
+        assert [h.key() for h in found] == [h.key() for h in brute]
+        # a walk moves at each step until it is back at the identity
+        assert found.pair_steps == sum(min(length, N.order - 1) for length in lengths)
 
 
 # -- subgroup-level enumeration ----------------------------------------------------
@@ -189,6 +207,24 @@ def test_regular_c4_in_holomorph_of_klein():
 def test_regular_klein_in_holomorph_of_c4():
     subs = regular_subgroups_isomorphic_to(klein_group(), cyclic_group(4))
     assert len(subs) >= 1
+
+
+def test_composition_index_matches_tuple_lookup():
+    # the plain reference: look each composed row up by its tuple
+    for N in (cyclic_group(1), klein_group(), dihedral_group(8), quaternion_group(8),
+              cgroup_group(CGroupPresentation(7, 3, 2))):
+        perms = automorphism_perms(N)
+        rows = [tuple(p) for p in perms.tolist()]
+        index = {p: i for i, p in enumerate(rows)}
+        plain = [[index[tuple(pi[x] for x in sigma)] for sigma in rows] for pi in rows]
+        assert _composition_index(perms).tolist() == plain
+
+
+def test_regular_subgroups_come_sorted_by_keys():
+    for N in (cyclic_group(4), klein_group(), dihedral_group(8)):
+        keys = [[h.key() for h in s] for s in all_regular_subgroups(N)]
+        assert keys == sorted(keys)
+        assert all([a for a, _ in k] == list(range(N.order)) for k in keys)
 
 
 def test_regular_subgroup_enumeration_covers_both_translations():
