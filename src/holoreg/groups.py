@@ -867,10 +867,14 @@ def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list:
 # -- subgroup enumeration -----------------------------------------------------
 
 
-def all_subgroups(G: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list:
-    """Every subgroup of G as a sorted tuple, by closure-extension search."""
-    if G.order > bound:
-        raise BoundExceeded(f"subgroup enumeration bound {bound} exceeded by order {G.order}")
+def all_subgroups(G: FiniteGroup) -> list:
+    """Every subgroup of G as a sorted tuple, by closure-extension search.
+
+    Refuses G above order ``SUBGROUP_ENUM_BOUND``.
+    """
+    if G.order > SUBGROUP_ENUM_BOUND:
+        raise BoundExceeded(f"subgroup enumeration bound {SUBGROUP_ENUM_BOUND} "
+                            f"exceeded by order {G.order}")
     trivial = (G.identity,)
     found = {trivial}
     frontier = [trivial]
@@ -889,9 +893,9 @@ def all_subgroups(G: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     return sorted(found, key=lambda s: (len(s), s))
 
 
-def characteristic_subgroups(G: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list:
+def characteristic_subgroups(G: FiniteGroup) -> list:
     """Subgroups invariant under every automorphism of G."""
-    subgroups = all_subgroups(G, bound=bound)  # refuses an oversized G first
+    subgroups = all_subgroups(G)  # refuses an oversized G first
     auts = automorphism_perms(G)
     out = []
     for sub in subgroups:

@@ -28,11 +28,13 @@ from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
                       cgroup_group, recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms, as_subgroup,
-                     automorphism_perms, find_isomorphism, is_cgroup, memoized,
-                     normal_hall_odd_subgroup, quotient_group,
-                     subgroup_generated, sylow_subgroup)
+                     automorphism_perms, cyclic_group, dihedral_group,
+                     find_isomorphism, is_cgroup, memoized,
+                     normal_hall_odd_subgroup, quaternion_group,
+                     quotient_group, subgroup_generated, sylow_subgroup)
 from .holomorph import HolElement, conjugation_perm
-from .specs import build_semidirect_from_auts, parse_group_spec
+from .specs import (action_from_generators, build_semidirect_from_auts,
+                    parse_group_spec)
 
 REASON_CGROUP = "c-group"
 REASON_CASE_1 = "theorem-case-1"
@@ -49,8 +51,8 @@ class Decomposition:
     M is the normal Hall subgroup of odd order with presentation witnesses
     x, y; P is a Sylow 2-subgroup with witnesses r, s satisfying the dihedral
     or quaternion relations; alpha records conjugation by each element of P
-    as a canonical-form automorphism of M, checked to be an action.  Built
-    only by ``_split`` and never changed afterwards.
+    as a canonical-form automorphism of M, derived from conjugation by r and
+    s alone.  Built only by ``_split`` and never changed afterwards.
     """
 
     group: FiniteGroup
@@ -83,6 +85,12 @@ class Decomposition:
     @property
     def alpha_s(self) -> CGroupAut:
         return self.alpha[self.p_to_n.index(self.s)]
+
+    @property
+    def p_is_klein_or_q8(self) -> bool:
+        """P is the Klein group or Q8: theorem case 1."""
+        return self.p_group.order == 4 or (
+            self.p_kind == "quaternion" and self.p_group.order == 8)
 
     @cached_property
     def factors(self) -> tuple:
@@ -118,7 +126,13 @@ class Verdict:
 
 
 def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]):
-    """Recognize a 2-subgroup as dihedral/quaternion/cyclic, with (kind, m, r, s)."""
+    """Recognize a 2-subgroup as dihedral/quaternion/cyclic, with (kind, m, r, s).
+
+    A non-cyclic P is tested on one pair: r the first element of order |P|/2,
+    s the first outside <r>.  The pair generates P, so it satisfies the
+    dihedral or quaternion relations only if P is that group (von Dyck), and
+    in those groups every s outside a cyclic index-2 <r> satisfies them.
+    """
     order = len(p_elems)
     if order == 1:
         return "cyclic", 0, p_elems[0], p_elems[0]
@@ -130,24 +144,18 @@ def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]):
     if cyclic_gen is not None:
         return "cyclic", m, cyclic_gen, G.identity
     half = order // 2
-    for kind in ("dihedral", "quaternion"):
-        if kind == "quaternion" and m < 3:
-            continue
-        s_square_exp = 0 if kind == "dihedral" else half // 2
-        for r in p_elems:
-            if orders[r] != half:
-                continue
-            r_span = set(subgroup_generated(G, [r]))
-            r_inv = G.inv(r)
-            s_sq_target = G.power(r, s_square_exp)
-            for s in p_elems:
-                if s in r_span:
-                    continue
-                if G.mul(s, s) != s_sq_target:
-                    continue
-                if G.conj(r, s) != r_inv:
-                    continue
-                return kind, m, r, s
+    r = next((g for g in p_elems if orders[g] == half), None)
+    if r is None:
+        return None
+    r_span = set(subgroup_generated(G, [r]))
+    s = next(g for g in p_elems if g not in r_span)
+    if G.conj(r, s) != G.inv(r):
+        return None
+    s_sq = G.mul(s, s)
+    if s_sq == G.identity:
+        return "dihedral", m, r, s
+    if m >= 3 and s_sq == G.power(r, half // 2):
+        return "quaternion", m, r, s
     return None
 
 
@@ -155,7 +163,8 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
     """Split N = M x| P with M an odd-order C-group and P cyclic/dihedral/quaternion.
 
     Returns None when no such split exists, which already certifies that the
-    holomorph of N has no cyclic regular subgroup.
+    holomorph of N has no cyclic regular subgroup.  P's shape, its table and
+    its action all come from the one pair (r, s) of ``_two_group_witnesses``.
     """
     odd = _odd_part(N)
     if odd is None:
@@ -195,12 +204,14 @@ def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
            pres: CGroupPresentation, x: int, y: int, p_elems: tuple,
            p_kind: str, m_exp: int, r: int, s: int) -> Decomposition:
     """The one builder of a Decomposition: M in x^i y^j coordinates, P
-    relabelled as r^a s^b, and the action alpha of P on M."""
+    relabelled as r^a s^b, and the action alpha of P on M.  Only conjugation
+    by r and s is read off N (M, all odd-order elements, is normal);
+    ``action_from_generators`` extends it to P and checks P's relations on
+    it, which is exact by von Dyck's theorem."""
     coords, index_of = cgroup_coordinates(N, x, y, pres)
     p_to_n, p_group = _relabel_p(N, p_elems, p_kind, r, s)
-    alpha = tuple(_conjugation_as_aut(N, t, pres, coords, index_of)
-                  for t in p_to_n)
-    _check_action(p_group, alpha, [p_to_n.index(g) for g in (r, s)])
+    alpha = action_from_generators(p_group, *(
+        aut_decompose(pres, coords[N.conj(x, g)], coords[N.conj(y, g)]) for g in (r, s)))
     return Decomposition(N, m_elems, m_group, pres, x, y, tuple(coords),
                          index_of, p_elems, p_group, p_to_n, p_kind, m_exp,
                          r, s, alpha)
@@ -208,57 +219,21 @@ def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
 
 def _relabel_p(N: FiniteGroup, p_elems: tuple, kind: str, r: int, s: int):
     """P as the words r^a s^b, with b = 0 only when P is cyclic: returns the
-    N-index of each word and P as its own group labelled (a, b)."""
-    b_range = (0,) if kind == "cyclic" else (0, 1)
-    p_to_n, labels = [], []
-    ra = N.identity
-    for a in range(len(p_elems) // len(b_range)):
-        for b in b_range:
-            p_to_n.append(N.mul(ra, s) if b else ra)
-            labels.append((a, b))
-        ra = N.mul(ra, r)
+    N-index of each word and P as its own group labelled (a, b).
+
+    r and s satisfy the relations of the group ``kind`` and, as the words
+    cover P, generate it, so the words multiply as in that group's table.
+    """
+    order = len(p_elems)
+    if kind == "cyclic":
+        C = cyclic_group(order)
+        p_group = FiniteGroup(C.table, labels=[(a, 0) for a in C.labels], name=C.name)
+    else:
+        p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(order)
+    p_to_n = tuple(N.mul(N.power(r, a), N.power(s, b)) for a, b in p_group.labels)
     if sorted(p_to_n) != sorted(p_elems):
         raise GroupDefinitionError("witnesses r, s do not generate P")
-    pos = {e: i for i, e in enumerate(p_to_n)}
-    table = [[pos[N.mul(a, b)] for b in p_to_n] for a in p_to_n]
-    p_group = FiniteGroup(table, labels=labels, name=f"{kind} {len(p_elems)}",
-                          label_style=None if kind == "cyclic" else "twogroup")
-    return tuple(p_to_n), p_group
-
-
-def _conjugation_as_aut(N: FiniteGroup, t: int, pres: CGroupPresentation,
-                        coords, index_of) -> CGroupAut:
-    x = index_of[(1 % pres.e, 0)]
-    y = index_of[(0, 1 % pres.d)]
-    cx = coords[N.conj(x, t)]
-    cy = coords[N.conj(y, t)]
-    if cx is None or cy is None:
-        raise HomomorphismError("conjugation does not preserve the odd part")
-    return aut_decompose(pres, cx, cy)
-
-
-def _check_action(P: FiniteGroup, alpha: tuple, gens: Sequence[int]):
-    """Raise unless alpha, listed per element of P, is a homomorphism P -> Aut(M).
-
-    With alpha[1] the identity and alpha[t g] = alpha[t] o alpha[g] for every
-    t in P and every g in ``gens``, induction on words in ``gens`` gives the
-    law on all pairs once ``gens`` generates P.
-    """
-    if not alpha[P.identity].is_identity or any(
-            alpha[P.mul(t, g)] != alpha[t].compose(alpha[g])
-            for t in range(P.order) for g in gens):
-        raise HomomorphismError("conjugation by P is not an action on M")
-
-
-def _cyclic_index2_trivial(dec: Decomposition) -> bool:
-    """Does alpha act trivially on the unique cyclic index-2 subgroup <r>?"""
-    r_index = dec.p_to_n.index(dec.r)
-    powers = set()
-    cur = dec.p_group.identity
-    for _ in range(dec.p_group.order // 2):
-        powers.add(cur)
-        cur = dec.p_group.mul(cur, r_index)
-    return all(dec.alpha[t].is_identity for t in powers)
+    return p_to_n, p_group
 
 
 @memoized
@@ -276,13 +251,11 @@ def classify(N: FiniteGroup) -> Verdict:
         reason = REASON_NOT_2NILPOTENT if _odd_part(N) is None else REASON_P_SHAPE
         return Verdict(False, reason, None, None)
     # P is not cyclic here: with an odd C-group M that would make N a C-group
-    small = (dec.p_group.order == 4) or \
-        (dec.p_kind == "quaternion" and dec.p_group.order == 8)
-    if small:
+    if dec.p_is_klein_or_q8:
         ok = dec.alpha_image_size <= 2
         reason = REASON_CASE_1
-    else:
-        ok = _cyclic_index2_trivial(dec)
+    else:  # alpha is trivial on the cyclic index-2 <r> exactly when alpha(r) is
+        ok = dec.alpha_r.is_identity
         reason = REASON_CASE_2
     if not ok:
         return Verdict(False, REASON_ALPHA, dec, None)
@@ -353,8 +326,7 @@ def normalize_alpha(dec: Decomposition) -> Decomposition:
 def _retarget_r(dec: Decomposition) -> Decomposition:
     if dec.alpha_r.is_identity:
         return dec
-    if not (dec.p_group.order == 4 or
-            (dec.p_kind == "quaternion" and dec.p_group.order == 8)):
+    if not dec.p_is_klein_or_q8:
         raise GroupDefinitionError(
             "only the Klein/quaternion-8 cases admit moving r inside ker(alpha)")
     N = dec.group
@@ -510,13 +482,11 @@ def classify_rump(G: FiniteGroup) -> bool:
 # -- corpus ---------------------------------------------------------------------
 
 
-def cgroup_pool(max_order: int = 21, odd_only: bool = True) -> list:
-    """Deduplicated normalized presentations with e*d up to max_order."""
+def cgroup_pool(max_order: int = 21) -> list:
+    """Deduplicated normalized presentations of odd order e*d up to max_order."""
     seen = []
     out = []
-    for total in range(1, max_order + 1):
-        if odd_only and total % 2 == 0:
-            continue
+    for total in range(1, max_order + 1, 2):
         for e in sorted(d for d in range(1, total + 1) if total % d == 0):
             d = total // e
             if math.gcd(e, d) != 1:
@@ -549,42 +519,39 @@ class CorpusEntry:
     duplicate_of: Optional[int] = None  # index of an isomorphic earlier entry
 
 
-def generate_corpus(max_m_order: int = 21,
-                    two_groups: Sequence[str] = TWO_GROUP_SPECS,
-                    mark_duplicates: bool = True) -> list:
-    """Every split M x| P over the built-in pools, one entry per action.
+def generate_corpus(max_m_order: int = 21) -> list:
+    """Every split M x| P with M from ``cgroup_pool(max_m_order)`` and P from
+    ``TWO_GROUP_SPECS``, one entry per action.
 
-    Entries are deterministic; when ``mark_duplicates`` is set, later entries
-    isomorphic to an earlier one carry its index in ``duplicate_of``.  The
-    result is cached per process: the entries are frozen, and the list must
-    not be modified.
+    Entries are deterministic; later entries isomorphic to an earlier one
+    carry its index in ``duplicate_of``.  The result is cached per process:
+    the entries are frozen, and the list must not be modified.
     """
-    return _corpus(max_m_order, tuple(two_groups), mark_duplicates)
+    return _corpus(max_m_order)
 
 
 @cache
-def _corpus(max_m_order: int, two_groups: tuple, mark_duplicates: bool) -> list:
+def _corpus(max_m_order: int) -> list:
     built = []
     for pres in cgroup_pool(max_m_order):
         auts, aut_grp = cgroup_auts(pres), cgroup_aut_group(pres)
-        for p_spec in two_groups:
+        for p_spec in TWO_GROUP_SPECS:
             P = parse_group_spec(p_spec)
             r, s = P.labels.index((1, 0)), P.labels.index((0, 1))
             for hom in all_homomorphisms(P, aut_grp):
                 built.append(build_semidirect_from_auts(pres, P, auts[hom(r)],
                                                         auts[hom(s)]))
     duplicate_of = [None] * len(built)
-    if mark_duplicates:
-        by_invariant: dict = {}
-        for idx, g in enumerate(built):
-            key = (g.order, tuple(sorted(g.orders.tolist())),
-                   tuple(sorted(g.class_sizes.tolist())))
-            bucket = by_invariant.setdefault(key, [])
-            duplicate_of[idx] = next(
-                (prev for prev in bucket
-                 if find_isomorphism(built[prev], g) is not None), None)
-            if duplicate_of[idx] is None:
-                bucket.append(idx)
+    by_invariant: dict = {}
+    for idx, g in enumerate(built):
+        key = (g.order, tuple(sorted(g.orders.tolist())),
+               tuple(sorted(g.class_sizes.tolist())))
+        bucket = by_invariant.setdefault(key, [])
+        duplicate_of[idx] = next(
+            (prev for prev in bucket
+             if find_isomorphism(built[prev], g) is not None), None)
+        if duplicate_of[idx] is None:
+            bucket.append(idx)
     return [CorpusEntry(g.name, g, dup) for g, dup in zip(built, duplicate_of)]
 
 

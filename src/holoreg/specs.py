@@ -167,43 +167,62 @@ def _parse_semidirect(tokens: list):
         tokens = tokens[1:]
     if set(images) != {"r", "s"}:
         raise SpecError("action must assign both r-> and s->")
-    group = build_semidirect_from_auts(
-        pres, P, parse_aut_spec(images["r"], pres), parse_aut_spec(images["s"], pres))
+    try:
+        group = build_semidirect_from_auts(
+            pres, P, parse_aut_spec(images["r"], pres), parse_aut_spec(images["s"], pres))
+    except HomomorphismError as exc:
+        raise SpecError(str(exc)) from exc
     return group, tokens
 
 
+def action_from_generators(P: FiniteGroup, aut_r: CGroupAut,
+                           aut_s: CGroupAut) -> tuple:
+    """alpha[t] = aut_r^a aut_s^b for each element t = r^a s^b of P, whose
+    labels are the words (a, b); b = 0 only for a cyclic P = <r>.
+
+    By von Dyck's theorem this is an action exactly when aut_r and aut_s
+    satisfy P's relations r^h = 1, s^2 = r^c (read off P's table) and
+    s r s^-1 = r^-1; a HomomorphismError names the first that fails.
+    """
+    half = 1 + max(a for a, _ in P.labels)  # the order of r
+    r_powers = [CGroupAut(aut_r.pres, 0, 1, 1)]
+    for _ in range(half):
+        r_powers.append(r_powers[-1].compose(aut_r))
+    if not r_powers[half].is_identity:
+        raise HomomorphismError("action of r violates its order relation")
+    if half < P.order:
+        s = P.labels.index((0, 1))
+        s_sq_exp, _ = P.label(P.mul(s, s))  # s^2 = r^s_sq_exp
+        if aut_s.compose(aut_s) != r_powers[s_sq_exp]:
+            raise HomomorphismError("action of s violates the s^2 relation")
+        if aut_s.compose(aut_r).compose(aut_s.inverse()) != aut_r.inverse():
+            raise HomomorphismError(
+                "action violates the conjugation relation s r s^-1 = r^-1")
+    return tuple(r_powers[a].compose(aut_s) if b else r_powers[a]
+                 for a, b in P.labels)
+
+
 def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
-                               aut_r: CGroupAut, aut_s: CGroupAut,
-                               name: str = "") -> FiniteGroup:
+                               aut_r: CGroupAut, aut_s: CGroupAut) -> FiniteGroup:
     """Semidirect product of a presented C-group by a dihedral or quaternion
     group P, from the images of r and s in canonical automorphism coordinates.
 
-    The default name is the spec string that parses back to the product.
+    P's relations are checked by ``action_from_generators``; only aut_r and
+    aut_s become permutations of M, composed for each r^a s^b.  The name is
+    the spec string that parses back to the product.
     """
-    half = P.order // 2
-    r_powers = [CGroupAut(pres, 0, 1, 1)]
-    for _ in range(half):
-        r_powers.append(r_powers[-1].compose(aut_r))
-    # relations of P must be preserved, else the assignment is not an action
-    if not r_powers[half].is_identity:
-        raise SpecError("action of r violates its order relation")
-    s = P.labels.index((0, 1))
-    s_sq_exp, _ = P.label(P.mul(s, s))  # s^2 = r^s_sq_exp
-    if aut_s.compose(aut_s) != r_powers[s_sq_exp]:
-        raise SpecError("action of s violates the s^2 relation")
-    if aut_s.compose(aut_r).compose(aut_s.inverse()) != aut_r.inverse():
-        raise SpecError("action violates the conjugation relation s r s^-1 = r^-1")
+    action_from_generators(P, aut_r, aut_s)
     M = cgroup_group(pres)
-    coords = [M.label(i) for i in range(M.order)]
-    index_m = {lab: i for i, lab in enumerate(coords)}
-    perms = []
-    for t in range(P.order):
-        a, b = P.label(t)
-        aut = r_powers[a].compose(aut_s) if b else r_powers[a]
-        perms.append(np.array(aut.as_permutation(coords, index_m), dtype=np.int32))
+    index_m = {lab: i for i, lab in enumerate(M.labels)}
+    perm_r, perm_s = (np.array(aut.as_permutation(M.labels, index_m), dtype=np.int32)
+                      for aut in (aut_r, aut_s))
+    r_powers = [np.arange(M.order, dtype=np.int32)]
+    while len(r_powers) < P.order // 2:
+        r_powers.append(perm_r[r_powers[-1]])
+    perms = [r_powers[a][perm_s] if b else r_powers[a] for a, b in P.labels]
     spec = (f"semidirect ({pres.spec}) ({P.name}) alpha "
             f"r->{aut_r.spec} s->{aut_s.spec}")
-    return semidirect_product(M, P, perms, name=name or spec)
+    return semidirect_product(M, P, perms, name=spec)
 
 
 # -- Cayley table files -----------------------------------------------------------
@@ -211,8 +230,11 @@ def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
 
 def load_cayley_table(path) -> FiniteGroup:
     """Read a group from the line-oriented table format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"table file is not UTF-8 text: {exc}") from exc
     if not lines or not lines[0].startswith("order"):
         raise SpecError("table file must start with 'order n'")
     try:
@@ -229,12 +251,15 @@ def load_cayley_table(path) -> FiniteGroup:
     if len(body) != n:
         raise SpecError(f"expected {n} table rows, found {len(body)}")
     try:
-        table = np.array([[int(v) for v in row.split()] for row in body],
-                         dtype=np.int32)
+        rows = [[int(v) for v in row.split()] for row in body]
     except ValueError as exc:
         raise SpecError("table rows must contain integers") from exc
-    if table.shape != (n, n):
+    if any(len(row) != n for row in rows):
         raise SpecError("table rows have inconsistent width")
+    try:
+        table = np.array(rows, dtype=np.int32)
+    except OverflowError as exc:
+        raise SpecError("table entries must be element indices") from exc
     try:
         group = FiniteGroup(table, labels=labels, name=f"table {path}")
     except GroupDefinitionError as exc:

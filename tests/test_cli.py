@@ -93,6 +93,14 @@ def test_unreadable_table_exits_2(tmp_path):
     assert text.startswith("error:") and text.count("\n") == 1
 
 
+def test_undecodable_table_exits_2(tmp_path, capsys):
+    path = tmp_path / "t.tbl"
+    path.write_bytes(b"order 2\n\xff\xfe 1\n1 0\n")
+    assert main(["classify", "--table", str(path)]) == EXIT_ERROR
+    out = capsys.readouterr().out
+    assert out.startswith("error: table file is not UTF-8 text") and out.count("\n") == 1
+
+
 def test_unwritable_out_file_exits_2(tmp_path, capsys):
     code = main(["classify", "--spec", "cyclic 3", "--out", str(tmp_path)])
     assert code == EXIT_ERROR

@@ -16,7 +16,8 @@ from holoreg import (CGroupAut, CGroupPresentation, GroupDefinitionError,
                      twisted_partial_products)
 from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
-                                   REASON_P_SHAPE, _check_action)
+                                   REASON_P_SHAPE, _corpus)
+from holoreg.specs import action_from_generators
 
 
 def klein_group():
@@ -97,16 +98,15 @@ def test_action_check_rejects_a_non_action():
     # only s -> phi:6 is an action of the Klein group
     P = klein_group()
     pres = CGroupPresentation(7, 1, 1)
-    gens = [P.labels.index((1, 0)), P.labels.index((0, 1))]
     ident = standard_aut(pres, "phi", 1)
     for u, is_action in ((6, True), (2, False)):
         phi = standard_aut(pres, "phi", u)
-        alpha = tuple(phi if P.label(t)[1] else ident for t in range(P.order))
         if is_action:
-            _check_action(P, alpha, gens)
+            alpha = action_from_generators(P, ident, phi)
+            assert alpha == tuple(phi if b else ident for _, b in P.labels)
         else:
-            with pytest.raises(HomomorphismError, match="not an action"):
-                _check_action(P, alpha, gens)
+            with pytest.raises(HomomorphismError, match="s\\^2 relation"):
+                action_from_generators(P, ident, phi)
 
 
 # -- classify --------------------------------------------------------------------
@@ -379,9 +379,11 @@ def test_realizable_implies_rump(corpus_reps):
 
 
 def test_corpus_is_deterministic():
-    first = [e.spec for e in generate_corpus(max_m_order=5, mark_duplicates=False)]
-    second = [e.spec for e in generate_corpus(max_m_order=5, mark_duplicates=False)]
-    assert first == second
+    # two builds past the cache, which would hand back the same list
+    first, second = _corpus.__wrapped__(5), _corpus.__wrapped__(5)
+    assert first is not second
+    assert [(e.spec, e.duplicate_of) for e in first] == \
+        [(e.spec, e.duplicate_of) for e in second]
 
 
 def test_corpus_specs_parse_back(corpus_reps):

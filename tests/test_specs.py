@@ -96,16 +96,22 @@ def test_table_labels_line(tmp_path):
 
 def test_table_rejects_malformed_files(tmp_path):
     cases = {
-        "empty.tbl": "",
-        "no_order.tbl": "4\n0 1\n1 0\n",
-        "bad_rows.tbl": "order 2\n0 1\n",
-        "not_group.tbl": "order 2\n0 1\n0 1\n",
-        "bad_identity.tbl": "order 2\n1 0\n0 1\n",
+        "empty.tbl": ("", "order n"),
+        "no_order.tbl": ("4\n0 1\n1 0\n", "order n"),
+        "bad_rows.tbl": ("order 2\n0 1\n", "table rows"),
+        "not_group.tbl": ("order 2\n0 1\n0 1\n", "identity"),
+        "bad_identity.tbl": ("order 2\n1 0\n0 1\n", "identity at index 0"),
+        "ragged.tbl": ("order 3\n0 1 2 3\n1 2 0\n2 0 1\n", "inconsistent width"),
+        "huge_entry.tbl": ("order 2\n0 1\n1 1099511627776\n", "element indices"),
+        "undecodable.tbl": (b"order 2\n\xff\xfe 1\n1 0\n", "not UTF-8"),
     }
-    for name, content in cases.items():
+    for name, (content, message) in cases.items():
         path = tmp_path / name
-        path.write_text(content)
-        with pytest.raises(SpecError):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(SpecError, match=message):
             load_cayley_table(path)
 
 
