@@ -260,6 +260,7 @@ def load_cayley_table(path) -> FiniteGroup:
         table = np.array(rows, dtype=np.int32)
     except OverflowError as exc:
         raise SpecError("table entries must be element indices") from exc
+    del rows  # n^2 Python ints, not to be kept alive while the group is built
     try:
         group = FiniteGroup(table, labels=labels, name=f"table {path}")
     except GroupDefinitionError as exc:
