@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     is_cgroup, is_normal, memoized, subgroup_generated)
+                     check_table_size, is_cgroup, is_normal, memoized,
+                     subgroup_generated)
 
 
 def geometric_sum(h: int, length: int, modulus: int) -> int:
@@ -306,6 +307,7 @@ def cgroup_group(M: CGroupPresentation) -> FiniteGroup:
     """The presented group as a Cayley table with (i, j) labels, index i*d + j."""
     e, d, k = M.e, M.d, M.k
     n = e * d
+    check_table_size(n)
     idx = np.arange(n, dtype=np.int64)
     i1, j1 = idx[:, None] // d, idx[:, None] % d
     i2, j2 = idx[None, :] // d, idx[None, :] % d

@@ -11,6 +11,7 @@ cached per group through ``memoized``.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
@@ -31,6 +32,17 @@ class HomomorphismError(ValueError):
 
 class BoundExceeded(RuntimeError):
     """An enumeration would exceed its configured desk-scale bound."""
+
+
+def check_table_size(n: int) -> None:
+    """Refuse an order whose n x n int32 Cayley table (n^2 x 4 bytes) would
+    exceed the machine's physical memory; called before anything is allocated."""
+    need = 4 * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise GroupDefinitionError(
+            f"group order {n} is too large: its Cayley table needs {need} bytes, "
+            f"more than the {have} bytes of physical memory")
 
 
 def _as_int_table(table) -> np.ndarray:
@@ -303,6 +315,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` with its generator at index 1."""
     if n < 1:
         raise GroupDefinitionError("cyclic group order must be at least 1")
+    check_table_size(n)
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, labels=range(n), name=f"cyclic {n}", label_style="cyclic")
@@ -317,6 +330,7 @@ def _power_of_two_exponent(order: int) -> int:
 
 def _two_group_table(order: int, s_squared: int) -> np.ndarray:
     # Elements r^a s^b indexed as 2a+b; s r s^-1 = r^-1 and s^2 = r^(s_squared).
+    check_table_size(order)
     half = order // 2
     idx = np.arange(order, dtype=np.int32)
     a1, b1 = idx[:, None] // 2, idx[:, None] % 2
@@ -385,6 +399,7 @@ def semidirect_product(M: FiniteGroup, P: FiniteGroup, alpha,
     are permutation tuples, a callable ``t -> permutation``, or a sequence of
     permutations indexed by the elements of P.
     """
+    check_table_size(M.order * P.order)
     act = _normalize_action(M, P, alpha)
     nm, np_ = M.order, P.order
     n = nm * np_

@@ -15,7 +15,11 @@ dihedral or quaternion.
 
 Table files: line 1 ``order n``; line 2 optionally ``labels`` followed by n
 tokens; then n rows of n indices, row g column h holding g*h, with the
-identity at index 0.
+identity at index 0.  Blank lines are skipped.  An index is a signed ASCII
+decimal integer, ``[+-]?[0-9]+`` (no ``_`` separators, no other digits), and
+tokens are separated by whitespace; ``#`` is an ordinary character, not a
+comment.  An order whose n x n int32 table would exceed the machine's
+physical memory is refused before any row is read.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import numpy as np
 
 from .cgroups import CGroupAut, CGroupPresentation, cgroup_group
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     cyclic_group, dihedral_group, quaternion_group,
-                     semidirect_product)
+                     check_table_size, cyclic_group, dihedral_group,
+                     quaternion_group, semidirect_product)
 
 
 class SpecError(ValueError):
@@ -229,19 +233,20 @@ def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
 
 
 def load_cayley_table(path) -> FiniteGroup:
-    """Read a group from the line-oriented table format."""
+    """Read a group from the line-oriented table format.
+
+    The order is read and its table size checked before any row is read.
+    The rows are then parsed by one ``np.loadtxt`` call straight into int32;
+    only when that call refuses them does ``_diagnose_rows`` look at the
+    tokens again, to say which check failed.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = (ln.strip() for ln in fh if ln.strip())
+            n = _read_order(next(lines, ""))
+            body = list(lines)
     except UnicodeDecodeError as exc:
         raise SpecError(f"table file is not UTF-8 text: {exc}") from exc
-    if not lines or not lines[0].startswith("order"):
-        raise SpecError("table file must start with 'order n'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise SpecError("malformed order line") from exc
-    body = lines[1:]
     labels = None
     if body and body[0].startswith("labels"):
         labels = body[0].split()[1:]
@@ -251,16 +256,11 @@ def load_cayley_table(path) -> FiniteGroup:
     if len(body) != n:
         raise SpecError(f"expected {n} table rows, found {len(body)}")
     try:
-        rows = [[int(v) for v in row.split()] for row in body]
+        table = np.loadtxt(body, dtype=np.int32, comments=None, ndmin=2)
     except ValueError as exc:
-        raise SpecError("table rows must contain integers") from exc
-    if any(len(row) != n for row in rows):
+        raise SpecError(_diagnose_rows(body, n)) from exc
+    if table.shape != (n, n):
         raise SpecError("table rows have inconsistent width")
-    try:
-        table = np.array(rows, dtype=np.int32)
-    except OverflowError as exc:
-        raise SpecError("table entries must be element indices") from exc
-    del rows  # n^2 Python ints, not to be kept alive while the group is built
     try:
         group = FiniteGroup(table, labels=labels, name=f"table {path}")
     except GroupDefinitionError as exc:
@@ -270,14 +270,50 @@ def load_cayley_table(path) -> FiniteGroup:
     return group
 
 
+def _read_order(line: str) -> int:
+    """n from the ``order n`` line, refused if its table could not fit."""
+    if not line.startswith("order"):
+        raise SpecError("table file must start with 'order n'")
+    try:
+        n = int(line.split()[1])
+    except (IndexError, ValueError) as exc:
+        raise SpecError("malformed order line") from exc
+    if n < 1:
+        raise SpecError("table order must be at least 1")
+    try:
+        check_table_size(n)
+    except GroupDefinitionError as exc:
+        raise SpecError(str(exc)) from exc
+    return n
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _diagnose_rows(body: list, n: int) -> str:
+    """Why ``np.loadtxt`` refused n rows: a row not n tokens wide, an integer
+    beyond int32, or else a token outside the grammar."""
+    rows = [row.split() for row in body]
+    if any(len(row) != n for row in rows):
+        return "table rows have inconsistent width"
+    if all(_INTEGER.fullmatch(token) for row in rows for token in row):
+        return "table entries must be element indices"
+    return "table rows must contain integers"
+
+
 def dump_cayley_table(G: FiniteGroup, path):
-    """Write a group in the line-oriented table format."""
+    """Write a group in the line-oriented table format.
+
+    The n decimal names are made once; each row is the names looked up by
+    ``names[G.table]`` and joined, the same bytes as formatting every entry.
+    """
     if G.identity != 0:
         raise SpecError("table files require the identity at index 0")
+    names = np.array([str(i) for i in range(G.order)], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"order {G.order}\n")
         if G.labels is not None:
             rendered = [G.format_element(i).replace(" ", "") for i in range(G.order)]
             fh.write("labels " + " ".join(rendered) + "\n")
-        for row in G.table:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        for row in names[G.table].tolist():
+            fh.write(" ".join(row) + "\n")
