@@ -122,7 +122,11 @@ class FiniteGroup:
 
     @cached_property
     def rows(self) -> list:
-        """Cayley table as nested Python lists, for index-heavy inner loops."""
+        """Cayley table as nested Python lists: an n^2 copy, built only by the
+        index-heavy search loops that pay for it (``_bfs_words``,
+        ``_homomorphism_search``, ``all_regular_subgroups`` and the
+        ``CrossedHom`` check).  Validation, classification and construction
+        read ``table`` and never build it."""
         return self.table.tolist()
 
     @cached_property
@@ -130,25 +134,25 @@ class FiniteGroup:
         return np.argmax(self.table == self.identity, axis=1).astype(np.int32)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self.inverses.item(a)
 
     def conj(self, a: int, b: int) -> int:
         """Conjugate of ``a`` by ``b``, i.e. ``b a b^-1``."""
-        t = self.rows
-        return t[t[b][a]][self.inv(b)]
+        t = self.table
+        return t.item(t.item(b, a), self.inv(b))
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
         result, base = self.identity, a
-        t = self.rows
+        t = self.table
         while k:
             if k & 1:
-                result = t[result][base]
-            base = t[base][base]
+                result = t.item(result, base)
+            base = t.item(base, base)
             k >>= 1
         return result
 
@@ -428,34 +432,27 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> tuple:
-    """Sorted indices of the subgroup generated by ``gens``."""
-    gens = [int(g) for g in gens]
-    t = G.rows
+    """Sorted indices of the subgroup generated by ``gens``: the closure of
+    the identity under right multiplication by each generator, read off the
+    n x k generator columns of the table alone."""
+    cols = G.table[:, [int(g) for g in gens]].tolist()  # cols[u][i] = u * gens[i]
     seen = bytearray(G.order)
     seen[G.identity] = 1
-    frontier = [G.identity]
-    for g in gens:
-        if not seen[g]:
-            seen[g] = 1
-            frontier.append(g)
-    queue = list(frontier)
+    queue = [G.identity]
     while queue:
-        u = queue.pop()
-        row = t[u]
-        for g in gens:
-            v = row[g]
+        for v in cols[queue.pop()]:
             if not seen[v]:
                 seen[v] = 1
                 queue.append(v)
-    return tuple(i for i in range(G.order) if seen[i])
+    return tuple(np.flatnonzero(seen).tolist())
 
 
 def is_subgroup(G: FiniteGroup, elems: Iterable[int]) -> bool:
-    elems = set(int(x) for x in elems)
-    if G.identity not in elems:
-        return False
-    t = G.rows
-    return all(t[a][b] in elems for a in elems for b in elems)
+    """True when ``elems`` holds the identity and every product of two of them."""
+    E = np.fromiter(elems, dtype=np.intp)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[E] = True
+    return bool(inside[G.identity] and inside[G.table[np.ix_(E, E)]].all())
 
 
 def is_normal(G: FiniteGroup, elems: Iterable[int]) -> bool:
@@ -474,26 +471,21 @@ def center(G: FiniteGroup) -> tuple:
 
 
 def commutator_subgroup(G: FiniteGroup) -> tuple:
-    t = G.rows
+    t = G.table
     inv = G.inverses
-    comms = {t[t[g][h]][t[inv[g]][inv[h]]] for g in range(G.order) for h in range(G.order)}
+    comms = np.unique(t[t, t[inv[:, None], inv[None, :]]])  # (g h)(g^-1 h^-1)
     return subgroup_generated(G, comms)
 
 
 def as_subgroup(G: FiniteGroup, elems: Iterable[int], name: str = ""):
     """Reindex a subgroup as its own FiniteGroup; returns (H, to_parent)."""
     elems = tuple(sorted(int(x) for x in elems))
-    pos = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    table = np.zeros((k, k), dtype=np.int32)
-    t = G.rows
-    for i, a in enumerate(elems):
-        row = t[a]
-        for j, b in enumerate(elems):
-            c = row[b]
-            if c not in pos:
-                raise GroupDefinitionError("element set is not closed under the product")
-            table[i, j] = pos[c]
+    E = np.array(elems, dtype=np.intp)
+    pos = np.full(G.order, -1, dtype=np.int32)  # -1 outside the set
+    pos[E] = np.arange(len(E), dtype=np.int32)
+    table = pos[G.table[np.ix_(E, E)]]
+    if (table < 0).any():
+        raise GroupDefinitionError("element set is not closed under the product")
     labels = [G.label(e) for e in elems] if G.labels is not None else list(elems)
     H = FiniteGroup(table, labels=labels, name=name or f"subgroup of ({G.name})",
                     label_style=G.label_style)
@@ -507,23 +499,19 @@ def quotient_group(G: FiniteGroup, normal_elems: Iterable[int], name: str = ""):
         raise GroupDefinitionError("quotient requires a subgroup")
     if not is_normal(G, nset):
         raise GroupDefinitionError("quotient requires a normal subgroup")
-    t = G.rows
-    coset_index = [-1] * G.order
+    t = G.table
+    coset_index = np.full(G.order, -1, dtype=np.int32)
     reps = []
     for a in range(G.order):
         if coset_index[a] >= 0:
             continue
-        members = sorted(t[a][m] for m in nset)
-        for x in members:
-            coset_index[x] = len(reps)
-        reps.append(tuple(members))
-    k = len(reps)
-    table = np.zeros((k, k), dtype=np.int32)
-    for i, ca in enumerate(reps):
-        for j, cb in enumerate(reps):
-            table[i, j] = coset_index[t[ca[0]][cb[0]]]
+        members = np.sort(t[a, nset])
+        coset_index[members] = len(reps)
+        reps.append(tuple(members.tolist()))
+    firsts = [c[0] for c in reps]
+    table = coset_index[t[np.ix_(firsts, firsts)]]
     Q = FiniteGroup(table, labels=reps, name=name or f"quotient of ({G.name})")
-    return Q, tuple(coset_index)
+    return Q, tuple(coset_index.tolist())
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> tuple:
@@ -737,9 +725,8 @@ def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
 
 def _fingerprints(G: FiniteGroup) -> list:
     orders = G.orders
-    sizes = G.class_sizes
-    t = G.rows
-    return [(int(orders[g]), int(sizes[g]), int(orders[t[g][g]])) for g in range(G.order)]
+    return list(zip(orders.tolist(), G.class_sizes.tolist(),
+                    orders[np.diagonal(G.table)].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

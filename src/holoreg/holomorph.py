@@ -49,9 +49,7 @@ class HolElement:
 
     def action_perm(self) -> tuple:
         g = self.group
-        a_inv = g.inv(self.translation)
-        row = g.rows
-        return tuple(row[p][a_inv] for p in self.twist)
+        return tuple(g.table[self.twist, g.inv(self.translation)].tolist())
 
     def compose(self, other: "HolElement") -> "HolElement":
         """(a, pi)(b, sigma) = (a * pi(b), pi o sigma)."""
@@ -149,9 +147,7 @@ def lambda_embedding(N: FiniteGroup) -> list:
 
 
 def conjugation_perm(N: FiniteGroup, a: int) -> tuple:
-    row = N.rows
-    a_inv = N.inv(a)
-    return tuple(row[row[a][x]][a_inv] for x in range(N.order))
+    return tuple(N.table[N.table[a], N.inv(a)].tolist())
 
 
 def holomorph_order(N: FiniteGroup) -> int:

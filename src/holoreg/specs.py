@@ -102,6 +102,8 @@ def _parse_presentation(tokens: list):
     else:
         raise SpecError("semidirect base must be a cyclic or cgroup atom")
     try:
+        if e >= 1 and d >= 1:  # before the presentation's ord, a loop of up to e steps
+            check_table_size(e * d)
         return CGroupPresentation(e, d, k), rest
     except GroupDefinitionError as exc:
         raise SpecError(str(exc)) from exc

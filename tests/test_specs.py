@@ -1,7 +1,10 @@
 """The group-spec mini-language and the Cayley-table file format."""
 
+import contextlib
+import io
 import re
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -237,6 +240,85 @@ def test_huge_spec_order_exits_2(capsys):
     out = capsys.readouterr().out
     assert out.startswith("error: group order 99999999999999999999 is too large")
     assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["cgroup 1000000007 1 5",
+                                  "semidirect (cgroup 1000000007 1 5) (dihedral 4) "
+                                  "alpha r->id s->id"])
+def test_huge_cgroup_spec_exits_2_at_once(spec, capsys):
+    # the order of k mod e, a loop of up to e steps, is not reached
+    start = time.perf_counter()
+    assert cli.main(["classify", "--spec", spec]) == cli.EXIT_ERROR
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert out.startswith("error: group order 1000000007 is too large")
+    assert out.count("\n") == 1
+
+
+# -- fuzzing the spec parser ---------------------------------------------------
+
+# Every integer is either small or far beyond memory: a spec then names no
+# table between a few thousand elements and the memory limit, which would be
+# slow to build and large to hold.
+SPEC_INTS = st.one_of(st.integers(-2, 12).map(str),
+                      st.sampled_from(["1000000007", str(2**40), str(10**30), "007", "-0"]))
+SPEC_WORDS = ["cyclic", "dihedral", "quaternion", "cgroup", "semidirect", "(", ")",
+              "alpha", "r->id", "s->id", "r->", "s->", "->", "id", "r->theta:1",
+              "s->phi:2", "r->psi:2", "s->theta:1*phi:-1", "r->phi:1*phi:1",
+              "s->psi:1000000007", "r->theta:x", "s->phi:2*", "(cyclic", "4)"]
+# no decimal digits (category Nd): the parser reads Unicode digits as integers
+spec_token = st.one_of(st.sampled_from(SPEC_WORDS), SPEC_INTS,
+                       st.text(st.characters(blacklist_categories=("Cs", "Nd")),
+                               min_size=1, max_size=3))
+SEED_SPECS = ["cyclic 6", "dihedral 8", "quaternion 8", "cgroup 7 3 2", "cgroup 5 4 2",
+              "semidirect (cyclic 5) (dihedral 4) alpha r->id s->phi:4",
+              "semidirect (cgroup 7 3 2) (quaternion 8) alpha r->id s->phi:6",
+              "semidirect (cgroup 3 1 1) (dihedral 8) alpha r->phi:2 s->id",
+              "semidirect (cyclic 9) (dihedral 4) alpha r->theta:1 s->phi:8*psi:1"]
+
+
+@st.composite
+def spec_strings(draw):
+    if draw(st.booleans()):
+        return " ".join(draw(st.lists(spec_token, max_size=12)))
+    tokens = draw(st.sampled_from(SEED_SPECS)).replace("(", "( ").replace(")", " )").split()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(["drop", "duplicate", "swap", "replace", "insert",
+                                     "truncate"]))
+        if kind == "drop":
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif kind == "replace":
+            tokens[i] = draw(spec_token)
+        elif kind == "insert":
+            tokens.insert(i, draw(spec_token))
+        else:
+            del tokens[i:]
+        if not tokens:
+            break
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    return sep.join(tokens)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(spec_strings())
+def test_mutated_specs_fail_cleanly(text):
+    try:
+        parse_group_spec(text)
+    except SpecError:
+        pass
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["classify", f"--spec={text}"])
+    assert code in (cli.EXIT_OK, cli.EXIT_NEGATIVE, cli.EXIT_ERROR)
+    if code == cli.EXIT_ERROR:
+        message = out.getvalue() + err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1, message
 
 
 # -- fuzzing the reader ---------------------------------------------------------

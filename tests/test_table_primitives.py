@@ -1,0 +1,294 @@
+"""The table primitives read the Cayley table as an array: each is checked
+against the plain Python loop it replaced, and the classify path is checked
+to build no nested-list copy of the table."""
+
+import numpy as np
+import pytest
+
+from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
+                     HolElement, as_subgroup, cgroup_group, classify,
+                     commutator_subgroup, conjugation_perm, cyclic_group,
+                     decompose, dihedral_group, generating_set, is_subgroup,
+                     parse_group_spec, quotient_group, recognize_cgroup,
+                     subgroup_generated)
+from holoreg.groups import _fingerprints
+
+REFERENCE_MAX_ORDER = 120
+
+
+# -- the plain loops, kept as references --------------------------------------
+
+
+def ref_subgroup_generated(G, gens):
+    gens = [int(g) for g in gens]
+    t = G.rows
+    seen = bytearray(G.order)
+    seen[G.identity] = 1
+    frontier = [G.identity]
+    for g in gens:
+        if not seen[g]:
+            seen[g] = 1
+            frontier.append(g)
+    queue = list(frontier)
+    while queue:
+        row = t[queue.pop()]
+        for g in gens:
+            v = row[g]
+            if not seen[v]:
+                seen[v] = 1
+                queue.append(v)
+    return tuple(i for i in range(G.order) if seen[i])
+
+
+def ref_is_subgroup(G, elems):
+    elems = set(int(x) for x in elems)
+    if G.identity not in elems:
+        return False
+    t = G.rows
+    return all(t[a][b] in elems for a in elems for b in elems)
+
+
+def ref_as_subgroup(G, elems):
+    elems = tuple(sorted(int(x) for x in elems))
+    pos = {e: i for i, e in enumerate(elems)}
+    k = len(elems)
+    table = np.zeros((k, k), dtype=np.int32)
+    t = G.rows
+    for i, a in enumerate(elems):
+        row = t[a]
+        for j, b in enumerate(elems):
+            c = row[b]
+            if c not in pos:
+                raise GroupDefinitionError("element set is not closed under the product")
+            table[i, j] = pos[c]
+    labels = [G.label(e) for e in elems] if G.labels is not None else list(elems)
+    return FiniteGroup(table, labels=labels, label_style=G.label_style), elems
+
+
+def ref_conjugation_perm(N, a):
+    row = N.rows
+    a_inv = N.inv(a)
+    return tuple(row[row[a][x]][a_inv] for x in range(N.order))
+
+
+def ref_action_perm(h):
+    row = h.group.rows
+    a_inv = h.group.inv(h.translation)
+    return tuple(row[p][a_inv] for p in h.twist)
+
+
+def ref_power(G, a, k):
+    if k < 0:
+        a, k = G.inv(a), -k
+    result, base = G.identity, a
+    t = G.rows
+    while k:
+        if k & 1:
+            result = t[result][base]
+        base = t[base][base]
+        k >>= 1
+    return result
+
+
+def ref_conj(G, a, b):
+    t = G.rows
+    return t[t[b][a]][G.inv(b)]
+
+
+def ref_commutator_subgroup(G):
+    t = G.rows
+    inv = G.inverses
+    comms = {t[t[g][h]][t[inv[g]][inv[h]]] for g in range(G.order) for h in range(G.order)}
+    return ref_subgroup_generated(G, comms)
+
+
+def ref_quotient_group(G, nset):
+    """(table, coset_index) of G/N for a normal subgroup N."""
+    t = G.rows
+    coset_index = [-1] * G.order
+    reps = []
+    for a in range(G.order):
+        if coset_index[a] >= 0:
+            continue
+        members = sorted(t[a][m] for m in nset)
+        for x in members:
+            coset_index[x] = len(reps)
+        reps.append(tuple(members))
+    table = [[coset_index[t[ca[0]][cb[0]]] for cb in reps] for ca in reps]
+    return table, tuple(coset_index)
+
+
+def ref_fingerprints(G):
+    orders, sizes = G.orders, G.class_sizes
+    t = G.rows
+    return [(int(orders[g]), int(sizes[g]), int(orders[t[g][g]])) for g in range(G.order)]
+
+
+# -- the groups compared -------------------------------------------------------
+
+
+def relabel(G, rng):
+    """G with its elements renumbered at random, the identity kept at 0."""
+    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    inv = np.argsort(sigma)
+    labels = None if G.labels is None else [G.labels[i] for i in inv]
+    return FiniteGroup(sigma[G.table[inv][:, inv]], labels=labels,
+                       name=f"{G.name} relabelled", label_style=G.label_style)
+
+
+@pytest.fixture(scope="module")
+def reference_groups(corpus_reps):
+    """Every corpus representative of order <= 120, and two relabellings of each."""
+    rng = np.random.default_rng(20211216)
+    out = []
+    for entry in corpus_reps:
+        G = entry.group
+        if G.order <= REFERENCE_MAX_ORDER:
+            out += [G, relabel(G, rng), relabel(G, rng)]
+    assert len(out) == 3 * 96
+    return out
+
+
+def element_sets(G, rng):
+    """Closed sets (generated subgroups) and non-closed ones: a subgroup with
+    one element added or its identity removed, random subsets, the empty set."""
+    n = G.order
+    closed = [subgroup_generated(G, []), subgroup_generated(G, generating_set(G))]
+    closed += [subgroup_generated(G, rng.choice(n, size=k))
+               for k in (1, 1, 2) for _ in range(2)]
+    other = [(), tuple(int(g) for g in rng.choice(n, size=n // 2, replace=False))]
+    for sub in closed:
+        outside = [g for g in range(n) if g not in sub]
+        if outside:
+            other.append(tuple(sorted(sub + (int(rng.choice(outside)),))))
+        if len(sub) > 1:
+            other.append(tuple(g for g in sub if g != G.identity))
+    return closed, other
+
+
+def test_subgroup_closure_matches_reference(reference_groups):
+    rng = np.random.default_rng(1)
+    for G in reference_groups:
+        n = G.order
+        gen_sets = [[], [G.identity], generating_set(G), list(range(n))]
+        gen_sets += [rng.choice(n, size=k).tolist() for k in (1, 1, 1, 2, 2, 3)]
+        for gens in gen_sets:
+            assert subgroup_generated(G, gens) == ref_subgroup_generated(G, gens), (G, gens)
+        assert commutator_subgroup(G) == ref_commutator_subgroup(G), G
+
+
+def test_subgroup_tests_match_reference(reference_groups):
+    rng = np.random.default_rng(2)
+    for G in reference_groups:
+        closed, other = element_sets(G, rng)
+        for elems in closed + other:
+            want = ref_is_subgroup(G, elems)
+            assert is_subgroup(G, elems) is want, (G, elems)
+            assert is_subgroup(G, iter(elems)) is want, (G, elems)
+            try:
+                ref = ref_as_subgroup(G, elems)
+            except GroupDefinitionError as exc:
+                with pytest.raises(GroupDefinitionError) as got:
+                    as_subgroup(G, elems)
+                assert str(got.value) == str(exc)
+                assert not want
+                continue
+            H, to_parent = as_subgroup(G, elems)
+            assert np.array_equal(H.table, ref[0].table), (G, elems)
+            assert H.table.dtype == ref[0].table.dtype
+            assert H.labels == ref[0].labels and to_parent == ref[1], (G, elems)
+
+
+def test_quotients_and_fingerprints_match_reference(reference_groups):
+    for G in reference_groups:
+        assert _fingerprints(G) == ref_fingerprints(G), G
+        for normal in (commutator_subgroup(G), subgroup_generated(G, [])):
+            Q, coset = quotient_group(G, normal)
+            table, want_coset = ref_quotient_group(G, normal)
+            assert Q.table.tolist() == table and coset == want_coset, G
+            assert all(type(c) is int for c in coset)
+
+
+def test_element_arithmetic_matches_reference(reference_groups):
+    rng = np.random.default_rng(3)
+    for G in reference_groups:
+        n = G.order
+        for a in range(n):
+            assert conjugation_perm(G, a) == ref_conjugation_perm(G, a), (G, a)
+        for a, b in rng.choice(n, size=(40, 2)).tolist():
+            assert G.conj(a, b) == ref_conj(G, a, b), (G, a, b)
+            assert G.mul(a, b) == int(G.table[a, b]) and type(G.mul(a, b)) is int
+            for k in (0, 1, -1, 2, -3, n - 1, n, n + 1, -n - 1, 3 * n + 2):
+                got = G.power(a, k)
+                assert got == ref_power(G, a, k) and type(got) is int, (G, a, k)
+        for _ in range(4):
+            a, x = (int(v) for v in rng.choice(n, size=2))
+            for twist in (conjugation_perm(G, x), tuple(rng.permutation(n).tolist())):
+                h = HolElement(G, a, twist)
+                assert h.action_perm() == ref_action_perm(h), (G, a, twist)
+
+
+# -- the classify path reads the table as an array -----------------------------
+
+
+def _classify_path_groups(G):
+    """Classify and construct G as the classify and construct commands do;
+    return N with the odd part M, P and the model the path built."""
+    verdict = classify(G)
+    generating_set(G)
+    if verdict.witness is not None:
+        verdict.witness.order()
+        verdict.witness.cycle_length_through_identity()
+    dec = verdict.decomposition or decompose(G)
+    built = [G]
+    if dec is not None:
+        built += [dec.m_group, dec.p_group]
+        if dec.model is not None:
+            built.append(dec.model)
+    return verdict, built
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclic_group(1000),
+    lambda: relabel(dihedral_group(256), np.random.default_rng(4)),
+    lambda: parse_group_spec(
+        "semidirect (cyclic 63) (dihedral 16) alpha r->phi:62 s->id"),
+    lambda: parse_group_spec(
+        "semidirect (cgroup 7 3 2) (dihedral 32) alpha r->id s->phi:6"),
+], ids=["cyclic-1000", "dihedral-256-relabelled", "split-1008", "split-672"])
+def test_classify_path_builds_no_nested_list_table(make):
+    G = make()
+    _, built = _classify_path_groups(G)
+    assert len(built) >= 3
+    for H in built:
+        assert "rows" not in H.__dict__, H
+
+
+def test_corpus_classify_path_builds_no_nested_list_table(corpus_reps):
+    for entry in corpus_reps[::9]:
+        G = parse_group_spec(entry.spec)
+        verdict, built = _classify_path_groups(G)
+        assert verdict.realizable == classify(entry.group).realizable
+        for H in built:
+            assert "rows" not in H.__dict__, (entry.spec, H)
+
+
+# -- C-group recognition, exhaustively at small orders --------------------------
+
+
+def test_recognize_cgroup_on_every_small_presentation():
+    cases = 0
+    for e in range(1, 121):
+        for d in range(1, 120 // e + 1):
+            for k in range(e):
+                try:
+                    pres = CGroupPresentation(e, d, k)
+                except GroupDefinitionError:
+                    continue
+                cases += 1
+                G = cgroup_group(pres)
+                found, x, y = recognize_cgroup(G)
+                assert found.order == G.order == e * d, pres
+                assert G.order_of(x) == found.e and G.order_of(y) == found.d, pres
+                assert G.conj(x, y) == G.power(x, found.k), pres
+    assert cases == 637
