@@ -159,20 +159,34 @@ class FiniteGroup:
     def order_of(self, a: int) -> int:
         return int(self.orders[a])
 
+    def _powers(self, elems: np.ndarray, k: int) -> np.ndarray:
+        """x^k for every x in ``elems``, by binary powering: O(log k) gathers."""
+        t = self.table
+        result = np.full(len(elems), self.identity, dtype=np.int32)
+        while k:
+            if k & 1:
+                result = t[result, elems]
+            elems = t[elems, elems]
+            k >>= 1
+        return result
+
     @cached_property
     def orders(self) -> np.ndarray:
+        """Element orders, one prime p | n at a time: with m the part of n
+        prime to p, x^m has order the p-part of ord(x), which p-th powers of
+        x^m strip one factor p at a time."""
         n = self.order
-        base = np.arange(n, dtype=np.int32)
-        cur = base.copy()
-        out = np.zeros(n, dtype=np.int32)
-        out[self.identity] = 1
-        for step in range(2, n + 1):
-            if not (out == 0).any():
-                break
-            cur = self.table[cur, base]
-            hit = (cur == self.identity) & (out == 0)
-            out[hit] = step
-        out[out == 0] = 1  # only the identity can remain, already set
+        out = np.ones(n, dtype=np.int32)
+        for p in _prime_divisors(n):
+            m = n
+            while m % p == 0:
+                m //= p
+            y = self._powers(np.arange(n, dtype=np.int32), m)
+            moving = y != self.identity
+            while moving.any():
+                out[moving] *= p
+                y = self._powers(y, p)
+                moving = y != self.identity
         return out
 
     @cached_property
@@ -180,28 +194,31 @@ class FiniteGroup:
         return bool(np.array_equal(self.table, self.table.T))
 
     @cached_property
-    def conjugacy_classes(self) -> list:
-        """Conjugacy classes as sorted tuples, ordered by least member."""
+    def _least_conjugates(self) -> np.ndarray:
+        """The least member of each element's conjugacy class: the running
+        column minimum of t[t[g, :], g^-1], a block of g rows at a time."""
         n = self.order
         t = self.table
         inv = self.inverses
-        seen = np.zeros(n, dtype=bool)
-        classes = []
-        for a in range(n):
-            if seen[a]:
-                continue
-            orbit = np.unique(t[t[:, a], inv])
-            seen[orbit] = True
-            classes.append(tuple(int(x) for x in orbit))
-        return classes
+        least = np.arange(n, dtype=np.int32)
+        block = max(1, (1 << 18) // n)
+        for start in range(0, n, block):
+            g = np.arange(start, min(start + block, n))
+            np.minimum(least, t[t[g], inv[g, None]].min(axis=0), out=least)
+        return least
+
+    @cached_property
+    def conjugacy_classes(self) -> list:
+        """Conjugacy classes as sorted tuples, ordered by least member."""
+        least = self._least_conjugates
+        members = np.argsort(least, kind="stable")
+        bounds = np.flatnonzero(np.diff(least[members])) + 1
+        return [tuple(c.tolist()) for c in np.split(members, bounds)]
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
-        sizes = np.zeros(self.order, dtype=np.int32)
-        for cls in self.conjugacy_classes:
-            for a in cls:
-                sizes[a] = len(cls)
-        return sizes
+        least = self._least_conjugates
+        return np.bincount(least, minlength=self.order).astype(np.int32)[least]
 
     # -- labels ----------------------------------------------------------------
 
@@ -596,15 +613,19 @@ def normal_hall_odd_subgroup(G: FiniteGroup) -> Optional[tuple]:
 # -- generating sets and homomorphism search ---------------------------------
 
 
-def generating_set(G: FiniteGroup) -> list:
+@memoized
+def generating_set(G: FiniteGroup) -> tuple:
     """Greedy minimal-ish generating set: repeatedly add the element whose
     addition grows the generated subgroup the most (least index on ties).
 
-    An element inside a candidate subgroup already computed in the same pass
+    The first pick is the first element of largest order.  After that, an
+    element inside a candidate subgroup already computed in the same pass
     generates no more than that candidate did, so it is skipped unexamined.
     """
-    gens: list = []
-    current = {G.identity}
+    if G.order == 1:
+        return ()
+    gens = [int(np.argmax(G.orders))]
+    current = set(subgroup_generated(G, gens))
     while len(current) < G.order:
         best_g, best_set = -1, current
         covered = set(current)
@@ -619,7 +640,7 @@ def generating_set(G: FiniteGroup) -> list:
                     break
         gens.append(best_g)
         current = best_set
-    return gens
+    return tuple(gens)
 
 
 @dataclass

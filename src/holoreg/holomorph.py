@@ -23,7 +23,8 @@ import numpy as np
 from .groups import (FiniteGroup, Homomorphism, BoundExceeded,
                      GroupDefinitionError, HomomorphismError,
                      all_homomorphisms, as_subgroup, automorphism_perms,
-                     center, find_isomorphism, is_subgroup, quotient_group)
+                     center, find_isomorphism, generating_set, is_subgroup,
+                     quotient_group)
 
 DEFAULT_HOL_BOUND = 20000
 DEFAULT_SUBGROUP_HOL_BOUND = 5000
@@ -168,11 +169,19 @@ def _composition_index(perms: np.ndarray) -> np.ndarray:
     """comp[i, j] is the row of ``perms`` holding perms[i] o perms[j]
     (perms[j] applied first); the rows must form a group under composition."""
     a_count, n = perms.shape
-    row = np.dtype((np.void, perms.itemsize * n))  # one row as one sortable key
-    keys = perms.view(row).ravel()
+    return _rows_of(perms, perms[:, perms].reshape(-1, n)).reshape(a_count, a_count)
+
+
+def _rows_of(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of each row of ``queries`` among the distinct rows of
+    ``table``, each looked up as one sortable void key; every query row must
+    occur in ``table``."""
+    table = np.ascontiguousarray(table)
+    queries = np.ascontiguousarray(queries, dtype=table.dtype)
+    row = np.dtype((np.void, table.itemsize * table.shape[1]))
+    keys = table.view(row).ravel()
     order = np.argsort(keys)
-    composed = perms[:, perms].reshape(-1, n).view(row).ravel()
-    return order[np.searchsorted(keys[order], composed)].reshape(a_count, a_count)
+    return order[np.searchsorted(keys[order], queries.view(row).ravel())]
 
 
 def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
@@ -225,33 +234,58 @@ def cyclic_regular_oracle(N: FiniteGroup,
     """All holomorph elements whose cycle through the identity has full length.
 
     Any such element generates a cyclic regular subgroup, so an empty result
-    certifies that no cyclic regular subgroup exists.  The scan walks all
-    (translation, twist) pairs at once and drops a pair as soon as its walk is
-    back at the identity: the pairs left after n - 1 steps are exactly those
-    whose cycle has length n.  Winners come in (translation, twist) order, as
-    arrays: a HolElement is built only when the result is indexed.
-    ``pair_steps`` counts the moves the scan made, one per live pair per step.
+    certifies that no cyclic regular subgroup exists.  Conjugating by
+    (1, sigma), sigma in Aut(N), maps the walk x -> pi(x) a^-1 onto
+    y -> sigma pi sigma^-1(y) sigma(a)^-1 and fixes the identity, so the
+    winners of translation sigma(a) are the conjugates sigma pi sigma^-1 of
+    the winners pi of a.  The scan therefore walks only the pairs whose
+    translation is the least element of its Aut(N)-orbit, all at once, and
+    drops a pair as soon as its walk is back at the identity: the pairs left
+    after n - 1 steps are exactly those whose cycle has length n.  Every
+    other translation b takes the conjugates of its orbit's winners by one
+    sigma with sigma(least) = b; each conjugate's row in ``perms`` is found
+    from its images of ``generating_set(N)``.  Winners come in (translation,
+    twist) order, as arrays: a HolElement is built only when the result is
+    indexed.  ``pair_steps`` counts the moves of the reduced scan, one per
+    live pair per step.
     """
     n = N.order
     perms = _hol_perms(N, hol_bound)
     a_count = len(perms)
     e = N.identity
     inv = N.inverses
+    least = perms.min(axis=0)  # the rows form a group: the least of each orbit
+    reps = np.flatnonzero(least == np.arange(n))
     flat_perms = perms.ravel()
     flat_table = N.table.ravel()
     # The live pairs in scan order, which masking keeps: the offset of each
     # twist's row in flat_perms, the inverse of each translation, and the
     # position of each walk.
-    offset = np.tile(np.arange(a_count) * n, n)
-    a_inv = np.repeat(inv.astype(np.intp), a_count)
-    pos = np.full(n * a_count, e)
+    offset = np.tile(np.arange(a_count) * n, len(reps))
+    a_inv = np.repeat(inv[reps].astype(np.intp), a_count)
+    pos = np.full(len(offset), e)
     pair_steps = 0
     for _ in range(n - 1):
         pair_steps += len(pos)
         pos = flat_table[flat_perms[offset + pos] * n + a_inv]
         live = pos != e
         offset, a_inv, pos = offset[live], a_inv[live], pos[live]
-    return OracleResult(N, perms, inv[a_inv], offset // n, pair_steps)
+    translations, twists = inv[a_inv], offset // n
+    if len(reps) == n:  # Aut(N) is trivial: nothing to expand
+        return OracleResult(N, perms, translations, twists, pair_steps)
+    # Translation b takes the winners of its orbit's least element, each
+    # conjugated by sigma_b, the first automorphism with sigma_b(least[b]) = b.
+    counts = np.bincount(translations, minlength=n)[least]
+    b = np.repeat(np.arange(n, dtype=translations.dtype), counts)
+    src = (np.searchsorted(translations, least)[b] + np.arange(len(b))
+           - np.repeat(np.cumsum(counts) - counts, counts))
+    sigma = perms[np.argmax(perms[:, least] == np.arange(n), axis=0)]
+    gens = list(generating_set(N))
+    sigma_inv_gens = np.argsort(sigma, axis=1)[:, gens]
+    images = sigma[b[:, None], perms[twists[src, None], sigma_inv_gens[b]]]
+    rows = _rows_of(perms[:, gens], images)  # an automorphism is fixed by its images of gens
+    order = np.lexsort((rows, b))
+    return OracleResult(N, perms, b[order], rows[order], pair_steps)
 
 
 def all_regular_subgroups(N: FiniteGroup,

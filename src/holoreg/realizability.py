@@ -461,8 +461,8 @@ def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> list:
 
 
 def classify_rump(G: FiniteGroup) -> bool:
-    """Companion test: cyclic regular subgroups exist in the holomorph *of* C_n
-    containing a copy of G exactly when G is 2-nilpotent with a C-group odd
+    """Companion test (Rump): the holomorph *of* C_n, n = |G|, has a regular
+    subgroup isomorphic to G exactly when G is 2-nilpotent with a C-group odd
     part and a Sylow 2-subgroup that is trivial, cyclic, or contains a cyclic
     subgroup of index 2."""
     odd = normal_hall_odd_subgroup(G)

@@ -5,6 +5,7 @@ import pytest
 
 from holoreg import (CGroupPresentation, cgroup_group, corpus_representatives,
                      generate_corpus)
+from holoreg.holomorph import _hol_perms
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +58,27 @@ def loop_table():
         a, i = np.arange(5 * m) // m, np.arange(5 * m) % m
         return loop5[a[:, None], a[None, :]] * m + (i[:, None] + i[None, :]) % m
     return build
+
+
+@pytest.fixture(scope="session")
+def full_scan():
+    """``full_scan(N, hol_bound)``: the oracle's winners as (translations,
+    twists) arrays, from the plain scan that walks every (translation,
+    twist) pair of Hol(N), kept as the reference for the orbit scan."""
+    def scan(N, hol_bound):
+        n = N.order
+        perms = _hol_perms(N, hol_bound)
+        a_count = len(perms)
+        e = N.identity
+        inv = N.inverses
+        flat_perms = perms.ravel()
+        flat_table = N.table.ravel()
+        offset = np.tile(np.arange(a_count) * n, n)
+        a_inv = np.repeat(inv.astype(np.intp), a_count)
+        pos = np.full(n * a_count, e)
+        for _ in range(n - 1):
+            pos = flat_table[flat_perms[offset + pos] * n + a_inv]
+            live = pos != e
+            offset, a_inv, pos = offset[live], a_inv[live], pos[live]
+        return inv[a_inv], offset // n
+    return scan

@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 
-from holoreg import (BoundExceeded, CGroupPresentation, automorphism_group,
-                     cgroup_aut_group, cgroup_group, cgroup_pool, classify,
-                     classify_rump, closed_form_product, commutator_subgroup,
+from holoreg import (BoundExceeded, CGroupPresentation, FiniteGroup,
+                     automorphism_group, cgroup_aut_group, cgroup_group,
+                     cgroup_pool, classify, classify_rump,
+                     closed_form_product, commutator_subgroup,
                      construct, cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
                      fpf_search, hol_group, is_regular_subgroup,
@@ -179,7 +180,34 @@ def test_criterion_4b_oracle_equivalence_at_hol_bound_100000(corpus_reps):
             ok = ok and cycle.size == N.order and cycle.cycles == 1
     print(f"  (criterion 4b: {checked} groups oracle-checked, {pair_steps} pair-steps)")
     _report("4b classifier-oracle-equivalence-at-100000",
-            ok and checked == 114 and pair_steps == 53_461_446)
+            ok and checked == 114 and pair_steps == 2_421_096)
+
+
+def test_criterion_4c_orbit_oracle_over_every_representative(corpus_reps, full_scan):
+    # bound 3 400 000 holds all 202 holomorphs.  Aut(N) acts freely on the
+    # winners by conjugation, so their count is a multiple of |Aut(N)|; where
+    # the plain full scan is in bound (100 000) the arrays are its arrays.
+    # Each group is a fresh copy, so its Aut(N) array is freed after use.
+    checked = disagreements = winners = compared = 0
+    ok = True
+    for entry in corpus_reps:
+        G = entry.group
+        N = FiniteGroup(G.table, labels=G.labels, label_style=G.label_style)
+        found = cyclic_regular_oracle(N, hol_bound=3_400_000)
+        checked += 1
+        winners += len(found)
+        disagreements += classify(N).realizable != bool(found)
+        ok = ok and len(found) % len(found.perms) == 0
+        if N.order * len(found.perms) <= 100_000:
+            compared += 1
+            translations, twists = full_scan(N, 100_000)
+            ok = ok and np.array_equal(found.translations, translations) \
+                and np.array_equal(found.twists, twists)
+    print(f"  (criterion 4c: {checked} groups oracle-checked, {winners} winners, "
+          f"{disagreements} disagreements, {compared} matched the full scan)")
+    _report("4c orbit-oracle-over-every-representative",
+            ok and checked == len(corpus_reps) == 202 and disagreements == 0
+            and winners == 1_320_410 and compared == 114)
 
 
 def test_criterion_5_constructor_soundness(corpus_reps):

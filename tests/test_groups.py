@@ -364,7 +364,8 @@ def test_generating_set_is_the_greedy_choice():
     for G in (cyclic_group(1), cyclic_group(12), dihedral_group(16),
               quaternion_group(16), direct_product(direct_product(c2, c2), c2),
               cgroup_group(CGroupPresentation(7, 9, 2))):
-        assert generating_set(G) == greedy(G)
+        assert generating_set(G) == tuple(greedy(G))
+        assert generating_set(G) is generating_set(G)  # memoized per group
 
 
 def test_characteristic_subgroups_of_klein():

@@ -175,7 +175,8 @@ def test_oracle_result_is_a_lazy_sequence():
 
 
 def test_oracle_matches_brute_force_cycle_lengths():
-    # the compacted scan keeps exactly the full-cycle pairs, in scan order
+    # the orbit scan and its expansion keep exactly the full-cycle pairs,
+    # in scan order
     c2 = cyclic_group(2)
     for N in (cyclic_group(1), cyclic_group(2), cyclic_group(9), klein_group(),
               dihedral_group(8), quaternion_group(8), direct_product(cyclic_group(3), c2),
@@ -186,8 +187,43 @@ def test_oracle_matches_brute_force_cycle_lengths():
                  if length == N.order]
         found = cyclic_regular_oracle(N)
         assert [h.key() for h in found] == [h.key() for h in brute]
-        # a walk moves at each step until it is back at the identity
-        assert found.pair_steps == sum(min(length, N.order - 1) for length in lengths)
+        # a walk moves at each step until it is back at the identity; only
+        # translations that are the least of their Aut(N)-orbit are walked
+        least = {min(int(p[a]) for p in automorphism_perms(N)) for a in range(N.order)}
+        assert found.pair_steps == sum(
+            min(length, N.order - 1) for h, length in zip(hol_elements(N), lengths)
+            if h.translation in least)
+
+
+def hopf_galois_count(N):
+    """e(C_n, N) = #winners / |Aut(N)|, Byott's translation of the number of
+    Hopf-Galois structures of type N on a cyclic extension of degree n."""
+    found = cyclic_regular_oracle(N)
+    count, rest = divmod(len(found), len(found.perms))
+    assert rest == 0  # Aut(N) acts freely on the winners by conjugation
+    return count
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: cyclic_group(4), 1),
+    (klein_group, 1),
+    # Kohl (1998): p^(m-1) structures for odd p^m, all of cyclic type
+    (lambda: cyclic_group(9), 3),
+    (lambda: cyclic_group(27), 9),
+    (lambda: cyclic_group(25), 5),
+    (lambda: cyclic_group(81), 27),
+    (lambda: direct_product(cyclic_group(3), cyclic_group(3)), 0),
+    # Byott (2007): 2^(m-2) structures of cyclic, dihedral and quaternion type
+    (lambda: cyclic_group(8), 2), (lambda: dihedral_group(8), 2),
+    (lambda: quaternion_group(8), 2),
+    (lambda: cyclic_group(16), 4), (lambda: dihedral_group(16), 4),
+    (lambda: quaternion_group(16), 4),
+    (lambda: cyclic_group(32), 8), (lambda: dihedral_group(32), 8),
+    (lambda: quaternion_group(32), 8),
+], ids=["C4", "klein", "C9", "C27", "C25", "C81", "C3xC3", "C8", "D8", "Q8",
+        "C16", "D16", "Q16", "C32", "D32", "Q32"])
+def test_oracle_gives_published_hopf_galois_counts(make, count):
+    assert hopf_galois_count(make()) == count
 
 
 # -- subgroup-level enumeration ----------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
                      HolElement, as_subgroup, cgroup_group, classify,
                      commutator_subgroup, conjugation_perm, cyclic_group,
-                     decompose, dihedral_group, generating_set, is_subgroup,
-                     parse_group_spec, quotient_group, recognize_cgroup,
-                     subgroup_generated)
+                     decompose, dihedral_group, direct_product, generating_set,
+                     is_subgroup, parse_group_spec, quaternion_group,
+                     quotient_group, recognize_cgroup, subgroup_generated)
 from holoreg.groups import _fingerprints
 
 REFERENCE_MAX_ORDER = 120
@@ -118,6 +118,36 @@ def ref_quotient_group(G, nset):
     return table, tuple(coset_index)
 
 
+def ref_orders(G):
+    """Element orders by advancing every power one multiplication per step."""
+    n = G.order
+    base = np.arange(n, dtype=np.int32)
+    cur = base.copy()
+    out = np.zeros(n, dtype=np.int32)
+    out[G.identity] = 1
+    for step in range(2, n + 1):
+        if not (out == 0).any():
+            break
+        cur = G.table[cur, base]
+        hit = (cur == G.identity) & (out == 0)
+        out[hit] = step
+    out[out == 0] = 1
+    return out
+
+
+def ref_conjugacy_classes(G):
+    """Conjugacy classes as sorted tuples, one orbit t[t[:, a], inv] at a time."""
+    t = G.table
+    seen = np.zeros(G.order, dtype=bool)
+    classes = []
+    for a in range(G.order):
+        if not seen[a]:
+            orbit = np.unique(t[t[:, a], G.inverses])
+            seen[orbit] = True
+            classes.append(tuple(int(x) for x in orbit))
+    return classes
+
+
 def ref_fingerprints(G):
     orders, sizes = G.orders, G.class_sizes
     t = G.rows
@@ -147,6 +177,26 @@ def reference_groups(corpus_reps):
             out += [G, relabel(G, rng), relabel(G, rng)]
     assert len(out) == 3 * 96
     return out
+
+
+# The nine tables of the large-tables benchmark, orders 72 to 1008.
+LARGE_TABLES = {
+    "cyclic-1000": lambda: cyclic_group(1000),
+    "quaternion-256": lambda: quaternion_group(256),
+    "dihedral-256": lambda: dihedral_group(256),
+    "semidirect-672": lambda: parse_group_spec(
+        "semidirect (cgroup 7 3 2) (dihedral 32) alpha r->id s->phi:6"),
+    "semidirect-600": lambda: parse_group_spec(
+        "semidirect (cyclic 75) (quaternion 8) alpha r->id s->phi:74"),
+    "semidirect-1008": lambda: parse_group_spec(
+        "semidirect (cyclic 63) (dihedral 16) alpha r->phi:62 s->id"),
+    "c3xc3xd8": lambda: direct_product(direct_product(cyclic_group(3), cyclic_group(3)),
+                                       dihedral_group(8)),
+    "c15xc2xc4": lambda: direct_product(direct_product(cyclic_group(15), cyclic_group(2)),
+                                        cyclic_group(4)),
+    "c63xc2xc2xc2": lambda: direct_product(direct_product(direct_product(
+        cyclic_group(63), cyclic_group(2)), cyclic_group(2)), cyclic_group(2)),
+}
 
 
 def element_sets(G, rng):
@@ -207,6 +257,24 @@ def test_quotients_and_fingerprints_match_reference(reference_groups):
             table, want_coset = ref_quotient_group(G, normal)
             assert Q.table.tolist() == table and coset == want_coset, G
             assert all(type(c) is int for c in coset)
+
+
+@pytest.mark.parametrize("source", ["corpus", *LARGE_TABLES])
+def test_orders_and_classes_match_reference(source, corpus_reps):
+    # each group as given (a fresh copy, so nothing is cached yet) and relabelled
+    rng = np.random.default_rng(5)
+    given = ([entry.group for entry in corpus_reps] if source == "corpus"
+             else [LARGE_TABLES[source]()])
+    for G in given:
+        for H in (FiniteGroup(G.table), relabel(G, rng)):
+            assert np.array_equal(H.orders, ref_orders(H)), H
+            assert H.orders.dtype == np.int32
+            classes = ref_conjugacy_classes(H)
+            assert H.conjugacy_classes == classes, H
+            sizes = np.zeros(H.order, dtype=np.int32)
+            for cls in classes:
+                sizes[list(cls)] = len(cls)
+            assert np.array_equal(H.class_sizes, sizes) and H.class_sizes.dtype == np.int32
 
 
 def test_element_arithmetic_matches_reference(reference_groups):
