@@ -1,8 +1,9 @@
 """The holomorph, its regular subgroups, and the skew braces they define.
 
 A holomorph element is a pair (translation, twist) acting by
-x -> twist(x) * translation^-1.  A subgroup is regular when evaluating at
-the identity hits every element once; such subgroups are the same data as
+x -> twist(x) * translation^-1.  A set of them is a HolElements array of
+translations and twist rows.  A subgroup is regular when evaluating at the
+identity hits every element once; such subgroups are the same data as
 bijective crossed homomorphisms and as skew braces on the group.
 """
 
@@ -10,9 +11,10 @@ import numpy as np
 
 from holoreg import (crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, hol_group,
-                     lambda_embedding, regular_from_crossed,
-                     regular_subgroups_isomorphic_to, rho_embedding,
-                     skew_brace_from_regular, subgroup_generated_by_hol)
+                     is_regular_subgroup, lambda_embedding,
+                     regular_from_crossed, regular_subgroups_isomorphic_to,
+                     rho_embedding, skew_brace_from_regular,
+                     subgroup_generated_by_hol)
 
 N = dihedral_group(8)
 
@@ -21,7 +23,7 @@ H = hol_group(N)
 print("holomorph of D8 has order", H.order)
 
 # both regular representations are regular subgroups
-print("right translations regular?", len(rho_embedding(N)) == 8)
+print("right translations regular?", is_regular_subgroup(N, rho_embedding(N)))
 print("left translations give the trivial brace:",
       np.array_equal(skew_brace_from_regular(N, lambda_embedding(N)).circle_table,
                      N.table))
@@ -29,16 +31,19 @@ print("left translations give the trivial brace:",
 # the oracle scans every (translation, twist) pair for a full-length cycle
 generators = cyclic_regular_oracle(N)
 print("cyclic regular generators found in Hol(D8):", len(generators))
-h = generators[0]
-subgroup = subgroup_generated_by_hol(h)
+h = generators[0]  # indexing builds one HolElement
+subgroup = subgroup_generated_by_hol(h)  # its powers, as arrays
 print("first one has order", h.order(), "and spans", len(subgroup), "elements")
 
 # a regular subgroup splits into a twist map and a bijective translation map
 G, crossed = crossed_from_regular(N, subgroup)
 print("crossed data is bijective?", crossed.is_bijective)
+back = regular_from_crossed(N, crossed)
+order = np.argsort(subgroup.translations)
+twists = subgroup.perms[subgroup.twists[order]]
 print("round trip returns the same subgroup:",
-      {x.key() for x in regular_from_crossed(N, crossed)} ==
-      {x.key() for x in subgroup})
+      np.array_equal(back.translations, subgroup.translations[order]) and
+      np.array_equal(back.perms[back.twists], twists))
 
 # the brace attached to the cyclic subgroup has a cyclic circle group
 brace = skew_brace_from_regular(N, subgroup)

@@ -22,14 +22,14 @@ from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
                       cgroup_aut_group, cgroup_auts, cgroup_coordinates,
                       cgroup_group, geometric_sum, multiplicative_order,
                       recognize_cgroup, standard_aut, unit_groups)
-from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement, SkewBrace,
-                        all_regular_subgroups, conjugation_perm,
-                        crossed_from_regular, cyclic_regular_oracle,
-                        fpf_search, hol_elements, hol_group, holomorph_order,
-                        identity_hol, induction_quotient, induction_restrict,
-                        is_regular_subgroup, lambda_embedding,
-                        regular_from_crossed, regular_from_fpf,
-                        regular_subgroup_as_group,
+from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement,
+                        HolElements, SkewBrace, all_regular_subgroups,
+                        conjugation_perm, crossed_from_regular,
+                        cyclic_regular_oracle, fpf_search, hol_elements,
+                        hol_group, holomorph_order, induction_quotient,
+                        induction_restrict, is_regular_subgroup,
+                        lambda_embedding, regular_from_crossed,
+                        regular_from_fpf, regular_subgroup_as_group,
                         regular_subgroups_isomorphic_to, rho_embedding,
                         skew_brace_from_regular, subgroup_generated_by_hol)
 from .realizability import (CorpusEntry, Decomposition, Verdict,

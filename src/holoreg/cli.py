@@ -153,9 +153,9 @@ def _brace_report(request: Request) -> tuple:
     report.add("additive", group.name or "table input")
     report.add("circle_cyclic",
                int(max(brace.multiplicative.orders)) == group.order)
-    for a in range(group.order):
-        row = " ".join(str(int(v)) for v in brace.circle_table[a])
-        report.add(f"circle_row_{a}", row)
+    names = np.array([str(i) for i in range(group.order)], dtype=object)
+    for a, row in enumerate(names[brace.circle_table].tolist()):
+        report.add(f"circle_row_{a}", " ".join(row))
     return report.text(), EXIT_OK
 
 

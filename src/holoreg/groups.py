@@ -108,15 +108,13 @@ class FiniteGroup:
         product, and every element is a left-nested product of the sequence.
         """
         t = self.table
-        reached = {self.identity}
-        gens = []
-        for g in range(self.order):
-            if g in reached:
-                continue
+
+        def right_column(g):
             if not np.array_equal(t[t[:, g]], t[:, t[g]]):
                 raise GroupDefinitionError(f"associativity fails at element {g}")
-            gens.append(g)
-            reached = set(subgroup_generated(self, gens))
+            return t[:, g]
+
+        greedy_closure(self.order, self.identity, right_column)
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -124,9 +122,9 @@ class FiniteGroup:
     def rows(self) -> list:
         """Cayley table as nested Python lists: an n^2 copy, built only by the
         index-heavy search loops that pay for it (``_bfs_words``,
-        ``_homomorphism_search``, ``all_regular_subgroups`` and the
-        ``CrossedHom`` check).  Validation, classification and construction
-        read ``table`` and never build it."""
+        ``_homomorphism_search`` and ``all_regular_subgroups``).
+        Validation, classification and construction read ``table`` and never
+        build it."""
         return self.table.tolist()
 
     @cached_property
@@ -231,19 +229,6 @@ class FiniteGroup:
     def __repr__(self):
         tag = self.name or f"group of order {self.order}"
         return f"<FiniteGroup {tag}>"
-
-    @classmethod
-    def from_product_function(cls, elements: Sequence, op: Callable, name: str = "",
-                              label_style: Optional[str] = None) -> "FiniteGroup":
-        """Build a group from explicit elements and a binary operation."""
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        table = np.zeros((n, n), dtype=np.int32)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                table[i, j] = index[op(a, b)]
-        return cls(table, labels=elements, name=name, label_style=label_style)
 
 
 def memoized(fn):
@@ -462,6 +447,31 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> tuple:
                 seen[v] = 1
                 queue.append(v)
     return tuple(np.flatnonzero(seen).tolist())
+
+
+def greedy_closure(n: int, identity: int, right_column: Callable) -> None:
+    """Walk the greedy generating sequence of n indexed elements: each g, in
+    index order, not yet reached from ``identity`` by right products with
+    the earlier ones.  ``right_column(g)`` returns the n indices u * g, or
+    raises when g fails its caller's check; the reached set grows from the
+    set already reached.  On return every index was reached or is a
+    generator."""
+    reached = bytearray(n)
+    reached[identity] = 1
+    members = [identity]
+    cols = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        cols.append(right_column(g))
+        rows = np.stack(cols, axis=1).tolist()  # rows[u][i] = u * (generator i)
+        queue = cols[-1][members].tolist()
+        while queue:
+            v = queue.pop()
+            if not reached[v]:
+                reached[v] = 1
+                members.append(v)
+                queue.extend(rows[v])
 
 
 def is_subgroup(G: FiniteGroup, elems: Iterable[int]) -> bool:

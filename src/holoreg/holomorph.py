@@ -2,8 +2,10 @@
 
 An element of the holomorph is stored as a pair (translation a, twist pi)
 acting on the group by x -> pi(x) * a^-1; pairs compose by
-(a, pi)(b, sigma) = (a * pi(b), pi o sigma).  A subgroup is regular when
-evaluation at the identity is a bijection, which for pairs means the
+(a, pi)(b, sigma) = (a * pi(b), pi o sigma), which acts as the composition
+of the two actions when pi is an automorphism.  A set of pairs is a
+``HolElements`` array, read through its action rows.  A subgroup is regular
+when evaluation at the identity is a bijection, which for pairs means the
 translation components exhaust the group.  Regular subgroups, bijective
 crossed homomorphisms, and skew braces are three views of the same data and
 this module converts between all of them.  Pair arithmetic never needs the
@@ -13,7 +15,7 @@ dense holomorph table, which is only materialized on request.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -23,8 +25,8 @@ import numpy as np
 from .groups import (FiniteGroup, Homomorphism, BoundExceeded,
                      GroupDefinitionError, HomomorphismError,
                      all_homomorphisms, as_subgroup, automorphism_perms,
-                     center, find_isomorphism, generating_set, is_subgroup,
-                     quotient_group)
+                     center, find_isomorphism, generating_set, greedy_closure,
+                     is_subgroup, quotient_group)
 
 DEFAULT_HOL_BOUND = 20000
 DEFAULT_SUBGROUP_HOL_BOUND = 5000
@@ -52,33 +54,12 @@ class HolElement:
         g = self.group
         return tuple(g.table[self.twist, g.inv(self.translation)].tolist())
 
-    def compose(self, other: "HolElement") -> "HolElement":
-        """(a, pi)(b, sigma) = (a * pi(b), pi o sigma)."""
-        g = self.group
-        a = g.mul(self.translation, self.twist[other.translation])
-        tw = tuple(self.twist[x] for x in other.twist)
-        return HolElement(g, a, tw)
-
-    def inverse(self) -> "HolElement":
-        g = self.group
-        inv_twist = [0] * g.order
-        for i, x in enumerate(self.twist):
-            inv_twist[x] = i
-        a = inv_twist[g.inv(self.translation)]
-        return HolElement(g, a, tuple(inv_twist))
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.translation == self.group.identity
-                and self.twist == tuple(range(self.group.order)))
-
     def order(self) -> int:
         """Order as a permutation of the group (the action is faithful)."""
         perm = self.action_perm()
-        n = len(perm)
-        seen = [False] * n
+        seen = [False] * len(perm)
         result = 1
-        for start in range(n):
+        for start in range(len(perm)):
             if seen[start]:
                 continue
             length, cur = 0, start
@@ -86,17 +67,14 @@ class HolElement:
                 seen[cur] = True
                 cur = perm[cur]
                 length += 1
-            result = result * length // math.gcd(result, length)
+            result = math.lcm(result, length)
         return result
 
     def cycle_length_through_identity(self) -> int:
-        g = self.group
-        e = g.identity
-        cur = self.act(e)
-        length = 1
+        e = self.group.identity
+        cur, length = self.act(e), 1
         while cur != e:
-            cur = self.act(cur)
-            length += 1
+            cur, length = self.act(cur), length + 1
         return length
 
     def key(self):
@@ -105,12 +83,15 @@ class HolElement:
 
 @dataclass(frozen=True, eq=False)
 class HolElements(Sequence):
-    """Holomorph elements held as arrays: element i is the pair
-    (translations[i], perms[twists[i]]).  A HolElement is built only when
-    one is indexed."""
+    """A set of holomorph elements held as arrays: element i is the pair
+    (translations[i], perms[twists[i]]).  ``perms`` is any table of twist
+    rows: Aut(N) for the oracle, ``hol_elements`` and
+    ``all_regular_subgroups``, one row per element elsewhere.  Readers check
+    that each twist used is an automorphism of N.  A HolElement is built
+    only when one is indexed; a slice is again a HolElements."""
 
     group: FiniteGroup
-    perms: np.ndarray          # (|Aut|, n) twists, from automorphism_perms
+    perms: np.ndarray          # (k, n) twist rows
     translations: np.ndarray
     twists: np.ndarray         # row indices into perms
 
@@ -119,36 +100,36 @@ class HolElements(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+            return HolElements(self.group, self.perms, self.translations[i], self.twists[i])
         return HolElement(self.group, int(self.translations[i]),
                           tuple(self.perms[self.twists[i]].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class OracleResult(HolElements):
-    """The oracle's winners, with the number of (pair, step) moves its scan
-    made."""
+    """The oracle's winners, with the number of (pair, step) moves its scan made."""
 
     pair_steps: int
 
 
-def identity_hol(N: FiniteGroup) -> HolElement:
-    return HolElement(N, N.identity, tuple(range(N.order)))
-
-
-def rho_embedding(N: FiniteGroup) -> list:
+def rho_embedding(N: FiniteGroup) -> HolElements:
     """The right regular copy of N: all (a, identity twist)."""
-    ident = tuple(range(N.order))
-    return [HolElement(N, a, ident) for a in range(N.order)]
+    n = N.order
+    return HolElements(N, np.arange(n)[None, :], np.arange(n), np.zeros(n, dtype=np.intp))
 
 
-def lambda_embedding(N: FiniteGroup) -> list:
+def lambda_embedding(N: FiniteGroup) -> HolElements:
     """The left regular copy: eta -> (eta^-1, conjugation by eta)."""
-    return [HolElement(N, N.inv(a), conjugation_perm(N, a)) for a in range(N.order)]
+    return HolElements(N, _conjugations(N), N.inverses, np.arange(N.order))
 
 
 def conjugation_perm(N: FiniteGroup, a: int) -> tuple:
     return tuple(N.table[N.table[a], N.inv(a)].tolist())
+
+
+def _conjugations(N: FiniteGroup) -> np.ndarray:
+    """Row a is conjugation by a, x -> a x a^-1."""
+    return N.table[N.table, N.inverses[:, None]]
 
 
 def holomorph_order(N: FiniteGroup) -> int:
@@ -173,15 +154,16 @@ def _composition_index(perms: np.ndarray) -> np.ndarray:
 
 
 def _rows_of(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The index of each row of ``queries`` among the distinct rows of
-    ``table``, each looked up as one sortable void key; every query row must
-    occur in ``table``."""
+    """The index of each row of ``queries`` among the rows of ``table``, each
+    looked up as one sortable void key, or -1 where the row does not occur."""
     table = np.ascontiguousarray(table)
     queries = np.ascontiguousarray(queries, dtype=table.dtype)
     row = np.dtype((np.void, table.itemsize * table.shape[1]))
     keys = table.view(row).ravel()
+    wanted = queries.view(row).ravel()
     order = np.argsort(keys)
-    return order[np.searchsorted(keys[order], queries.view(row).ravel())]
+    found = order[np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)]
+    return np.where(keys[found] == wanted, found, -1)
 
 
 def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
@@ -213,20 +195,57 @@ def hol_elements(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> HolElements:
                        np.tile(np.arange(a_count), N.order))
 
 
-def is_regular_subgroup(N: FiniteGroup, subgroup: Sequence[HolElement]) -> bool:
+def _are_automorphisms(N: FiniteGroup, rows: np.ndarray) -> bool:
+    """True when every row is a map of N with trivial kernel and
+    pi(x g) = pi(x) pi(g) for all x and g in ``generating_set(N)``: exactly
+    the automorphisms, by induction on word length in the generators."""
+    if rows.size and (rows.min() < 0 or rows.max() >= N.order):
+        return False
+    t = N.table
+    gens = list(generating_set(N))
+    return (np.array_equal(rows[:, t[:, gens]], t[rows[:, :, None], rows[:, None, gens]])
+            and bool(((rows == N.identity).sum(axis=1) == 1).all()))
+
+
+def _circle_table(N: FiniteGroup, subgroup: HolElements) -> Optional[np.ndarray]:
+    """Row k: the action x -> pi(x) a^-1 of the element of ``subgroup`` that
+    sends the identity to k; None when the set is closed but not regular.
+
+    The rows are the brace's circle table and the subgroup's Cayley table
+    indexed by images of the identity: (h_i h_j)(1) = h_i(j).  Raises when a
+    twist is not an automorphism of N (pairs would not compose as actions)
+    or when the set is not closed, checked as S g in S for each g of a
+    greedy generating sequence: exact, since then every product of the g
+    lies in S and every element of S is such a product.
+    """
+    if not _are_automorphisms(N, subgroup.perms[np.unique(subgroup.twists)]):
+        raise GroupDefinitionError("a twist is not an automorphism of the group")
+    acts = N.table[subgroup.perms[subgroup.twists],
+                   N.inverses[subgroup.translations][:, None]]
+    identity = _rows_of(acts, np.arange(N.order)[None, :])[0] if len(acts) else -1
+
+    def right_column(g):  # the row of s g is acts[s] after acts[g]
+        col = _rows_of(acts, acts[:, acts[g]])
+        if (col < 0).any():
+            raise GroupDefinitionError("set is not closed under composition")
+        return col
+
+    if identity < 0:
+        raise GroupDefinitionError("set is not closed under composition")
+    greedy_closure(len(acts), identity, right_column)
+    images = acts[:, N.identity]
+    if len(acts) != N.order or len(np.unique(images)) != N.order:
+        return None
+    return acts[np.argsort(images)]
+
+
+def is_regular_subgroup(N: FiniteGroup, subgroup: HolElements) -> bool:
     """True when evaluation at the identity maps ``subgroup`` bijectively onto N.
 
-    Raises if the given set is not closed under composition.
+    Raises if the given set is not closed under composition or uses a twist
+    that is not an automorphism of N.
     """
-    keys = {h.key() for h in subgroup}
-    for h1 in subgroup:
-        for h2 in subgroup:
-            if h1.compose(h2).key() not in keys:
-                raise GroupDefinitionError("set is not closed under composition")
-    if len(keys) != len(subgroup):
-        return False
-    translations = {h.translation for h in subgroup}
-    return len(translations) == len(subgroup) == N.order
+    return _circle_table(N, subgroup) is not None
 
 
 def cyclic_regular_oracle(N: FiniteGroup,
@@ -304,6 +323,17 @@ def all_regular_subgroups(N: FiniteGroup,
     comp = _composition_index(perms).tolist()
     rows = N.rows
     identity_perm = perm_rows.index(list(range(n)))
+    # the order of (a, p) must divide the subgroup order: (a, p)^n acts trivially
+    divides = []
+    for a in range(n):
+        acts = N.table[perms, N.inverses[a]]  # x -> p(x) a^-1 for every twist p
+        power, k = np.broadcast_to(np.arange(n), acts.shape), n
+        while k:
+            if k & 1:
+                power = np.take_along_axis(acts, power, axis=1)
+            acts = np.take_along_axis(acts, acts, axis=1)
+            k >>= 1
+        divides.append((power == np.arange(n)).all(axis=1).tolist())
     results = []
 
     def propagate(assign: dict) -> Optional[dict]:
@@ -335,8 +365,7 @@ def all_regular_subgroups(N: FiniteGroup,
             return
         a = min(x for x in range(n) if x not in assign)
         for p in range(a_count):
-            h = HolElement(N, a, perm_rows[p])
-            if n % h.order() != 0:  # element order must divide the subgroup order
+            if not divides[a][p]:
                 continue
             closed = propagate({**assign, a: p})
             if closed is not None:
@@ -347,18 +376,21 @@ def all_regular_subgroups(N: FiniteGroup,
     return [HolElements(N, perms, np.arange(n), np.array(t)) for t in results]
 
 
-def regular_subgroup_as_group(N: FiniteGroup, subgroup: Sequence[HolElement],
+def regular_subgroup_as_group(N: FiniteGroup, subgroup: HolElements,
                               name: str = "") -> FiniteGroup:
-    """The abstract group structure of a set of holomorph pairs."""
-    elems = [h.key() for h in subgroup]
-    index = {k: i for i, k in enumerate(elems)}
+    """The abstract group of a regular subgroup, element i its i-th pair.
 
-    def op(k1, k2):
-        h = HolElement(N, k1[0], k1[1]).compose(HolElement(N, k2[0], k2[1]))
-        return h.key()
-
-    return FiniteGroup.from_product_function(
-        elems, op, name=name or f"regular subgroup in holomorph of ({N.name})")
+    Pair i sends the identity to k_i = a_i^-1, so the product of pairs i
+    and j is the pair sending the identity to circle[k_i, k_j]: one gather
+    over the circle table, looked up by image of the identity.  Raises as
+    ``is_regular_subgroup`` does, and when the set is not regular.
+    """
+    circle = _circle_table(N, subgroup)
+    if circle is None:
+        raise GroupDefinitionError("subgroup is not regular")
+    k = N.inverses[subgroup.translations]
+    return FiniteGroup(np.argsort(k)[circle[np.ix_(k, k)]],
+                       name=name or f"regular subgroup in holomorph of ({N.name})")
 
 
 def regular_subgroups_isomorphic_to(G: FiniteGroup, N: FiniteGroup,
@@ -366,12 +398,8 @@ def regular_subgroups_isomorphic_to(G: FiniteGroup, N: FiniteGroup,
     """All regular subgroups of the holomorph of N isomorphic to G."""
     if G.order != N.order:
         raise GroupDefinitionError("G and N must have the same order")
-    out = []
-    for sub in all_regular_subgroups(N, hol_bound=hol_bound):
-        abstract = regular_subgroup_as_group(N, sub)
-        if find_isomorphism(G, abstract) is not None:
-            out.append(sub)
-    return out
+    return [sub for sub in all_regular_subgroups(N, hol_bound=hol_bound)
+            if find_isomorphism(G, regular_subgroup_as_group(N, sub)) is not None]
 
 
 # -- crossed homomorphisms ------------------------------------------------------
@@ -381,9 +409,12 @@ def regular_subgroups_isomorphic_to(G: FiniteGroup, N: FiniteGroup,
 class CrossedHom:
     """A pair (f: G -> Aut(N), g: G -> N) with g(st) = g(s) * f(s)(g(t)).
 
-    Twists are stored as one permutation of N per element of G; the
-    homomorphism property of f and the crossed relation of g are verified on
-    construction.
+    Twists are stored as one permutation of N per element of G.  On
+    construction f(s) is checked to be an automorphism of N, and
+    f(st) = f(s) f(t) and the crossed relation for every t and every s in
+    ``generating_set(G)``.  Both then hold for all s by induction on word
+    length: f(s w) = f(s) f(w), and g(s w t) = g(s) f(s)(g(w) f(w)(g(t)))
+    splits because f(s) is an automorphism.
     """
 
     source: FiniteGroup
@@ -393,66 +424,53 @@ class CrossedHom:
 
     def __post_init__(self):
         G, N = self.source, self.target
-        object.__setattr__(self, "twists",
-                           tuple(tuple(int(x) for x in t) for t in self.twists))
-        object.__setattr__(self, "translations",
-                           tuple(int(x) for x in self.translations))
-        if len(self.twists) != G.order or len(self.translations) != G.order:
+        twists = np.asarray(self.twists, dtype=np.intp)
+        translations = np.asarray(self.translations, dtype=np.intp)
+        if twists.shape != (G.order, N.order) or translations.shape != (G.order,):
             raise HomomorphismError("need one twist and one translation per element")
-        ident = tuple(range(N.order))
-        if self.twists[G.identity] != ident:
+        object.__setattr__(self, "twists", tuple(map(tuple, twists.tolist())))
+        object.__setattr__(self, "translations", tuple(translations.tolist()))
+        if not np.array_equal(twists[G.identity], np.arange(N.order)):
             raise HomomorphismError("f must send the identity to the identity map")
-        if self.translations[G.identity] != N.identity:
+        if translations[G.identity] != N.identity:
             raise HomomorphismError("g must send the identity to the identity")
-        rows = N.rows
-        for s in range(G.order):
-            fs = self.twists[s]
-            gs = self.translations[s]
-            row_g = G.rows[s]
-            for t in range(G.order):
-                st = row_g[t]
-                if self.twists[st] != tuple(fs[x] for x in self.twists[t]):
-                    raise HomomorphismError("f is not a homomorphism into Aut(N)")
-                if self.translations[st] != rows[gs][fs[self.translations[t]]]:
-                    raise HomomorphismError(
-                        "g violates the crossed relation g(st) = g(s) f(s)(g(t))")
+        gens = list(generating_set(G))
+        fs, st = twists[gens], G.table[gens]
+        if not (_are_automorphisms(N, fs) and np.array_equal(twists[st], fs[:, twists])):
+            raise HomomorphismError("f is not a homomorphism into Aut(N)")
+        if not np.array_equal(translations[st],
+                              N.table[translations[gens][:, None], fs[:, translations]]):
+            raise HomomorphismError(
+                "g violates the crossed relation g(st) = g(s) f(s)(g(t))")
 
     @cached_property
     def is_bijective(self) -> bool:
         return len(set(self.translations)) == self.source.order == self.target.order
 
 
-def crossed_from_regular(N: FiniteGroup, subgroup: Sequence[HolElement]):
+def crossed_from_regular(N: FiniteGroup, subgroup: HolElements):
     """Split a regular subgroup into its crossed-homomorphism data.
 
-    Returns (G, ch) where G is the subgroup as an abstract group and the
-    crossed pair is keyed by the element indices of G.
+    Returns (G, ch) where G is the subgroup as an abstract group, its
+    element i the pair with translation i, and the crossed pair is keyed by
+    the element indices of G.
     """
-    if not is_regular_subgroup(N, subgroup):
-        raise GroupDefinitionError("subgroup is not regular")
-    ordered = sorted(subgroup, key=lambda h: h.key())
+    order = np.argsort(subgroup.translations)
+    ordered = HolElements(N, subgroup.perms, subgroup.translations[order],
+                          subgroup.twists[order])
     G = regular_subgroup_as_group(N, ordered)
-    twists = tuple(ordered[i].twist for i in range(G.order))
-    translations = tuple(ordered[i].translation for i in range(G.order))
-    return G, CrossedHom(G, N, twists, translations)
+    return G, CrossedHom(G, N, ordered.perms[ordered.twists], ordered.translations)
 
 
-def regular_from_crossed(N: FiniteGroup, ch: CrossedHom) -> list:
+def regular_from_crossed(N: FiniteGroup, ch: CrossedHom) -> HolElements:
     """The regular subgroup {(g(s), f(s))} of a bijective crossed pair."""
     if not ch.is_bijective:
         raise HomomorphismError("crossed homomorphism must be bijective")
-    sub = [HolElement(N, ch.translations[s], ch.twists[s])
-           for s in range(ch.source.order)]
+    sub = HolElements(N, np.array(ch.twists), np.array(ch.translations),
+                      np.arange(ch.source.order))
     if not is_regular_subgroup(N, sub):
         raise GroupDefinitionError("crossed data does not give a regular subgroup")
     return sub
-
-
-def _verify_characteristic(N: FiniteGroup, elems: Iterable[int]):
-    sset = set(int(x) for x in elems)
-    for perm in automorphism_perms(N):
-        if {int(perm[x]) for x in sset} != sset:
-            raise GroupDefinitionError("subgroup is not characteristic")
 
 
 def induction_restrict(ch: CrossedHom, m_elems: Sequence[int]):
@@ -467,21 +485,19 @@ def induction_restrict(ch: CrossedHom, m_elems: Sequence[int]):
     m_elems = tuple(sorted(int(x) for x in m_elems))
     if not is_subgroup(N, m_elems):
         raise GroupDefinitionError("M must be a subgroup of N")
-    _verify_characteristic(N, m_elems)
-    mset = set(m_elems)
-    h_elems = tuple(s for s in range(G.order) if ch.translations[s] in mset)
+    inside = np.zeros(N.order, dtype=bool)
+    inside[list(m_elems)] = True
+    if not inside[automorphism_perms(N)[:, list(m_elems)]].all():
+        raise GroupDefinitionError("subgroup is not characteristic")
+    h_elems = tuple(np.flatnonzero(inside[list(ch.translations)]).tolist())
     if not is_subgroup(G, h_elems):
         raise GroupDefinitionError("preimage of M is not a subgroup")  # unreachable
     H, _ = as_subgroup(G, h_elems, name=f"preimage of order {len(m_elems)}")
     M, _ = as_subgroup(N, m_elems, name=f"characteristic subgroup of ({N.name})")
-    m_pos = {e: i for i, e in enumerate(m_elems)}
-    twists = []
-    translations = []
-    for s in h_elems:
-        perm = ch.twists[s]
-        twists.append(tuple(m_pos[perm[x]] for x in m_elems))
-        translations.append(m_pos[ch.translations[s]])
-    restricted = CrossedHom(H, M, tuple(twists), tuple(translations))
+    m_pos = np.cumsum(inside) - 1  # the index in M of each element of M
+    twists = np.array(ch.twists)[list(h_elems)]
+    restricted = CrossedHom(H, M, m_pos[twists[:, list(m_elems)]],
+                            m_pos[np.array(ch.translations)[list(h_elems)]])
     return h_elems, M, restricted
 
 
@@ -500,31 +516,19 @@ def induction_quotient(ch: CrossedHom, m_elems: Sequence[int],
         raise GroupDefinitionError("H must lie in the center of G")
     Q_G, coset_G = quotient_group(G, h_elems)
     Q_N, coset_N = quotient_group(N, m_elems)
-    for tau in h_elems:
-        perm = ch.twists[tau]
-        if any(coset_N[perm[x]] != coset_N[x] for x in range(N.order)):
-            raise HomomorphismError(
-                "a twist attached to H does not act trivially on N/M")
-    twists = [None] * Q_G.order
-    translations = [None] * Q_G.order
-    for s in range(G.order):
-        cs = coset_G[s]
-        perm = ch.twists[s]
-        induced = [None] * Q_N.order
-        for x in range(N.order):
-            cx, cy = coset_N[x], coset_N[perm[x]]
-            if induced[cx] is None:
-                induced[cx] = cy
-            elif induced[cx] != cy:
-                raise HomomorphismError("twist does not descend to the quotient")
-        induced = tuple(induced)
-        if twists[cs] is None:
-            twists[cs] = induced
-            translations[cs] = coset_N[ch.translations[s]]
-        else:
-            if twists[cs] != induced or translations[cs] != coset_N[ch.translations[s]]:
-                raise HomomorphismError("crossed data is not constant on cosets")
-    return Q_G, Q_N, CrossedHom(Q_G, Q_N, tuple(twists), tuple(translations))
+    coset_G, coset_N = np.array(coset_G), np.array(coset_N)
+    induced = coset_N[np.array(ch.twists)]  # (|G|, n): the coset of f(s)(x)
+    if (induced[list(h_elems)] != coset_N).any():
+        raise HomomorphismError("a twist attached to H does not act trivially on N/M")
+    twists = induced[:, np.unique(coset_N, return_index=True)[1]]  # at the first of each coset
+    if not np.array_equal(twists[:, coset_N], induced):
+        raise HomomorphismError("twist does not descend to the quotient")
+    translations = coset_N[list(ch.translations)]
+    firsts = np.unique(coset_G, return_index=True)[1]
+    if not (np.array_equal(twists[firsts][coset_G], twists)
+            and np.array_equal(translations[firsts][coset_G], translations)):
+        raise HomomorphismError("crossed data is not constant on cosets")
+    return Q_G, Q_N, CrossedHom(Q_G, Q_N, twists[firsts], translations[firsts])
 
 
 # -- skew braces -----------------------------------------------------------------
@@ -542,39 +546,29 @@ class SkewBrace:
     circle_table: np.ndarray
     multiplicative: FiniteGroup = field(compare=False)
 
-    def circle(self, a: int, b: int) -> int:
-        return int(self.circle_table[a, b])
 
-
-def skew_brace_from_regular(N: FiniteGroup,
-                            subgroup: Sequence[HolElement]) -> SkewBrace:
+def skew_brace_from_regular(N: FiniteGroup, subgroup: HolElements) -> SkewBrace:
     """The brace with a o b = sigma_a(b), sigma_a the subgroup element sending 1 to a.
 
-    The compatibility law a o (b c) = (a o b) a^-1 (a o c) is verified on all
-    triples, and the circle group is isomorphic to the regular subgroup.
+    Raises as ``regular_subgroup_as_group`` does.  The circle table is the
+    subgroup's Cayley table indexed by images of the identity, so the circle
+    group, validated as a group, is isomorphic to the subgroup.  The law
+    a o (b c) = (a o b) a^-1 (a o c) says that every lambda_a: x -> a^-1 (a o x)
+    is an endomorphism of N.  It is checked as
+    lambda_a(g c) = lambda_a(g) lambda_a(c) for all a, c and every g in
+    ``generating_set(N)``, which is exact by induction on word length.
     """
-    if not is_regular_subgroup(N, subgroup):
+    circle = _circle_table(N, subgroup)
+    if circle is None:
         raise GroupDefinitionError("subgroup is not regular")
-    n = N.order
-    inv = N.inverses
-    by_translation = {h.translation: h for h in subgroup}
-    circle = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        sigma = by_translation[int(inv[a])]  # sigma_a(1) = translation^-1 = a
-        circle[a] = N.table[np.asarray(sigma.twist, dtype=np.int32), inv[sigma.translation]]
-    mult = FiniteGroup(circle.copy(), labels=N.labels,
-                       name=f"circle group over ({N.name})",
+    mult = FiniteGroup(circle, labels=N.labels, name=f"circle group over ({N.name})",
                        label_style=N.label_style)
-    if mult.identity != N.identity:
-        raise GroupDefinitionError("circle operation does not share the identity")
-    table = N.table
-    for a in range(n):
-        lhs = circle[a][table]                                  # a o (b c)
-        ca = table[circle[a][:, None], inv[a]]                  # (a o b) a^-1
-        rhs = table[ca, circle[a][None, :]]                     # ... (a o c)
-        if not np.array_equal(lhs, rhs):
+    t = N.table
+    lam = t[N.inverses[:, None], circle]
+    for g in generating_set(N):
+        if not np.array_equal(lam[:, t[g]], t[lam[:, g, None], lam]):
             raise GroupDefinitionError("brace compatibility fails")
-    return SkewBrace(N, circle, mult)
+    return SkewBrace(N, mult.table, mult)
 
 
 # -- fixed point free pairs --------------------------------------------------------
@@ -583,36 +577,31 @@ def skew_brace_from_regular(N: FiniteGroup,
 def fpf_search(G: FiniteGroup, N: FiniteGroup) -> list:
     """All pairs (f, h) of homomorphisms G -> N agreeing only at the identity."""
     homs = all_homomorphisms(G, N)
-    if not homs:
-        return []
-    mat = np.array([h.images for h in homs], dtype=np.int32)
-    non_identity = [s for s in range(G.order) if s != G.identity]
-    pairs = []
-    if not non_identity:
-        return [(f, h) for f in homs for h in homs]
-    sub = mat[:, non_identity]
-    for i in range(len(homs)):
-        collide = (sub == sub[i][None, :]).any(axis=1)
-        for j in np.nonzero(~collide)[0]:
-            pairs.append((homs[i], homs[int(j)]))
-    return pairs
+    others = np.delete(np.array([h.images for h in homs], dtype=np.int32)
+                       .reshape(len(homs), G.order), G.identity, axis=1)
+    return [(homs[i], homs[j]) for i, row in enumerate(others)
+            for j in np.flatnonzero(~(others == row).any(axis=1)).tolist()]
 
 
-def regular_from_fpf(N: FiniteGroup, f: Homomorphism, h: Homomorphism) -> list:
-    """The regular subgroup {rho(h(s)) lambda(f(s))} of a fixed point free pair."""
-    out = []
-    for s in range(f.source.order):
-        fs, hs = f(s), h(s)
-        translation = N.mul(hs, N.inv(fs))
-        out.append(HolElement(N, translation, conjugation_perm(N, fs)))
-    return out
+def regular_from_fpf(N: FiniteGroup, f: Homomorphism, h: Homomorphism) -> HolElements:
+    """The regular subgroup {rho(h(s)) lambda(f(s))} of a fixed point free
+    pair: element s is (h(s) f(s)^-1, conjugation by f(s))."""
+    fs, hs = np.asarray(f.images), np.asarray(h.images)
+    return HolElements(N, _conjugations(N), N.table[hs, N.inverses[fs]], fs)
 
 
-def subgroup_generated_by_hol(h: HolElement) -> list:
-    """The cyclic subgroup generated by one holomorph element."""
-    out = [identity_hol(h.group)]
-    cur = h
-    while not cur.is_identity:
-        out.append(cur)
-        cur = cur.compose(h)
-    return out
+def subgroup_generated_by_hol(h: HolElement) -> HolElements:
+    """The cyclic subgroup generated by one holomorph element, as its powers
+    1, h, h^2, ...: (a, pi) h = (a pi(b), pi o sigma) for h = (b, sigma)."""
+    N = h.group
+    identity = np.arange(N.order)
+    twist = np.asarray(h.twist)
+    a, pi = N.identity, identity
+    translations, rows = [], []
+    while True:
+        translations.append(a)
+        rows.append(pi)
+        a, pi = N.mul(a, int(pi[h.translation])), pi[twist]
+        if a == N.identity and np.array_equal(pi, identity):
+            return HolElements(N, np.array(rows), np.array(translations),
+                               np.arange(len(rows)))

@@ -247,8 +247,8 @@ def test_classify_reports_match_recorded_text(tmp_path):
         assert run(Request("classify", table=str(path))) == (want, EXIT_NEGATIVE), name
 
 
-# Exact oracle and aut reports, recorded before both were rendered from the
-# automorphism arrays; the third spec is a corpus representative.
+# Exact oracle, aut and brace reports, recorded before each was rendered
+# from arrays; the third spec is a corpus representative.
 RECORDED = Path(__file__).parent / "recorded"
 GOLDEN_ARRAY_REPORTS = {
     "dihedral-8": "dihedral 8",
@@ -257,7 +257,7 @@ GOLDEN_ARRAY_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("command", ["oracle", "aut"])
+@pytest.mark.parametrize("command", ["oracle", "aut", "brace"])
 def test_oracle_and_aut_reports_match_recorded_text(command):
     for name, spec in GOLDEN_ARRAY_REPORTS.items():
         want = (RECORDED / f"{command}-{name}.txt").read_text(encoding="utf-8")

@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from holoreg import (CGroupPresentation, CrossedHom, GroupDefinitionError,
-                     HolElement, all_regular_subgroups, as_subgroup,
-                     automorphism_perms, cgroup_group, conjugation_perm,
+from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
+                     GroupDefinitionError, HolElements, all_regular_subgroups,
+                     as_subgroup, automorphism_perms, cgroup_group, conjugation_perm,
                      crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, direct_product,
                      find_isomorphism, fpf_search, hol_elements, hol_group,
-                     holomorph_order, identity_hol, induction_quotient,
+                     holomorph_order, induction_quotient,
                      induction_restrict, is_regular_subgroup,
                      lambda_embedding, quaternion_group, recognize_cgroup,
                      regular_from_crossed, regular_from_fpf,
@@ -30,22 +30,44 @@ def klein_group():
 # -- pair arithmetic ----------------------------------------------------------
 
 
+def _actions(elements):
+    return np.array([h.action_perm() for h in elements])
+
+
 def test_pair_composition_matches_action_composition():
+    # the array product of hol_group, (a, p)(b, q) = (a p(b), p o q), acts
+    # as the composed actions
     for N in (klein_group(), dihedral_group(8), cyclic_group(6)):
         elements = hol_elements(N)
-        for h1 in elements:
-            p1 = h1.action_perm()
-            for h2 in elements:
-                composed = h1.compose(h2).action_perm()
-                chained = tuple(p1[x] for x in h2.action_perm())
-                assert composed == chained
+        H = hol_group(N)
+        assert [H.label(i) for i in range(H.order)] == \
+            list(zip(elements.translations.tolist(), elements.twists.tolist()))
+        acts = _actions(elements)
+        m = len(acts)
+        chained = acts[np.arange(m)[:, None, None], acts[None, :, :]]
+        assert np.array_equal(acts[H.table], chained)
 
 
 def test_inverse_and_identity():
+    # hol_group's identity and inverses act as the identity and the inverse
+    # permutations; the array powers of subgroup_generated_by_hol are the
+    # powers of the action and end at the identity
     N = dihedral_group(8)
-    for h in hol_elements(N):
-        assert h.compose(h.inverse()).is_identity
-        assert h.inverse().compose(h).is_identity
+    elements = hol_elements(N)
+    H = hol_group(N)
+    acts = _actions(elements)
+    ident = np.arange(N.order)
+    assert np.array_equal(acts[H.identity], ident)
+    assert (np.take_along_axis(acts[H.inverses], acts, axis=1) == ident).all()
+    assert (np.take_along_axis(acts, acts[H.inverses], axis=1) == ident).all()
+    for h, act in zip(elements, acts):
+        powers = subgroup_generated_by_hol(h)
+        assert len(powers) == h.order()
+        cur = ident
+        for power in powers:
+            assert np.array_equal(power.action_perm(), cur)
+            cur = cur[act]
+        assert np.array_equal(cur, ident)
 
 
 def test_hol_order_small_groups():
@@ -62,13 +84,8 @@ def test_hol_group_c3():
 def test_hol_group_klein_is_symmetric_4():
     H = hol_group(klein_group())
     from itertools import permutations
-
-    def compose(p, q):
-        return tuple(p[i] for i in q)
-
-    S4 = None
-    from holoreg import FiniteGroup
-    S4 = FiniteGroup.from_product_function(list(permutations(range(4))), compose)
+    # row i of the table holds the index of p_i o p_j
+    S4 = FiniteGroup(_composition_index(np.array(list(permutations(range(4))))))
     assert find_isomorphism(H, S4) is not None
 
 
@@ -114,8 +131,8 @@ def test_left_translations_are_regular():
 
 def test_stabilizer_copy_is_not_regular():
     N = klein_group()
-    ident = identity_hol(N)
-    twists = [HolElement(N, N.identity, p) for p in automorphism_perms(N)]
+    perms = automorphism_perms(N)
+    twists = HolElements(N, perms, np.full(len(perms), N.identity), np.arange(len(perms)))
     assert not is_regular_subgroup(N, twists)
 
 
@@ -166,7 +183,8 @@ def test_oracle_result_is_a_lazy_sequence():
     found = cyclic_regular_oracle(dihedral_group(8))
     elements = list(found)
     assert len(elements) == len(found) == 16
-    assert found[-1] == elements[-1] and found[2:5] == elements[2:5]
+    assert found[-1] == elements[-1] and list(found[2:5]) == elements[2:5]
+    assert type(found[2:5]) is HolElements  # a slice is a set in array form
     assert set(random.Random(0).sample(found, 4)) <= set(elements)
     assert type(found[0].translation) is int
     assert all(type(x) is int for x in found[0].twist)

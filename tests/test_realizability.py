@@ -369,6 +369,39 @@ def test_rump_matches_regular_enumeration_in_cyclic_holomorph():
         assert classify_rump(G) == bool(found), G.name
 
 
+RUMP_ORDERS = [n for n in range(1, 64) if n not in (32, 48)]
+
+
+def test_rump_holds_exactly_on_regular_subgroups_of_cyclic_holomorphs(corpus_reps):
+    # every regular subgroup of Hol(C_n), n <= 63 but 32 and 48, satisfies
+    # Rump's condition, and on the test groups the condition holds exactly
+    # when some regular subgroup is isomorphic to the group
+    from holoreg import all_regular_subgroups, regular_subgroup_as_group
+    regular = {}
+    for n in RUMP_ORDERS:
+        N = cyclic_group(n)
+        regular[n] = [regular_subgroup_as_group(N, s) for s in all_regular_subgroups(N)]
+        assert all(classify_rump(G) for G in regular[n]), n
+    assert sum(map(len, regular.values())) == 289
+
+    def order_counts(G):
+        return np.bincount(G.orders).tolist()
+
+    reps = [e.group for e in corpus_reps if e.group.order in regular]
+    assert len(reps) == 37
+    tests = reps + [klein_group(), dihedral_group(8), dihedral_group(16),
+                    quaternion_group(8), quaternion_group(16)]
+    tests += [direct_product(cyclic_group(a), cyclic_group(b))
+              for a in range(2, 32) for b in range(a, 32) if a * b in regular]
+    tests += [cgroup_group(CGroupPresentation(*p)) for p in
+              ((3, 2, 2), (7, 3, 2), (5, 4, 2), (7, 2, 6), (9, 2, 8), (7, 6, 3),
+               (13, 3, 3))]
+    for G in tests:
+        occurs = any(order_counts(H) == order_counts(G)
+                     and find_isomorphism(G, H) is not None for H in regular[G.order])
+        assert classify_rump(G) == occurs, G.name
+
+
 def test_realizable_implies_rump(corpus_reps):
     for entry in corpus_reps:
         if classify(entry.group).realizable:
