@@ -17,11 +17,11 @@ from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      is_cgroup, is_normal, is_subgroup,
                      normal_hall_odd_subgroup, quaternion_group,
                      quotient_group, semidirect_product, subgroup_generated,
-                     sylow_subgroup)
+                     sylow_subgroup, words)
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
-                      cgroup_aut_group, cgroup_auts, cgroup_coordinates,
-                      cgroup_group, geometric_sum, multiplicative_order,
-                      recognize_cgroup, standard_aut, unit_groups)
+                      cgroup_aut_group, cgroup_auts, cgroup_group,
+                      geometric_sum, multiplicative_order, recognize_cgroup,
+                      standard_aut, unit_groups)
 from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement,
                         HolElements, SkewBrace, all_regular_subgroups,
                         conjugation_perm, crossed_from_regular,

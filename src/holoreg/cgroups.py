@@ -20,7 +20,7 @@ import numpy as np
 
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
                      check_table_size, is_cgroup, is_normal, memoized,
-                     subgroup_generated)
+                     subgroup_generated, words)
 
 
 def geometric_sum(h: int, length: int, modulus: int) -> int:
@@ -322,23 +322,6 @@ def cgroup_group(M: CGroupPresentation) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=M.spec, label_style="cgroup")
 
 
-def cgroup_coordinates(G: FiniteGroup, x: int, y: int, M: CGroupPresentation):
-    """coords[g] = (i, j) with g = x^i y^j, and the inverse index lookup."""
-    coords = [None] * G.order
-    index_of = {}
-    xi = G.identity
-    for i in range(M.e):
-        gij = xi
-        for j in range(M.d):
-            if coords[gij] is not None:
-                raise GroupDefinitionError("x and y do not factor the group uniquely")
-            coords[gij] = (i, j)
-            index_of[(i, j)] = gij
-            gij = G.mul(gij, y)
-        xi = G.mul(xi, x)
-    return coords, index_of
-
-
 @memoized
 def cgroup_auts(M: CGroupPresentation) -> tuple:
     """Every canonical automorphism theta^c phi_u psi_v of M, in (c, u, v) order.
@@ -390,14 +373,7 @@ def recognize_cgroup(G: FiniteGroup) -> Optional[tuple]:
         x = _normal_cyclic_subgroup_generator(G, e)
         if x is None:
             continue
-        xpow = {}
-        cur, t = G.identity, 0
-        while True:
-            xpow[cur] = t
-            cur = G.mul(cur, x)
-            t += 1
-            if cur == G.identity:
-                break
+        xpow = {g: t for t, g in enumerate(words(G, (x,), range(e)).tolist())}
         seen_k = set()
         for y in range(n):
             if int(orders[y]) != d:

@@ -298,21 +298,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return len(set(self.images)) == self.source.order == self.target.order
 
-    def compose(self, other: "Homomorphism") -> "Homomorphism":
-        """self after other (``other`` is applied first)."""
-        if other.target is not self.source:
-            raise HomomorphismError("composition requires matching groups")
-        return Homomorphism(other.source, self.target,
-                            tuple(self.images[x] for x in other.images), validate=False)
-
-    def inverse(self) -> "Homomorphism":
-        if not self.is_bijective:
-            raise HomomorphismError("only bijective homomorphisms can be inverted")
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Homomorphism(self.target, self.source, tuple(inv), validate=False)
-
 
 # -- constructors -------------------------------------------------------------
 
@@ -431,6 +416,26 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
 
 
 # -- subgroup machinery ---------------------------------------------------------
+
+
+def words(G: FiniteGroup, gens: Sequence[int], exps) -> np.ndarray:
+    """gens[0]^e0 * gens[1]^e1 * ... for each row (e0, e1, ...) of the
+    non-negative ``exps``, multiplied left to right.
+
+    One power table per generator, up to its largest exponent or one short
+    of its order, whichever comes first, then one gather per generator.
+    """
+    exps = np.asarray(exps, dtype=np.int64).reshape(-1, len(gens))
+    if exps.min(initial=0) < 0:
+        raise ValueError("word exponents must be non-negative")
+    t = G.table
+    out = np.full(len(exps), G.identity, dtype=np.int32)
+    for g, col in zip(gens, exps.T):
+        powers = [G.identity]
+        for _ in range(min(int(col.max(initial=0)), G.order_of(g) - 1)):
+            powers.append(t.item(powers[-1], g))
+        out = t[out, np.array(powers, dtype=np.int32)[col % len(powers)]]
+    return out
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> tuple:

@@ -19,19 +19,22 @@ subgroup.  A brute-force oracle cross-checks every verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
-                      cgroup_aut_group, cgroup_auts, cgroup_coordinates,
-                      cgroup_group, recognize_cgroup)
+                      cgroup_aut_group, cgroup_auts, cgroup_group,
+                      recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms, as_subgroup,
                      automorphism_perms, cyclic_group, dihedral_group,
                      find_isomorphism, is_cgroup, memoized,
                      normal_hall_odd_subgroup, quaternion_group,
-                     quotient_group, subgroup_generated, sylow_subgroup)
+                     quotient_group, subgroup_generated, sylow_subgroup,
+                     words)
 from .holomorph import HolElement, conjugation_perm
 from .specs import (action_from_generators, build_semidirect_from_auts,
                     parse_group_spec)
@@ -53,6 +56,13 @@ class Decomposition:
     or quaternion relations; alpha records conjugation by each element of P
     as a canonical-form automorphism of M, derived from conjugation by r and
     s alone.  Built only by ``_split`` and never changed afterwards.
+
+    Every element of N is one word x^i y^j r^a s^b.  Row k of ``exps`` is
+    (i, j, a, b) with k = (i d + j) |P| + t, where t is the index of r^a s^b
+    in ``p_group``: the index ``semidirect_product`` gives the label
+    ((i, j), (a, b)) in the model.  ``grid[k]`` is that word in N and
+    ``pos`` its inverse permutation, so ``pos`` is also the images of the
+    isomorphism N -> model.
     """
 
     group: FiniteGroup
@@ -61,18 +71,23 @@ class Decomposition:
     pres: CGroupPresentation
     x: int
     y: int
-    coords: tuple            # N-index of an M element -> (i, j), None elsewhere
-    index_of: dict           # (i, j) -> N-index
     p_elems: tuple
-    p_group: FiniteGroup
-    p_to_n: tuple            # p_group index -> N index (r^a s^b order)
+    p_group: FiniteGroup     # labelled by the words (a, b) for r^a s^b
     p_kind: str              # dihedral | quaternion | cyclic
     m_exp: int               # |P| = 2^m_exp
     r: int
     s: int
     alpha: tuple             # p_group index -> CGroupAut
+    exps: np.ndarray = field(compare=False)  # row k -> (i, j, a, b)
+    grid: np.ndarray = field(compare=False)  # row k -> x^i y^j r^a s^b in N
+    pos: np.ndarray = field(compare=False)   # N index -> row k
     model: Optional[FiniteGroup] = None       # abstract M x| P built from alpha
-    model_iso: Optional[Homomorphism] = None  # N -> model
+    model_iso: Optional[Homomorphism] = None  # N -> model, images ``pos``
+
+    @property
+    def p_to_n(self) -> tuple:
+        """p_group index -> N index: the words r^a s^b, the grid's first rows."""
+        return tuple(self.grid[:self.p_group.order].tolist())
 
     @property
     def alpha_image_size(self) -> int:
@@ -80,11 +95,11 @@ class Decomposition:
 
     @property
     def alpha_r(self) -> CGroupAut:
-        return self.alpha[self.p_to_n.index(self.r)]
+        return self.alpha[self.pos[self.r]]
 
     @property
     def alpha_s(self) -> CGroupAut:
-        return self.alpha[self.p_to_n.index(self.s)]
+        return self.alpha[self.pos[self.s]]
 
     @property
     def p_is_klein_or_q8(self) -> bool:
@@ -92,23 +107,9 @@ class Decomposition:
         return self.p_group.order == 4 or (
             self.p_kind == "quaternion" and self.p_group.order == 8)
 
-    @cached_property
-    def factors(self) -> tuple:
-        """factors[g] = (i, j, a, b) with g = x^i y^j r^a s^b."""
-        N = self.group
-        out = [None] * N.order
-        for m in self.m_elems:
-            i, j = self.coords[m]
-            for pi, t in enumerate(self.p_to_n):
-                a, b = self.p_group.label(pi)
-                out[N.mul(m, t)] = (i, j, a, b)
-        if any(f is None for f in out):
-            raise GroupDefinitionError("M and P do not factor N uniquely")
-        return tuple(out)
-
-    def factorization(self, g: int):
+    def factorization(self, g: int) -> tuple:
         """(i, j, a, b) with g = x^i y^j r^a s^b."""
-        return self.factors[g]
+        return tuple(self.exps[self.pos[g]].tolist())
 
     def summary(self) -> str:
         return (f"e={self.pres.e} d={self.pres.d} k={self.pres.k} "
@@ -175,8 +176,13 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
     if shape is None:
         return None
     kind, m_exp, r, s = shape
+    if kind == "cyclic":  # P labelled by the words (a, b) for r^a s^b, b = 0 when cyclic
+        C = cyclic_group(len(p_elems))
+        p_group = FiniteGroup(C.table, labels=[(a, 0) for a in C.labels], name=C.name)
+    else:
+        p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(len(p_elems))
     try:
-        return _split(N, m_elems, m_group, pres, x, y, p_elems, kind, m_exp, r, s)
+        return _split(N, m_elems, m_group, pres, x, y, p_elems, p_group, kind, m_exp, r, s)
     except HomomorphismError:
         return None
 
@@ -202,38 +208,31 @@ def _odd_part(N: FiniteGroup) -> Optional[tuple]:
 
 def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
            pres: CGroupPresentation, x: int, y: int, p_elems: tuple,
-           p_kind: str, m_exp: int, r: int, s: int) -> Decomposition:
-    """The one builder of a Decomposition: M in x^i y^j coordinates, P
-    relabelled as r^a s^b, and the action alpha of P on M.  Only conjugation
-    by r and s is read off N (M, all odd-order elements, is normal);
-    ``action_from_generators`` extends it to P and checks P's relations on
-    it, which is exact by von Dyck's theorem."""
-    coords, index_of = cgroup_coordinates(N, x, y, pres)
-    p_to_n, p_group = _relabel_p(N, p_elems, p_kind, r, s)
-    alpha = action_from_generators(p_group, *(
-        aut_decompose(pres, coords[N.conj(x, g)], coords[N.conj(y, g)]) for g in (r, s)))
-    return Decomposition(N, m_elems, m_group, pres, x, y, tuple(coords),
-                         index_of, p_elems, p_group, p_to_n, p_kind, m_exp,
-                         r, s, alpha)
+           p_group: FiniteGroup, p_kind: str, m_exp: int, r: int,
+           s: int) -> Decomposition:
+    """The one builder of a Decomposition: every word x^i y^j r^a s^b
+    evaluated once, and the action alpha of P on M.
 
-
-def _relabel_p(N: FiniteGroup, p_elems: tuple, kind: str, r: int, s: int):
-    """P as the words r^a s^b, with b = 0 only when P is cyclic: returns the
-    N-index of each word and P as its own group labelled (a, b).
-
-    r and s satisfy the relations of the group ``kind`` and, as the words
-    cover P, generate it, so the words multiply as in that group's table.
+    The one check that the words hit every element of N exactly once is
+    exact: x, y lie in M, r, s in P and |M| |P| = n, so the grid is a
+    bijection only if the words x^i y^j are exactly M and the words r^a s^b
+    exactly P.  Only conjugation by r and s is read off N (M, all odd-order
+    elements, is normal); ``action_from_generators`` extends it to P and
+    checks P's relations on it, which is exact by von Dyck's theorem.
     """
-    order = len(p_elems)
-    if kind == "cyclic":
-        C = cyclic_group(order)
-        p_group = FiniteGroup(C.table, labels=[(a, 0) for a in C.labels], name=C.name)
-    else:
-        p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(order)
-    p_to_n = tuple(N.mul(N.power(r, a), N.power(s, b)) for a, b in p_group.labels)
-    if sorted(p_to_n) != sorted(p_elems):
-        raise GroupDefinitionError("witnesses r, s do not generate P")
-    return p_to_n, p_group
+    m, t = np.divmod(np.arange(pres.order * p_group.order), p_group.order)
+    exps = np.column_stack([m // pres.d, m % pres.d, np.array(p_group.labels)[t]])
+    grid = words(N, (x, y, r, s), exps)
+    pos = np.argsort(grid)
+    if not np.array_equal(grid[pos], np.arange(N.order)):
+        raise GroupDefinitionError("the words x^i y^j r^a s^b do not factor N uniquely")
+    for arr in (exps, grid, pos):
+        arr.setflags(write=False)
+    alpha = action_from_generators(p_group, *(  # from the (i, j) of each conjugate
+        aut_decompose(pres, *exps[pos[[N.conj(x, g), N.conj(y, g)]], :2].tolist())
+        for g in (r, s)))
+    return Decomposition(N, m_elems, m_group, pres, x, y, p_elems, p_group,
+                         p_kind, m_exp, r, s, alpha, exps, grid, pos)
 
 
 @memoized
@@ -332,13 +331,10 @@ def _retarget_r(dec: Decomposition) -> Decomposition:
     N = dec.group
     choices = (("r", dec.r), ("s", dec.s), ("rs", N.mul(dec.r, dec.s)))
     for name, eps in choices:
-        t_idx = dec.p_to_n.index(eps)
-        if not dec.alpha[t_idx].is_identity:
+        if not dec.alpha[dec.pos[eps]].is_identity:
             continue
-        imgs = _KAPPA_IMAGES[(dec.p_kind, name)]
-        (ar, br), (as_, bs) = imgs
-        new_r = N.mul(N.power(dec.r, ar), N.power(dec.s, br))
-        new_s = N.mul(N.power(dec.r, as_), N.power(dec.s, bs))
+        # images such as r s^2 are words, not all in the grid's normal form
+        new_r, new_s = words(N, (dec.r, dec.s), _KAPPA_IMAGES[(dec.p_kind, name)]).tolist()
         return _rewitness(dec, new_r, new_s, dec.x, dec.y)
     raise GroupDefinitionError("no alpha-trivial element among r, s, rs")
 
@@ -354,23 +350,23 @@ def _retarget_s(dec: Decomposition) -> Decomposition:
     else:
         raise GroupDefinitionError("no conjugate of the s action lies in the phi family")
     pi_inv = pi.inverse()
-    new_x = dec.index_of[pi_inv.apply(1 % dec.pres.e, 0)]
-    new_y = dec.index_of[pi_inv.apply(0, 1 % dec.pres.d)]
+    d, p = dec.pres.d, dec.p_group
+    new_x, new_y = (int(dec.grid[(i * d + j) * p.order + p.identity]) for i, j in
+                    (pi_inv.apply(1 % dec.pres.e, 0), pi_inv.apply(0, 1 % d)))
     return _rewitness(dec, dec.r, dec.s, new_x, new_y)
 
 
 def _rewitness(dec: Decomposition, r: int, s: int, x: int, y: int) -> Decomposition:
     """The same split of the same N over new witnesses r, s, x, y."""
     return _split(dec.group, dec.m_elems, dec.m_group, dec.pres, x, y,
-                  dec.p_elems, dec.p_kind, dec.m_exp, r, s)
+                  dec.p_elems, dec.p_group, dec.p_kind, dec.m_exp, r, s)
 
 
 def _build_model(dec: Decomposition):
-    """Abstract M x| P from the normalized action, with the explicit isomorphism."""
+    """Abstract M x| P from the normalized action, with the explicit
+    isomorphism g -> pos[g]: the model's element k is the grid's row k."""
     model = build_semidirect_from_auts(dec.pres, dec.p_group, dec.alpha_r, dec.alpha_s)
-    index = {lab: g for g, lab in enumerate(model.labels)}
-    images = tuple(index[((i, j), (a, b))] for i, j, a, b in dec.factors)
-    iso = Homomorphism(dec.group, model, images)
+    iso = Homomorphism(dec.group, model, dec.pos)
     if not iso.is_bijective:
         raise GroupDefinitionError("model map is not bijective")
     return model, iso
@@ -383,8 +379,10 @@ def construct(dec: Decomposition):
     """Build (xi, eta0, witness) for a normalized split.
 
     xi fixes y, maps x by alpha_s phi_k^-1, inverts r, and sends s to r s;
-    eta0 = x y r s.  The returned witness is the holomorph pair (eta0, xi),
-    whose powers sweep out all of N.
+    eta0 = x y r s.  xi is evaluated on every grid word at once, as the same
+    word in the four images, and read back in N's order through ``pos``.
+    The returned witness is the holomorph pair (eta0, xi), whose powers
+    sweep out all of N.
     """
     if not dec.alpha_r.is_identity:
         raise GroupDefinitionError("construction requires r to act trivially")
@@ -397,18 +395,8 @@ def construct(dec: Decomposition):
         u0 = (a_s.u * pow(pres.k, -1, pres.e)) % pres.e
     else:
         u0 = 1
-    xi_x = N.power(dec.x, u0)
-    xi_y = dec.y
-    xi_r = N.inv(dec.r)
-    xi_s = N.mul(dec.r, dec.s)
-    images = [0] * N.order
-    for g in range(N.order):
-        i, j, a, b = dec.factorization(g)
-        val = N.mul(N.power(xi_x, i), N.power(xi_y, j))
-        val = N.mul(val, N.power(xi_r, a))
-        val = N.mul(val, N.power(xi_s, b))
-        images[g] = val
-    xi = Homomorphism(N, N, tuple(images))
+    xi_gens = (N.power(dec.x, u0), dec.y, N.inv(dec.r), N.mul(dec.r, dec.s))
+    xi = Homomorphism(N, N, words(N, xi_gens, dec.exps)[dec.pos])
     if not xi.is_bijective:
         raise GroupDefinitionError("xi is not bijective")
     eta0 = N.mul(N.mul(N.mul(dec.x, dec.y), dec.r), dec.s)
@@ -431,12 +419,11 @@ def twisted_partial_products(dec: Decomposition, xi: Homomorphism, eta0: int,
 
 
 def closed_form_product(dec: Decomposition, length: int) -> int:
-    """x^l y^l r^((l+1)//2 if l odd else l//2) s^l evaluated inside N."""
-    N = dec.group
+    """x^l y^l r^((l+1)//2 if l odd else l//2) s^l evaluated inside N, as
+    one word with exponents (l, l, r_exp, l) in (x, y, r, s)."""
     r_exp = (length + 1) // 2 if length % 2 else length // 2
-    val = N.mul(N.power(dec.x, length), N.power(dec.y, length))
-    val = N.mul(val, N.power(dec.r, r_exp))
-    return N.mul(val, N.power(dec.s, length))
+    return int(words(dec.group, (dec.x, dec.y, dec.r, dec.s),
+                     (length, length, r_exp, length))[0])
 
 
 # -- diagnostics and companions ---------------------------------------------------

@@ -4,10 +4,10 @@ import pytest
 
 from holoreg import (CGroupAut, CGroupPresentation, GroupDefinitionError,
                      HomomorphismError, aut_decompose, automorphism_group,
-                     cgroup_aut_group, cgroup_coordinates, cgroup_group,
-                     cyclic_group, dihedral_group, find_isomorphism,
-                     geometric_sum, multiplicative_order, recognize_cgroup,
-                     standard_aut, unit_groups)
+                     cgroup_aut_group, cgroup_group, cyclic_group,
+                     dihedral_group, find_isomorphism, geometric_sum,
+                     multiplicative_order, recognize_cgroup, standard_aut,
+                     unit_groups, words)
 
 
 def brute_geometric_sum(h, length, modulus):
@@ -302,8 +302,8 @@ def test_recognize_rejects_non_cgroup():
 def test_recognized_witnesses_factor_group(cgroup_test_groups):
     for _, G in cgroup_test_groups:
         pres, x, y = recognize_cgroup(G)
-        coords, index_of = cgroup_coordinates(G, x, y, pres)
-        assert len(index_of) == G.order
+        grid = words(G, (x, y), [(i, j) for i in range(pres.e) for j in range(pres.d)])
+        assert len(set(grid.tolist())) == G.order
         assert pres.is_normalized
 
 

@@ -264,6 +264,12 @@ def test_oracle_and_aut_reports_match_recorded_text(command):
         assert run(Request(command, spec=spec)) == (want, EXIT_OK), name
 
 
+def test_construct_reports_of_corpus_representatives_match_recorded_text(corpus_reps):
+    """Every witness line, so xi through each way of retargeting r and s."""
+    got = "".join(run(Request("construct", spec=e.spec))[0] for e in corpus_reps)
+    assert got.encode("utf-8") == (RECORDED / "construct-corpus.txt").read_bytes()
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     # the loader raises instead of allocating, as numpy does for a dense
     # table that does not fit

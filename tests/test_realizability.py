@@ -89,8 +89,9 @@ def test_decompose_alpha_matches_conjugation():
     for idx, t in enumerate(dec.p_to_n):
         aut = dec.alpha[idx]
         for m in dec.m_elems:
-            i, j = dec.coords[m]
-            assert dec.coords[N.conj(m, t)] == aut.apply(i, j)
+            i, j, a, b = dec.factorization(m)
+            assert (a, b) == (0, 0)
+            assert dec.factorization(N.conj(m, t)) == (*aut.apply(i, j), 0, 0)
 
 
 def test_action_check_rejects_a_non_action():
@@ -214,7 +215,9 @@ def test_normalize_conjugates_s_action_into_phi_family():
             dec = _rewitness(dec, dec.s, dec.r, dec.x, dec.y)
         else:
             dec = _rewitness(dec, N.mul(dec.r, dec.s), dec.s, dec.x, dec.y)
-    theta_shifted_y = N.mul(dec.index_of[(dec.pres.z % 7, 0)], dec.y)
+    # grid row (i d + j) |P| holds x^i y^j r^0 s^0
+    x_z = int(dec.grid[(dec.pres.z % 7) * dec.pres.d * dec.p_group.order])
+    theta_shifted_y = N.mul(x_z, dec.y)
     dec = _rewitness(dec, dec.r, dec.s, dec.x, theta_shifted_y)
     assert dec.alpha_r.is_identity
     assert dec.alpha_s.c != 0

@@ -75,8 +75,8 @@ def assert_split_matches_reference(N: FiniteGroup):
     p_to_n, table = reference_words_and_table(N, len(dec.p_elems), kind, r, s)
     assert dec.p_to_n == p_to_n, N.name
     assert dec.p_group.table.tolist() == table, N.name
-    alpha = tuple(aut_decompose(dec.pres, dec.coords[N.conj(dec.x, t)],
-                                dec.coords[N.conj(dec.y, t)]) for t in p_to_n)
+    alpha = tuple(aut_decompose(dec.pres, dec.factorization(N.conj(dec.x, t))[:2],
+                                dec.factorization(N.conj(dec.y, t))[:2]) for t in p_to_n)
     assert dec.alpha == alpha, N.name
 
 
