@@ -9,7 +9,7 @@ an explicit generator and verifies the full-length cycle.
 from holoreg import (classify, construct, cyclic_group, cyclic_regular_oracle,
                      decompose, dihedral_group, direct_product,
                      normalize_alpha, parse_group_spec, quaternion_group,
-                     twisted_partial_products, closed_form_product)
+                     twisted_partial_products, closed_form_products)
 
 candidates = {
     "cyclic 27": cyclic_group(27),
@@ -35,8 +35,7 @@ xi, eta0, witness = construct(dec)
 print("\nstart element:", N.format_element(eta0))
 prods = twisted_partial_products(dec, xi, eta0, N.order)
 print("the twisted partial products match their closed form:",
-      all(prods[l - 1] == closed_form_product(dec, l)
-          for l in range(1, N.order + 1)))
+      prods == closed_form_products(dec, N.order))
 print("cycle length through the identity:",
       witness.cycle_length_through_identity(), "of", N.order)
 

@@ -15,8 +15,8 @@ from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      commutator_subgroup, cyclic_group, dihedral_group,
                      direct_product, find_isomorphism, generating_set,
                      is_cgroup, is_normal, is_subgroup,
-                     normal_hall_odd_subgroup, quaternion_group,
-                     quotient_group, semidirect_product, subgroup_generated,
+                     normal_hall_odd_subgroup, quaternion_group, quotient_group,
+                     respects_product, semidirect_product, subgroup_generated,
                      sylow_subgroup, words)
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
                       cgroup_aut_group, cgroup_auts, cgroup_group,
@@ -34,7 +34,7 @@ from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement,
                         skew_brace_from_regular, subgroup_generated_by_hol)
 from .realizability import (CorpusEntry, Decomposition, Verdict,
                             cgroup_pool, cgroup_witness, classify,
-                            classify_rump, closed_form_product, construct,
+                            classify_rump, closed_form_products, construct,
                             corpus_representatives, decompose,
                             generate_corpus, normalize_alpha,
                             quotient_action_probe, twisted_partial_products)

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import BoundExceeded, FiniteGroup, GroupDefinitionError, generating_set
+from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
+                     HomomorphismError, generating_set)
 from .holomorph import (DEFAULT_HOL_BOUND, cyclic_regular_oracle,
                         skew_brace_from_regular, subgroup_generated_by_hol)
 from .realizability import (classify, classify_rump, corpus_representatives,
@@ -252,7 +253,7 @@ def run(request: Request) -> tuple:
         return f"error: unknown command {request.command!r}\n", EXIT_ERROR
     try:
         return handler(request)
-    except (SpecError, GroupDefinitionError) as exc:
+    except (SpecError, GroupDefinitionError, HomomorphismError) as exc:
         return f"error: {exc}\n", EXIT_ERROR
     except BoundExceeded as exc:
         return f"error: bound exceeded: {exc}\n", EXIT_ERROR

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Optional
 
@@ -271,25 +271,22 @@ def _word(*parts) -> str:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A group homomorphism recorded by the image index of every source element."""
+    """A group homomorphism recorded by the image index of every source element.
+
+    Construction checks the images with ``respects_product``: on a
+    generating set of the source, which is exact.
+    """
 
     source: FiniteGroup
     target: FiniteGroup
     images: tuple
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(map(int, self.images)))
         if len(self.images) != self.source.order:
             raise HomomorphismError("images must list one target index per source element")
-        if self.validate:
-            imgs = np.asarray(self.images, dtype=np.int32)
-            if imgs[self.source.identity] != self.target.identity:
-                raise HomomorphismError("identity is not mapped to the identity")
-            lhs = imgs[self.source.table]
-            rhs = self.target.table[imgs[:, None], imgs[None, :]]
-            if not np.array_equal(lhs, rhs):
-                raise HomomorphismError("images do not respect the group product")
+        if not respects_product(self.source, self.target, [self.images])[0]:
+            raise HomomorphismError("images do not respect the group product")
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -658,6 +655,22 @@ def generating_set(G: FiniteGroup) -> tuple:
     return tuple(gens)
 
 
+def respects_product(G: FiniteGroup, H: FiniteGroup, maps) -> np.ndarray:
+    """One bool per row f of ``maps``: every entry an index of H and
+    f(x g) = f(x) f(g) for every x in G and every g in ``generating_set(G)``.
+
+    Exact by induction on word length: every element of G is a product of
+    the generators.  x = 1 forces f(1) = 1; the trivial group, with no
+    generators, is checked at g = 1 instead.
+    """
+    maps = np.asarray(maps).reshape(-1, G.order)
+    ok = (maps.min(axis=1) >= 0) & (maps.max(axis=1) < H.order)
+    f = maps if ok.all() else np.where(ok[:, None], maps, H.identity)
+    for g in generating_set(G) or (G.identity,):
+        ok &= (f[:, G.table[:, g]] == H.table[f, f[:, g, None]]).all(axis=1)
+    return ok
+
+
 @dataclass
 class _WordData:
     """BFS factorization of a subgroup over a generator prefix."""
@@ -779,8 +792,7 @@ class Automorphisms(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return Homomorphism(self.group, self.group, self.perms[i].tolist(),
-                            validate=False)
+        return Homomorphism(self.group, self.group, self.perms[i].tolist())
 
 
 def automorphism_group(G: FiniteGroup, max_count: Optional[int] = None) -> Automorphisms:
@@ -889,7 +901,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     images = _homomorphism_search(G, H, gens, injective=True)(cands, first_only=True)
     if not images:
         return None
-    return Homomorphism(G, H, images[0], validate=False)
+    return Homomorphism(G, H, images[0])
 
 
 def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list:
@@ -899,7 +911,7 @@ def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list:
     cands = [[h for h in range(H.order) if int(ordersG[g]) % int(ordersH[h]) == 0]
              for g in gens]
     images = _homomorphism_search(G, H, gens, injective=False)(cands)
-    return [Homomorphism(G, H, img, validate=False) for img in images]
+    return [Homomorphism(G, H, img) for img in images]
 
 
 # -- subgroup enumeration -----------------------------------------------------

@@ -26,7 +26,7 @@ from .groups import (FiniteGroup, Homomorphism, BoundExceeded,
                      GroupDefinitionError, HomomorphismError,
                      all_homomorphisms, as_subgroup, automorphism_perms,
                      center, find_isomorphism, generating_set, greedy_closure,
-                     is_subgroup, quotient_group)
+                     is_subgroup, quotient_group, respects_product)
 
 DEFAULT_HOL_BOUND = 20000
 DEFAULT_SUBGROUP_HOL_BOUND = 5000
@@ -196,15 +196,10 @@ def hol_elements(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> HolElements:
 
 
 def _are_automorphisms(N: FiniteGroup, rows: np.ndarray) -> bool:
-    """True when every row is a map of N with trivial kernel and
-    pi(x g) = pi(x) pi(g) for all x and g in ``generating_set(N)``: exactly
-    the automorphisms, by induction on word length in the generators."""
-    if rows.size and (rows.min() < 0 or rows.max() >= N.order):
-        return False
-    t = N.table
-    gens = list(generating_set(N))
-    return (np.array_equal(rows[:, t[:, gens]], t[rows[:, :, None], rows[:, None, gens]])
-            and bool(((rows == N.identity).sum(axis=1) == 1).all()))
+    """True when every row is an endomorphism of N, by ``respects_product``,
+    with trivial kernel: exactly the automorphisms."""
+    return bool(respects_product(N, N, rows).all()
+                and ((rows == N.identity).sum(axis=1) == 1).all())
 
 
 def _circle_table(N: FiniteGroup, subgroup: HolElements) -> Optional[np.ndarray]:
@@ -554,20 +549,17 @@ def skew_brace_from_regular(N: FiniteGroup, subgroup: HolElements) -> SkewBrace:
     subgroup's Cayley table indexed by images of the identity, so the circle
     group, validated as a group, is isomorphic to the subgroup.  The law
     a o (b c) = (a o b) a^-1 (a o c) says that every lambda_a: x -> a^-1 (a o x)
-    is an endomorphism of N.  It is checked as
-    lambda_a(g c) = lambda_a(g) lambda_a(c) for all a, c and every g in
-    ``generating_set(N)``, which is exact by induction on word length.
+    is an endomorphism of N, which ``respects_product`` checks for every
+    lambda_a on a generating set of N: exact by induction on word length.
     """
     circle = _circle_table(N, subgroup)
     if circle is None:
         raise GroupDefinitionError("subgroup is not regular")
     mult = FiniteGroup(circle, labels=N.labels, name=f"circle group over ({N.name})",
                        label_style=N.label_style)
-    t = N.table
-    lam = t[N.inverses[:, None], circle]
-    for g in generating_set(N):
-        if not np.array_equal(lam[:, t[g]], t[lam[:, g, None], lam]):
-            raise GroupDefinitionError("brace compatibility fails")
+    lam = N.table[N.inverses[:, None], circle]
+    if not respects_product(N, N, lam).all():
+        raise GroupDefinitionError("brace compatibility fails")
     return SkewBrace(N, mult.table, mult)
 
 

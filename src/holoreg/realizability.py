@@ -19,7 +19,7 @@ subgroup.  A brute-force oracle cross-checks every verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Sequence
 
@@ -60,9 +60,8 @@ class Decomposition:
     Every element of N is one word x^i y^j r^a s^b.  Row k of ``exps`` is
     (i, j, a, b) with k = (i d + j) |P| + t, where t is the index of r^a s^b
     in ``p_group``: the index ``semidirect_product`` gives the label
-    ((i, j), (a, b)) in the model.  ``grid[k]`` is that word in N and
-    ``pos`` its inverse permutation, so ``pos`` is also the images of the
-    isomorphism N -> model.
+    ((i, j), (a, b)) in M x| P built from alpha.  ``grid[k]`` is that word
+    in N and ``pos`` its inverse permutation.
     """
 
     group: FiniteGroup
@@ -81,8 +80,6 @@ class Decomposition:
     exps: np.ndarray = field(compare=False)  # row k -> (i, j, a, b)
     grid: np.ndarray = field(compare=False)  # row k -> x^i y^j r^a s^b in N
     pos: np.ndarray = field(compare=False)   # N index -> row k
-    model: Optional[FiniteGroup] = None       # abstract M x| P built from alpha
-    model_iso: Optional[Homomorphism] = None  # N -> model, images ``pos``
 
     @property
     def p_to_n(self) -> tuple:
@@ -309,8 +306,7 @@ def normalize_alpha(dec: Decomposition) -> Decomposition:
     Works inside N: the P witnesses are replaced along an automorphism of P
     moving an alpha-trivial element onto r, and the presentation witnesses of
     M are moved by an inner search over canonical automorphisms so that the
-    action of s lands in the phi family.  The rewitnessed split is packaged
-    with an explicit isomorphism onto the abstract model M x| P.
+    action of s lands in the phi family.  Returns the rewitnessed split.
     """
     dec = _retarget_s(_retarget_r(dec))
     if not dec.alpha_r.is_identity:
@@ -318,8 +314,7 @@ def normalize_alpha(dec: Decomposition) -> Decomposition:
     a_s = dec.alpha_s
     if a_s.c != 0 or a_s.v != 1:
         raise GroupDefinitionError("normalization failed to reduce s to the phi family")
-    model, iso = _build_model(dec)
-    return replace(dec, model=model, model_iso=iso)
+    return dec
 
 
 def _retarget_r(dec: Decomposition) -> Decomposition:
@@ -362,16 +357,6 @@ def _rewitness(dec: Decomposition, r: int, s: int, x: int, y: int) -> Decomposit
                   dec.p_elems, dec.p_group, dec.p_kind, dec.m_exp, r, s)
 
 
-def _build_model(dec: Decomposition):
-    """Abstract M x| P from the normalized action, with the explicit
-    isomorphism g -> pos[g]: the model's element k is the grid's row k."""
-    model = build_semidirect_from_auts(dec.pres, dec.p_group, dec.alpha_r, dec.alpha_s)
-    iso = Homomorphism(dec.group, model, dec.pos)
-    if not iso.is_bijective:
-        raise GroupDefinitionError("model map is not bijective")
-    return model, iso
-
-
 # -- explicit construction -----------------------------------------------------
 
 
@@ -380,9 +365,10 @@ def construct(dec: Decomposition):
 
     xi fixes y, maps x by alpha_s phi_k^-1, inverts r, and sends s to r s;
     eta0 = x y r s.  xi is evaluated on every grid word at once, as the same
-    word in the four images, and read back in N's order through ``pos``.
-    The returned witness is the holomorph pair (eta0, xi), whose powers
-    sweep out all of N.
+    word in the four images, and read back in N's order through ``pos``;
+    it is then checked as a bijective ``Homomorphism`` of N.  The returned
+    witness is the holomorph pair (eta0, xi), whose powers sweep out all
+    of N.
     """
     if not dec.alpha_r.is_identity:
         raise GroupDefinitionError("construction requires r to act trivially")
@@ -418,12 +404,12 @@ def twisted_partial_products(dec: Decomposition, xi: Homomorphism, eta0: int,
     return out
 
 
-def closed_form_product(dec: Decomposition, length: int) -> int:
-    """x^l y^l r^((l+1)//2 if l odd else l//2) s^l evaluated inside N, as
-    one word with exponents (l, l, r_exp, l) in (x, y, r, s)."""
-    r_exp = (length + 1) // 2 if length % 2 else length // 2
-    return int(words(dec.group, (dec.x, dec.y, dec.r, dec.s),
-                     (length, length, r_exp, length))[0])
+def closed_form_products(dec: Decomposition, count: int) -> list:
+    """x^l y^l r^((l+1)//2) s^l evaluated inside N for l = 1..count: the
+    words in (x, y, r, s) with those exponents, from one ``words`` call."""
+    l = np.arange(1, count + 1)
+    exps = np.column_stack([l, l, (l + 1) // 2, l])
+    return words(dec.group, (dec.x, dec.y, dec.r, dec.s), exps).tolist()
 
 
 # -- diagnostics and companions ---------------------------------------------------
@@ -435,7 +421,6 @@ def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> list:
     The quotient is the Klein four-group P/P'; when the classifier condition
     fails, this image is trivial, which certifies non-realizability.
     """
-    import numpy as np
     r2 = N.mul(dec.r, dec.r)
     m0 = subgroup_generated(N, list(dec.m_elems) + [r2])
     Q, coset = quotient_group(N, m0)

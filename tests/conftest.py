@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from holoreg import (CGroupPresentation, cgroup_group, corpus_representatives,
-                     generate_corpus)
+from holoreg import (CGroupPresentation, build_semidirect_from_auts,
+                     cgroup_group, corpus_representatives, generate_corpus)
 from holoreg.holomorph import _hol_perms
 
 
@@ -82,3 +82,31 @@ def full_scan():
             offset, a_inv, pos = offset[live], a_inv[live], pos[live]
         return inv[a_inv], offset // n
     return scan
+
+
+@pytest.fixture(scope="session")
+def ref_respects_product():
+    """``ref_respects_product(G, H, images)``: the n^2 check ``Homomorphism``
+    once made, kept as the reference for ``respects_product``.  True when
+    every image is an index of H, the identity goes to the identity, and
+    f(a b) = f(a) f(b) for every pair a, b."""
+    def check(G, H, images):
+        imgs = np.asarray(images, dtype=np.int64)
+        if imgs.min() < 0 or imgs.max() >= H.order:
+            return False
+        return bool(imgs[G.identity] == H.identity and np.array_equal(
+            imgs[G.table], H.table[imgs[:, None], imgs[None, :]]))
+    return check
+
+
+@pytest.fixture(scope="session")
+def split_model(ref_respects_product):
+    """``split_model(dec)``: the abstract M x| P built from the split's
+    action by ``build_semidirect_from_auts``, after checking on all n^2
+    products that ``dec.pos`` is an isomorphism from N onto it."""
+    def build(dec):
+        model = build_semidirect_from_auts(dec.pres, dec.p_group, dec.alpha_r, dec.alpha_s)
+        assert sorted(dec.pos.tolist()) == list(range(model.order)), model.name
+        assert ref_respects_product(dec.group, model, dec.pos), model.name
+        return model
+    return build

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from holoreg import cli, cyclic_group, dihedral_group, direct_product, dump_cayley_table
+from holoreg import (HomomorphismError, cli, cyclic_group, dihedral_group,
+                     direct_product, dump_cayley_table, realizability)
 from holoreg.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, Request,
                          build_parser, main, run)
 from holoreg.specs import SpecError
@@ -281,6 +282,17 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     assert code == EXIT_ERROR
     assert text.startswith("error: out of memory:") and text.count("\n") == 1
     assert main(["classify", "--spec", "cyclic 100000"]) == EXIT_ERROR
+    assert capsys.readouterr().out == text
+
+
+def test_homomorphism_error_exits_2(monkeypatch, capsys):
+    def bad_construct(dec):
+        raise HomomorphismError("images do not respect the group product")
+    monkeypatch.setattr(realizability, "construct", bad_construct)
+    text, code = run(Request("construct", spec="dihedral 8"))
+    assert code == EXIT_ERROR
+    assert text == "error: images do not respect the group product\n"
+    assert main(["construct", "--spec", "dihedral 8"]) == EXIT_ERROR
     assert capsys.readouterr().out == text
 
 

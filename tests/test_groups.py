@@ -412,6 +412,14 @@ def test_homomorphism_validation_rejects_non_hom():
         Homomorphism(G, G, (0, 1, 2, 0))
 
 
+def test_homomorphism_validation_rejects_out_of_range_images():
+    G = cyclic_group(4)
+    with pytest.raises(HomomorphismError):
+        Homomorphism(G, G, (0, 1, 2, 7))
+    with pytest.raises(HomomorphismError):
+        Homomorphism(G, G, (0, 1, 2, -1))
+
+
 # -- table invariants ------------------------------------------------------------
 
 

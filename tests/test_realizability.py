@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from holoreg import (CGroupAut, CGroupPresentation, GroupDefinitionError,
-                     HomomorphismError, automorphism_perms, cgroup_group,
-                     classify, classify_rump, closed_form_product, construct,
+from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
+                     GroupDefinitionError, HomomorphismError,
+                     automorphism_perms, cgroup_group, classify,
+                     classify_rump, closed_form_products, construct,
                      cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
                      generate_corpus, normalize_alpha, parse_group_spec,
@@ -159,6 +160,24 @@ def test_every_positive_verdict_carries_regular_witness(corpus_reps):
             assert w.cycle_length_through_identity() == entry.group.order
 
 
+def test_classify_builds_only_the_odd_part_and_p(corpus_reps, monkeypatch):
+    # the split is checked inside N: no second copy of N is built
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    for entry in corpus_reps:
+        N = parse_group_spec(entry.spec)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(FiniteGroup, "__init__", counting_init)
+            dec = classify(N).decomposition
+        assert built == [dec.m_group, dec.p_group], entry.spec
+
+
 def test_classify_agrees_with_oracle_on_small_corpus(corpus_reps):
     from holoreg import BoundExceeded
     for entry in corpus_reps:
@@ -175,16 +194,16 @@ def test_classify_agrees_with_oracle_on_small_corpus(corpus_reps):
 # -- normalization ------------------------------------------------------------------
 
 
-def test_normalize_leaves_trivial_action_alone():
+def test_normalize_leaves_trivial_action_alone(split_model):
     N = direct_product(cgroup_group(CGroupPresentation(7, 3, 2)), klein_group())
     dec = decompose(N)
     ndec = normalize_alpha(dec)
     assert ndec.alpha_r.is_identity
     assert ndec.alpha_s.is_identity
-    assert ndec.model is not None and ndec.model_iso.is_bijective
+    assert split_model(ndec).order == N.order
 
 
-def test_normalize_moves_kernel_element_onto_r():
+def test_normalize_moves_kernel_element_onto_r(split_model):
     # ker(alpha) = {1, rs}: r and s both invert, rs acts trivially
     spec = "semidirect (cgroup 21 1 1) (dihedral 4) alpha r->phi:20 s->phi:20"
     N = parse_group_spec(spec)
@@ -193,10 +212,10 @@ def test_normalize_moves_kernel_element_onto_r():
     ndec = normalize_alpha(dec)
     assert ndec.alpha_r.is_identity
     assert ndec.alpha_s.c == 0 and ndec.alpha_s.v == 1
-    assert ndec.model_iso.is_bijective
+    assert split_model(ndec).order == N.order
 
 
-def test_normalize_conjugates_s_action_into_phi_family():
+def test_normalize_conjugates_s_action_into_phi_family(split_model):
     # force witnesses that put the s action outside the phi family, then
     # check the normalization search conjugates it back in
     from holoreg.realizability import _rewitness
@@ -225,7 +244,7 @@ def test_normalize_conjugates_s_action_into_phi_family():
     assert ndec.alpha_r.is_identity
     assert ndec.alpha_s.c == 0 and ndec.alpha_s.v == 1
     assert ndec.alpha_s.u != 1
-    assert ndec.model_iso.is_bijective
+    assert split_model(ndec).order == N.order
     _, _, witness = construct(ndec)
     assert witness.cycle_length_through_identity() == 84
 
@@ -246,8 +265,7 @@ def test_construct_on_dihedral_8():
     assert eta0 == N.mul(dec.r, dec.s)
     prods = twisted_partial_products(dec, xi, eta0, 2 * N.order)
     assert prods[1] == dec.r  # (rs) xi(rs) = r
-    for length in range(1, 2 * N.order + 1):
-        assert prods[length - 1] == closed_form_product(dec, length)
+    assert prods == closed_form_products(dec, 2 * N.order)
     assert prods[N.order - 1] == N.identity
     assert witness.cycle_length_through_identity() == N.order
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
-                     HolElement, as_subgroup, cgroup_group, classify,
-                     commutator_subgroup, conjugation_perm, cyclic_group,
-                     decompose, dihedral_group, direct_product, generating_set,
-                     is_subgroup, parse_group_spec, quaternion_group,
-                     quotient_group, recognize_cgroup, subgroup_generated)
+                     HolElement, as_subgroup, automorphism_perms, cgroup_group,
+                     classify, commutator_subgroup, conjugation_perm,
+                     cyclic_group, decompose, dihedral_group, direct_product,
+                     generating_set, is_subgroup, parse_group_spec,
+                     quaternion_group, quotient_group, recognize_cgroup,
+                     respects_product, subgroup_generated)
 from holoreg.groups import _fingerprints
 
 REFERENCE_MAX_ORDER = 120
@@ -259,6 +260,29 @@ def test_quotients_and_fingerprints_match_reference(reference_groups):
             assert all(type(c) is int for c in coset)
 
 
+def test_respects_product_matches_reference(reference_groups, ref_respects_product):
+    verdicts = set()
+    for G in reference_groups[0::3] + reference_groups[1::3]:  # given, relabelled
+        n = G.order
+        gens = generating_set(G)
+        auts = automorphism_perms(G)[:4]
+        swapped = auts.copy()  # the images of the first and last generator swapped
+        swapped[:, [gens[0], gens[-1]]] = auts[:, [gens[-1], gens[0]]]
+        # x -> x on the subgroup K the other generators generate, x -> g x
+        # off it, g the last generator: f(x k) = f(x) f(k) for every k in K,
+        # so only the last generator can reject it
+        inside = np.isin(np.arange(n), subgroup_generated(G, gens[:-1]))
+        twisted = np.where(inside, np.arange(n), G.table[gens[-1]])
+        out_of_range = np.where(np.arange(n) == gens[0], n, np.arange(n))
+        maps = np.vstack([np.arange(n), auts, swapped, np.full(n, gens[0]),
+                          twisted, out_of_range])
+        got = respects_product(G, G, maps)
+        want = [ref_respects_product(G, G, f) for f in maps]
+        assert got.dtype == bool and got.tolist() == want, G
+        verdicts.update(want)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("source", ["corpus", *LARGE_TABLES])
 def test_orders_and_classes_match_reference(source, corpus_reps):
     # each group as given (a fresh copy, so nothing is cached yet) and relabelled
@@ -301,7 +325,7 @@ def test_element_arithmetic_matches_reference(reference_groups):
 
 def _classify_path_groups(G):
     """Classify and construct G as the classify and construct commands do;
-    return N with the odd part M, P and the model the path built."""
+    return N with the odd part M and P the path built."""
     verdict = classify(G)
     generating_set(G)
     if verdict.witness is not None:
@@ -311,8 +335,6 @@ def _classify_path_groups(G):
     built = [G]
     if dec is not None:
         built += [dec.m_group, dec.p_group]
-        if dec.model is not None:
-            built.append(dec.model)
     return verdict, built
 
 

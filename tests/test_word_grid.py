@@ -4,8 +4,8 @@ the plain loop it replaced, kept here as the reference, and the grid's one
 uniqueness check is covered for each witness fault the loops used to catch.
 
 The loops: x^i y^j by repeated products, the words r^a s^b by ``N.power``,
-x^i y^j r^a s^b from those two, the model isomorphism through a label dict,
-and xi evaluated one element at a time.
+x^i y^j r^a s^b from those two, the isomorphism onto the abstract model
+M x| P through a label dict, and xi evaluated one element at a time.
 """
 
 import numpy as np
@@ -64,8 +64,8 @@ def ref_factors(dec):
     return out
 
 
-def ref_model_images(dec):
-    index = {lab: g for g, lab in enumerate(dec.model.labels)}
+def ref_model_images(dec, model):
+    index = {lab: g for g, lab in enumerate(model.labels)}
     return tuple(index[((i, j), (a, b))] for i, j, a, b in ref_factors(dec))
 
 
@@ -94,7 +94,7 @@ def relabel(G: FiniteGroup, rng: np.random.Generator) -> FiniteGroup:
                        name=f"{G.name} relabelled", label_style=G.label_style)
 
 
-def assert_grid_matches_reference(N: FiniteGroup) -> bool:
+def assert_grid_matches_reference(N: FiniteGroup, split_model) -> bool:
     """Compare every grid reader on N; True when N had a normalized split."""
     dec = decompose(N)
     if dec is None:
@@ -104,21 +104,21 @@ def assert_grid_matches_reference(N: FiniteGroup) -> bool:
         assert [d.factorization(g) for g in range(N.order)] == ref_factors(d), N.name
         assert d.p_to_n == ref_p_words(N, d.p_group, d.r, d.s), N.name
     ndec = verdict.decomposition
-    if ndec is None or ndec.model is None:
+    if not verdict.realizable or ndec is None:
         return False
-    assert ndec.model_iso.images == ref_model_images(ndec), N.name
+    assert tuple(ndec.pos.tolist()) == ref_model_images(ndec, split_model(ndec)), N.name
     xi, _, witness = construct(ndec)
     assert xi.images == ref_xi_images(ndec) == witness.twist, N.name
     return True
 
 
-def test_grid_matches_reference_on_corpus(corpus_reps):
+def test_grid_matches_reference_on_corpus(corpus_reps, split_model):
     rng = np.random.default_rng(13)
     normalized = 0
     for entry in corpus_reps:
-        normalized += assert_grid_matches_reference(entry.group)
+        normalized += assert_grid_matches_reference(entry.group, split_model)
         for _ in range(2):
-            assert_grid_matches_reference(relabel(entry.group, rng))
+            assert_grid_matches_reference(relabel(entry.group, rng), split_model)
     assert normalized == 135  # every representative is a theorem case 1 or 2
 
 
@@ -145,9 +145,9 @@ LARGE = {
 }
 
 
-def test_grid_matches_reference_on_large_groups():
+def test_grid_matches_reference_on_large_groups(split_model):
     normalized = {name for name, build in LARGE.items()
-                  if assert_grid_matches_reference(build())}
+                  if assert_grid_matches_reference(build(), split_model)}
     assert normalized == {"quaternion-256", "dihedral-256", "semidirect-672",
                           "semidirect-600"}
 
