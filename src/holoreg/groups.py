@@ -121,10 +121,9 @@ class FiniteGroup:
     @cached_property
     def rows(self) -> list:
         """Cayley table as nested Python lists: an n^2 copy, built only by the
-        index-heavy search loops that pay for it (``_bfs_words``,
-        ``_homomorphism_search`` and ``all_regular_subgroups``).
-        Validation, classification and construction read ``table`` and never
-        build it."""
+        index-heavy search loops that pay for it (``_homomorphism_search``
+        and ``all_regular_subgroups``).  Validation, classification and
+        construction read ``table`` and never build it."""
         return self.table.tolist()
 
     @cached_property
@@ -348,33 +347,20 @@ def quaternion_group(order: int) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"quaternion {order}", label_style="twogroup")
 
 
-def _normalize_action(M: FiniteGroup, P: FiniteGroup, alpha) -> np.ndarray:
-    """Coerce an action of P on M into a validated (|P|, |M|) permutation array."""
-    if isinstance(alpha, Homomorphism):
-        if alpha.source is not P:
-            raise HomomorphismError("action homomorphism must have source P")
-        if alpha.target.labels is None:
-            raise HomomorphismError("action target must carry permutation labels")
-        act = np.array([alpha.target.labels[alpha(t)] for t in range(P.order)], dtype=np.int32)
-    elif callable(alpha):
-        act = np.array([alpha(t) for t in range(P.order)], dtype=np.int32)
-    else:
-        act = np.asarray(alpha, dtype=np.int32)
+def _normalize_action(M: FiniteGroup, P: FiniteGroup, act) -> np.ndarray:
+    """Check a (|P|, |M|) array, row t the action of t, as a homomorphism
+    P -> Aut(M): rows by ``respects_product``, products by ``is_action``."""
+    act = np.asarray(act, dtype=np.int32)
     if act.shape != (P.order, M.order):
         raise HomomorphismError(f"action must map each of {P.order} elements "
                                 f"to a permutation of {M.order} points")
     not_perm = (np.sort(act, axis=1) != np.arange(M.order)).any(axis=1)
-    first_bad = int(np.argmax(not_perm)) if not_perm.any() else P.order
-    perms = act[:first_bad]  # the rows before the first non-permutation
-    not_aut = (perms[:, M.table]
-               != M.table[perms[:, :, None], perms[:, None, :]]).any(axis=(1, 2))
-    if not_aut.any():
-        raise HomomorphismError(
-            f"action of element {int(np.argmax(not_aut))} is not an automorphism")
-    if first_bad < P.order:
-        raise HomomorphismError(f"action of element {first_bad} is not a permutation")
-    # act[:, act][t1, t2] is act[t1] after act[t2]
-    if not np.array_equal(act[P.table], act[:, act]):
+    bad = not_perm | ~respects_product(M, M, act)
+    if bad.any():
+        t = int(np.argmax(bad))
+        kind = "a permutation" if not_perm[t] else "an automorphism"
+        raise HomomorphismError(f"action of element {t} is not {kind}")
+    if not is_action(P, act):
         raise HomomorphismError("action is not a homomorphism into Aut(M)")
     return act
 
@@ -383,9 +369,9 @@ def semidirect_product(M: FiniteGroup, P: FiniteGroup, alpha,
                        name: str = "") -> FiniteGroup:
     """Semidirect product with multiplication (m1,t1)(m2,t2) = (m1*a_t1(m2), t1 t2).
 
-    ``alpha`` may be a Homomorphism into an automorphism group whose labels
-    are permutation tuples, a callable ``t -> permutation``, or a sequence of
-    permutations indexed by the elements of P.
+    ``alpha`` is a (|P|, |M|) array whose row t is the automorphism a_t of
+    M, given as its images.  Each row is checked to be an automorphism, and
+    a_(t g) = a_t a_g for every t and every g in ``generating_set(P)``.
     """
     check_table_size(M.order * P.order)
     act = _normalize_action(M, P, alpha)
@@ -671,30 +657,14 @@ def respects_product(G: FiniteGroup, H: FiniteGroup, maps) -> np.ndarray:
     return ok
 
 
-@dataclass
-class _WordData:
-    """BFS factorization of a subgroup over a generator prefix."""
-    elems: list                 # discovery order, identity first
-    parent: dict                # elem -> (earlier elem, generator position)
-
-
-def _bfs_words(G: FiniteGroup, gens: Sequence[int]) -> _WordData:
-    t = G.rows
-    parent: dict = {}
-    elems = [G.identity]
-    seen = {G.identity}
-    qi = 0
-    while qi < len(elems):
-        u = elems[qi]
-        qi += 1
-        row = t[u]
-        for pos, g in enumerate(gens):
-            v = row[g]
-            if v not in seen:
-                seen.add(v)
-                parent[v] = (u, pos)
-                elems.append(v)
-    return _WordData(elems, parent)
+def is_action(P: FiniteGroup, rows) -> bool:
+    """True when rows[t g] = rows[t] o rows[g] for every t in P and every g
+    in ``generating_set(P)`` (g = 1 for the trivial group).  Exact for rows
+    of permutations: it forces rows[1] = 1, and t -> rows[t] is then a
+    homomorphism by induction on word length."""
+    rows = np.asarray(rows)
+    return all(np.array_equal(rows[P.table[:, g]], rows[:, rows[g]])
+               for g in generating_set(P) or (P.identity,))
 
 
 def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
@@ -702,46 +672,34 @@ def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
     """DFS over generator images with prefix-subgroup pruning.
 
     Returns ``search(candidates, first_only=False)``, which lists full image
-    tuples in lexicographic candidate order.  The BFS words of the generator
-    prefixes are computed once, here, and shared by every search.
+    tuples in lexicographic candidate order.  Images chosen for gens[:d+1]
+    are extended and checked in one breadth-first pass over the Cayley graph
+    of <gens[:d+1]> from img[1] = 1: each edge u -> u g, g chosen to go to
+    h, sets img[u g] = img[u] h or must agree with it.  That is
+    ``respects_product`` on the prefix subgroup, every edge checked once.
     """
-    prefixes = [_bfs_words(G, gens[:i + 1]) for i in range(len(gens))]
     tH = H.rows
     tG = G.rows
     n = G.order
 
     def fill(depth: int, chosen: list) -> Optional[list]:
-        words = prefixes[depth]
+        pairs = list(zip(gens[:depth + 1], chosen))
         img = [-1] * n
         img[G.identity] = H.identity
-        used = set([H.identity]) if injective else None
-        for pos in range(depth + 1):
-            g = gens[pos]
-            hg = chosen[pos]
-            if img[g] == -1:
-                img[g] = hg
-                if injective:
-                    if hg in used:
-                        return None
-                    used.add(hg)
-        for v in words.elems:
-            if img[v] != -1:
-                continue
-            u, pos = words.parent[v]
-            val = tH[img[u]][chosen[pos]]
-            img[v] = val
-            if injective:
-                if val in used:
-                    return None
-                used.add(val)
-        # verify the homomorphism property on the prefix subgroup
-        sub = words.elems
-        for u in sub:
-            iu = img[u]
-            rowu = tG[u]
-            rowh = tH[iu]
-            for pos in range(depth + 1):
-                if img[rowu[gens[pos]]] != rowh[chosen[pos]]:
+        used = {H.identity}
+        queue = [G.identity]
+        for u in queue:
+            rowu, rowh = tG[u], tH[img[u]]
+            for g, h in pairs:
+                v, val = rowu[g], rowh[h]
+                if img[v] == -1:
+                    if injective:
+                        if val in used:
+                            return None
+                        used.add(val)
+                    img[v] = val
+                    queue.append(v)
+                elif img[v] != val:
                     return None
         return img
 

@@ -26,7 +26,7 @@ from .groups import (FiniteGroup, Homomorphism, BoundExceeded,
                      GroupDefinitionError, HomomorphismError,
                      all_homomorphisms, as_subgroup, automorphism_perms,
                      center, find_isomorphism, generating_set, greedy_closure,
-                     is_subgroup, quotient_group, respects_product)
+                     is_action, is_subgroup, quotient_group, respects_product)
 
 DEFAULT_HOL_BOUND = 20000
 DEFAULT_SUBGROUP_HOL_BOUND = 5000
@@ -186,10 +186,10 @@ def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"holomorph of ({N.name})")
 
 
-def hol_elements(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> HolElements:
+def hol_elements(N: FiniteGroup) -> HolElements:
     """All holomorph elements as a HolElements sequence, translations outer,
-    twists inner."""
-    perms = _hol_perms(N, bound)
+    twists inner; refused above ``DEFAULT_HOL_BOUND``."""
+    perms = _hol_perms(N, DEFAULT_HOL_BOUND)
     a_count = len(perms)
     return HolElements(N, perms, np.repeat(np.arange(N.order), a_count),
                        np.tile(np.arange(a_count), N.order))
@@ -302,17 +302,16 @@ def cyclic_regular_oracle(N: FiniteGroup,
     return OracleResult(N, perms, b[order], rows[order], pair_steps)
 
 
-def all_regular_subgroups(N: FiniteGroup,
-                          hol_bound: int = DEFAULT_SUBGROUP_HOL_BOUND) -> list:
+def all_regular_subgroups(N: FiniteGroup) -> list:
     """Every regular subgroup of the holomorph, by transversal backtracking.
 
     A regular subgroup contains exactly one element per translation, so the
     search assigns a twist to each translation and propagates closure.  Each
     subgroup is a HolElements in translation order; the list is sorted by
-    the elements' keys.
+    the elements' keys.  Refused above ``DEFAULT_SUBGROUP_HOL_BOUND``.
     """
     n = N.order
-    perms = _hol_perms(N, hol_bound)
+    perms = _hol_perms(N, DEFAULT_SUBGROUP_HOL_BOUND)
     a_count = len(perms)
     perm_rows = perms.tolist()
     comp = _composition_index(perms).tolist()
@@ -388,12 +387,11 @@ def regular_subgroup_as_group(N: FiniteGroup, subgroup: HolElements,
                        name=name or f"regular subgroup in holomorph of ({N.name})")
 
 
-def regular_subgroups_isomorphic_to(G: FiniteGroup, N: FiniteGroup,
-                                    hol_bound: int = DEFAULT_SUBGROUP_HOL_BOUND) -> list:
+def regular_subgroups_isomorphic_to(G: FiniteGroup, N: FiniteGroup) -> list:
     """All regular subgroups of the holomorph of N isomorphic to G."""
     if G.order != N.order:
         raise GroupDefinitionError("G and N must have the same order")
-    return [sub for sub in all_regular_subgroups(N, hol_bound=hol_bound)
+    return [sub for sub in all_regular_subgroups(N)
             if find_isomorphism(G, regular_subgroup_as_group(N, sub)) is not None]
 
 
@@ -405,11 +403,11 @@ class CrossedHom:
     """A pair (f: G -> Aut(N), g: G -> N) with g(st) = g(s) * f(s)(g(t)).
 
     Twists are stored as one permutation of N per element of G.  On
-    construction f(s) is checked to be an automorphism of N, and
-    f(st) = f(s) f(t) and the crossed relation for every t and every s in
-    ``generating_set(G)``.  Both then hold for all s by induction on word
-    length: f(s w) = f(s) f(w), and g(s w t) = g(s) f(s)(g(w) f(w)(g(t)))
-    splits because f(s) is an automorphism.
+    construction f(s) is checked to be an automorphism of N for every s in
+    ``generating_set(G)``, f to be a homomorphism by ``is_action``, and the
+    crossed relation for every t and every generator s.  The relation then
+    holds for all s by induction on word length: g(s w t) =
+    g(s) f(s)(g(w) f(w)(g(t))) splits because f(s) is an automorphism.
     """
 
     source: FiniteGroup
@@ -431,7 +429,7 @@ class CrossedHom:
             raise HomomorphismError("g must send the identity to the identity")
         gens = list(generating_set(G))
         fs, st = twists[gens], G.table[gens]
-        if not (_are_automorphisms(N, fs) and np.array_equal(twists[st], fs[:, twists])):
+        if not (_are_automorphisms(N, fs) and is_action(G, twists)):
             raise HomomorphismError("f is not a homomorphism into Aut(N)")
         if not np.array_equal(translations[st],
                               N.table[translations[gens][:, None], fs[:, translations]]):

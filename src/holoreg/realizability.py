@@ -456,8 +456,7 @@ def classify_rump(G: FiniteGroup) -> bool:
 
 def cgroup_pool(max_order: int = 21) -> list:
     """Deduplicated normalized presentations of odd order e*d up to max_order."""
-    seen = []
-    out = []
+    found = []
     for total in range(1, max_order + 1, 2):
         for e in sorted(d for d in range(1, total + 1) if total % d == 0):
             d = total // e
@@ -470,14 +469,28 @@ def cgroup_pool(max_order: int = 21) -> list:
                     pres = CGroupPresentation(e, d, k)
                 except GroupDefinitionError:
                     continue
-                if not pres.is_normalized:
-                    continue
-                grp = cgroup_group(pres)
-                if any(find_isomorphism(grp, g) is not None for g in seen):
-                    continue
-                seen.append(grp)
-                out.append(pres)
-    return out
+                if pres.is_normalized:
+                    found.append(pres)
+    duplicate_of = _duplicate_of([cgroup_group(pres) for pres in found])
+    return [pres for pres, dup in zip(found, duplicate_of) if dup is None]
+
+
+def _duplicate_of(groups: Sequence[FiniteGroup]) -> list:
+    """For each group, the index of the first earlier one isomorphic to it,
+    or None; only groups in one bucket of invariants (order, element orders,
+    class sizes) are compared."""
+    duplicate_of = []
+    by_invariant: dict = {}
+    for idx, g in enumerate(groups):
+        key = (g.order, tuple(sorted(g.orders.tolist())),
+               tuple(sorted(g.class_sizes.tolist())))
+        bucket = by_invariant.setdefault(key, [])
+        dup = next((prev for prev in bucket
+                    if find_isomorphism(groups[prev], g) is not None), None)
+        if dup is None:
+            bucket.append(idx)
+        duplicate_of.append(dup)
+    return duplicate_of
 
 
 TWO_GROUP_SPECS = ("dihedral 4", "quaternion 8", "dihedral 8",
@@ -513,18 +526,7 @@ def _corpus(max_m_order: int) -> list:
             for hom in all_homomorphisms(P, aut_grp):
                 built.append(build_semidirect_from_auts(pres, P, auts[hom(r)],
                                                         auts[hom(s)]))
-    duplicate_of = [None] * len(built)
-    by_invariant: dict = {}
-    for idx, g in enumerate(built):
-        key = (g.order, tuple(sorted(g.orders.tolist())),
-               tuple(sorted(g.class_sizes.tolist())))
-        bucket = by_invariant.setdefault(key, [])
-        duplicate_of[idx] = next(
-            (prev for prev in bucket
-             if find_isomorphism(built[prev], g) is not None), None)
-        if duplicate_of[idx] is None:
-            bucket.append(idx)
-    return [CorpusEntry(g.name, g, dup) for g, dup in zip(built, duplicate_of)]
+    return [CorpusEntry(g.name, g, dup) for g, dup in zip(built, _duplicate_of(built))]
 
 
 def corpus_representatives(entries: Sequence[CorpusEntry]) -> list:

@@ -110,3 +110,75 @@ def split_model(ref_respects_product):
         assert ref_respects_product(dec.group, model, dec.pos), model.name
         return model
     return build
+
+
+@pytest.fixture(scope="session")
+def ref_homomorphism_search():
+    """``ref_homomorphism_search(G, H, gens, injective)``: the two-pass
+    search ``_homomorphism_search`` once was, kept as its reference.  For
+    each generator prefix it first lists the prefix subgroup in BFS order
+    with the word (parent, generator) that reaches each element, fills the
+    images along those words, then checks img(u g) = img(u) h on every
+    element u and chosen pair (g, h) in a second loop."""
+    def build(G, H, gens, injective):
+        def words(prefix):
+            parent, elems, seen = {}, [G.identity], {G.identity}
+            for u in elems:
+                for pos, g in enumerate(prefix):
+                    v = G.mul(u, g)
+                    if v not in seen:
+                        seen.add(v)
+                        parent[v] = (u, pos)
+                        elems.append(v)
+            return elems, parent
+
+        prefixes = [words(gens[:i + 1]) for i in range(len(gens))]
+
+        def fill(depth, chosen):
+            elems, parent = prefixes[depth]
+            img = [-1] * G.order
+            img[G.identity] = H.identity
+            used = {H.identity}
+            for g, hg in zip(gens, chosen):
+                if img[g] == -1:
+                    img[g] = hg
+                    if injective:
+                        if hg in used:
+                            return None
+                        used.add(hg)
+            for v in elems:
+                if img[v] != -1:
+                    continue
+                u, pos = parent[v]
+                img[v] = H.mul(img[u], chosen[pos])
+                if injective:
+                    if img[v] in used:
+                        return None
+                    used.add(img[v])
+            for u in elems:
+                for g, hg in zip(gens, chosen):
+                    if img[G.mul(u, g)] != H.mul(img[u], hg):
+                        return None
+            return img
+
+        def search(candidates, first_only=False):
+            if not gens:
+                return [(H.identity,)]
+            results = []
+
+            def dfs(chosen):
+                for cand in candidates[len(chosen)]:
+                    img = fill(len(chosen), chosen + [cand])
+                    if img is None:
+                        continue
+                    if len(chosen) + 1 < len(gens):
+                        dfs(chosen + [cand])
+                    else:
+                        results.append(tuple(img))
+                    if first_only and results:
+                        return
+
+            dfs([])
+            return results[:1] if first_only else results
+        return search
+    return build

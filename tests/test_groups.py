@@ -1,5 +1,6 @@
 """Cayley-table core: constructors, subgroup machinery, search routines."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      find_isomorphism, is_cgroup, is_normal, is_subgroup,
                      normal_hall_odd_subgroup, quaternion_group,
                      quotient_group, semidirect_product, subgroup_generated,
-                     sylow_subgroup, CGroupPresentation, cgroup_group)
+                     sylow_subgroup, CGroupPresentation, cgroup_aut_group,
+                     cgroup_group, cgroup_pool, parse_group_spec)
+from holoreg.realizability import TWO_GROUP_SPECS
 from holoreg.groups import (_fingerprints, _homomorphism_search,
                             generating_set)
 
@@ -124,6 +127,45 @@ def test_semidirect_names_the_first_failing_element():
     for rows, message in cases:
         with pytest.raises(HomomorphismError, match=message):
             semidirect_product(M, P, np.array(rows, dtype=np.int32))
+
+
+def _all_pairs_action_error(M, P, act):
+    """The message of the all-pairs action check ``semidirect_product`` once
+    made, kept as the reference, or None when it accepts ``act``."""
+    not_perm = (np.sort(act, axis=1) != np.arange(M.order)).any(axis=1)
+    first_bad = int(np.argmax(not_perm)) if not_perm.any() else P.order
+    perms = act[:first_bad]
+    not_aut = (perms[:, M.table]
+               != M.table[perms[:, :, None], perms[:, None, :]]).any(axis=(1, 2))
+    if not_aut.any():
+        return f"action of element {int(np.argmax(not_aut))} is not an automorphism"
+    if first_bad < P.order:
+        return f"action of element {first_bad} is not a permutation"
+    if not np.array_equal(act[P.table], act[:, act]):
+        return "action is not a homomorphism into Aut(M)"
+    return None
+
+
+def test_semidirect_check_matches_all_pairs_reference():
+    # every assignment of a row to each element of C4 and of the Klein
+    # group: the four automorphisms x -> k x of C5, a permutation that is not
+    # one, and a row that is not a permutation
+    M = cyclic_group(5)
+    x = np.arange(5)
+    rows = [k * x % 5 for k in (1, 2, 3, 4)] + [[0, 2, 1, 3, 4], [0, 1, 1, 3, 4]]
+    for P in (cyclic_group(4), klein_group()):
+        accepted = 0
+        for choice in itertools.product(range(len(rows)), repeat=P.order):
+            act = np.array([rows[c] for c in choice], dtype=np.int32)
+            expected = _all_pairs_action_error(M, P, act)
+            try:
+                semidirect_product(M, P, act)
+                message = None
+            except HomomorphismError as exc:
+                message = str(exc)
+            assert message == expected, choice
+            accepted += expected is None
+        assert accepted == 4  # |Hom(P, Aut(C5))| = |Hom(P, C4)|
 
 
 def test_semidirect_embeds_normal_factor():
@@ -317,15 +359,81 @@ def _aut_search_cases(cgroup_test_groups, corpus_reps):
             + [e.group for e in corpus_reps if e.group.order <= 64][::3])
 
 
-def test_automorphism_group_matches_plain_search(cgroup_test_groups, corpus_reps):
-    # the stabilizer chain lists the images of the one generator-image DFS,
-    # in the same order
-    for G in _aut_search_cases(cgroup_test_groups, corpus_reps):
-        gens = generating_set(G)
-        fps = _fingerprints(G)
-        cands = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
-        plain = _homomorphism_search(G, G, gens, injective=True)(cands)
-        assert [a.images for a in automorphism_group(G)] == plain
+def _relabelled(G, rng):
+    """G with its elements renumbered at random, the identity kept at 0."""
+    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    inv = np.argsort(sigma)
+    return FiniteGroup(sigma[G.table[inv][:, inv]], name=f"{G.name} relabelled")
+
+
+def _assert_searches_agree(G, H, cands, injective, ref_homomorphism_search):
+    gens = generating_set(G)
+    search = _homomorphism_search(G, H, gens, injective)
+    ref = ref_homomorphism_search(G, H, gens, injective)
+    for first_only in (False, True):
+        assert search(cands, first_only) == ref(cands, first_only), (G, H)
+
+
+def test_automorphism_group_matches_plain_search(cgroup_test_groups, corpus_reps,
+                                                 ref_homomorphism_search):
+    # the stabilizer chain lists the images of the two-pass reference DFS, in
+    # the same order; the one-pass search agrees with it on automorphisms,
+    # on endomorphisms (not injective) and when it stops at the first
+    rng = np.random.default_rng(15)
+    for given in _aut_search_cases(cgroup_test_groups, corpus_reps):
+        for G in (given, _relabelled(given, rng)):
+            gens = generating_set(G)
+            fps = _fingerprints(G)
+            auts = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
+            ends = [[h for h in range(G.order) if G.orders[g] % G.orders[h] == 0]
+                    for g in gens]
+            _assert_searches_agree(G, G, auts, True, ref_homomorphism_search)
+            _assert_searches_agree(G, G, ends, False, ref_homomorphism_search)
+            plain = ref_homomorphism_search(G, G, gens, True)(auts)
+            assert [a.images for a in automorphism_group(G)] == plain
+
+
+def test_corpus_action_search_matches_plain_search(ref_homomorphism_search):
+    # all_homomorphisms(P, Aut(M)) as the corpus calls it
+    for pres in cgroup_pool():
+        A = cgroup_aut_group(pres)
+        for spec in TWO_GROUP_SPECS:
+            P = parse_group_spec(spec)
+            gens = generating_set(P)
+            cands = [[h for h in range(A.order) if P.orders[g] % A.orders[h] == 0]
+                     for g in gens]
+            plain = ref_homomorphism_search(P, A, gens, False)(cands)
+            assert [h.images for h in all_homomorphisms(P, A)] == plain
+
+
+def _c8_c2_by(image_a):
+    """(C8 x C2) x| C2, the C2 acting by a -> image_a, b -> b on a = (1, 0)
+    and b = (0, 1); the element (m, t) of C8 x C2 has index 2 m + t."""
+    p, q = image_a
+    m, t = np.arange(16) // 2, np.arange(16) % 2
+    return semidirect_product(direct_product(cyclic_group(8), cyclic_group(2)),
+                              cyclic_group(2),
+                              [np.arange(16), 2 * (m * p % 8) + (m * q + t) % 2])
+
+
+def test_isomorphism_search_refutes_groups_with_equal_fingerprints(
+        ref_homomorphism_search):
+    # non-isomorphic pairs that no fingerprint tells apart, so the search runs
+    c4 = cyclic_group(4)
+    pairs = [(direct_product(quaternion_group(8), cyclic_group(2)),
+              semidirect_product(c4, c4, [[0, 1, 2, 3], [0, 3, 2, 1]] * 2)),
+             (_c8_c2_by((1, 1)), _c8_c2_by((5, 0))),
+             (_c8_c2_by((3, 0)), _c8_c2_by((3, 1)))]
+    rng = np.random.default_rng(16)
+    for first, second in pairs:
+        for G, H in ((first, second), (second, _relabelled(first, rng)),
+                     (_relabelled(first, rng), _relabelled(second, rng))):
+            assert sorted(_fingerprints(G)) == sorted(_fingerprints(H))
+            assert find_isomorphism(G, H) is None
+            fps_G, fps_H = _fingerprints(G), _fingerprints(H)
+            cands = [[h for h in range(H.order) if fps_H[h] == fps_G[g]]
+                     for g in generating_set(G)]
+            _assert_searches_agree(G, H, cands, True, ref_homomorphism_search)
 
 
 def test_automorphism_count_bound_is_exact(cgroup_test_groups, corpus_reps):
