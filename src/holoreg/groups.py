@@ -56,8 +56,12 @@ class FiniteGroup:
     """A finite group given by a Cayley table on element indices 0..n-1.
 
     ``table[a, b]`` is the index of the product ``a*b``.  Construction
-    validates the identity, the Latin-square property, and associativity on
-    all triples, at every order (Light's test over a generating sequence).
+    validates the identity, that every row holds the identity (which gives
+    ``inverses``), and associativity on all triples at every order (Light's
+    test over a generating sequence).  An associative table with an identity
+    and right inverses is a group, so it is a Latin square.  Both passes
+    read the table a block of rows at a time and allocate no n x n
+    temporary.
     """
 
     def __init__(self, table, labels=None, name: str = "",
@@ -78,7 +82,7 @@ class FiniteGroup:
                 raise GroupDefinitionError("labels length must match group order")
         self.labels = labels
         self.identity = self._find_identity()
-        self._check_latin()
+        self.inverses = self._right_inverses()
         self._check_associative()
         table.setflags(write=False)
         self.memo = {}  # filled only by ``memoized``
@@ -92,7 +96,16 @@ class FiniteGroup:
                 return e
         raise GroupDefinitionError("table has no two-sided identity")
 
+    def _row_blocks(self):
+        """Slices of about 2^16 table entries each, a whole number of rows."""
+        n = self.order
+        block = max(1, (1 << 16) // n)
+        return [slice(start, start + block) for start in range(0, n, block)]
+
     def _check_latin(self):
+        """Raise when the table is not a Latin square.  Called only after
+        Light's test has failed, so that such a table gets the Latin-square
+        error, as it did when this sort-based check ran first."""
         idx = np.arange(self.order, dtype=np.int32)
         rows = np.sort(self.table, axis=1)
         cols = np.sort(self.table, axis=0)
@@ -100,19 +113,43 @@ class FiniteGroup:
                 and np.array_equal(cols.T, np.broadcast_to(idx, rows.shape))):
             raise GroupDefinitionError("table is not a Latin square")
 
+    def _right_inverses(self) -> np.ndarray:
+        """The first b with a*b = 1 for every a, a block of rows at a time; a
+        row without the identity means the table is not a Latin square.
+
+        Checked before Light's test: with right inverses, each generator
+        prefix that passes reaches a subgroup, so the generating sequence has
+        at most log2(n) members; a monoid such as max(a, b) would need n - 1.
+        Once the table is associative these are the inverses."""
+        t, e = self.table, self.identity
+        inv = np.empty(self.order, dtype=np.int32)
+        for rows in self._row_blocks():
+            hit = t[rows] == e
+            if not hit.any(axis=1).all():
+                raise GroupDefinitionError("table is not a Latin square")
+            inv[rows] = hit.argmax(axis=1)
+        inv.setflags(write=False)
+        return inv
+
     def _check_associative(self):
         """Light's test: (a*g)*b == a*(g*b) for all a, b, checked only for g
-        in a generating sequence, each g the least index not yet reached.
+        in a generating sequence, each g the least index not yet reached,
+        and for each g one block of rows a at a time.
 
-        Exact: the g that pass contain the identity and are closed under the
-        product, and every element is a left-nested product of the sequence.
+        Exact for any table with an identity: the g that pass contain the
+        identity and are closed under the product, and every element is a
+        left-nested product of the sequence.
         """
         t = self.table
+        blocks = self._row_blocks()
 
         def right_column(g):
-            if not np.array_equal(t[t[:, g]], t[:, t[g]]):
-                raise GroupDefinitionError(f"associativity fails at element {g}")
-            return t[:, g]
+            col, row = t[:, g], t[g]
+            for rows in blocks:
+                if not np.array_equal(t.take(col[rows], axis=0), t[rows].take(row, axis=1)):
+                    self._check_latin()
+                    raise GroupDefinitionError(f"associativity fails at element {g}")
+            return col
 
         greedy_closure(self.order, self.identity, right_column)
 
@@ -125,10 +162,6 @@ class FiniteGroup:
         and ``all_regular_subgroups``).  Validation, classification and
         construction read ``table`` and never build it."""
         return self.table.tolist()
-
-    @cached_property
-    def inverses(self) -> np.ndarray:
-        return np.argmax(self.table == self.identity, axis=1).astype(np.int32)
 
     def mul(self, a: int, b: int) -> int:
         return self.table.item(a, b)
@@ -377,13 +410,12 @@ def semidirect_product(M: FiniteGroup, P: FiniteGroup, alpha,
     act = _normalize_action(M, P, alpha)
     nm, np_ = M.order, P.order
     n = nm * np_
-    idx = np.arange(n, dtype=np.int32)
-    m1, t1 = idx[:, None] // np_, idx[:, None] % np_
-    m2, t2 = idx[None, :] // np_, idx[None, :] % np_
-    m_part = M.table[m1, act[t1, m2]]
-    t_part = P.table[t1, t2]
-    table = (m_part * np_ + t_part).astype(np.int32)
-    labels = [(M.label(i // np_), P.label(i % np_)) for i in range(n)]
+    # entry [(m1, t1), (m2, t2)] = (m1 * a_t1(m2)) * |P| + t1 t2
+    m_part = M.table.take(act, axis=1)  # [m1, t1, m2] = m1 * a_t1(m2)
+    m_part *= np_
+    table = (m_part[:, :, :, None] + P.table[None, :, None, :]).reshape(n, n)
+    p_labels = [P.label(t) for t in range(np_)]
+    labels = [(a, b) for a in map(M.label, range(nm)) for b in p_labels]
     style = "semidirect" if M.label_style in ("cyclic", "cgroup") and \
         P.label_style == "twogroup" else None
     return FiniteGroup(table, labels=labels,

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from holoreg import (CGroupPresentation, build_semidirect_from_auts,
-                     cgroup_group, corpus_representatives, generate_corpus)
+from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
+                     build_semidirect_from_auts, cgroup_group,
+                     corpus_representatives, generate_corpus)
+from holoreg.groups import _normalize_action, check_table_size, greedy_closure
 from holoreg.holomorph import _hol_perms
 
 
@@ -42,6 +44,89 @@ def cgroup_test_presentations():
 @pytest.fixture(scope="session")
 def cgroup_test_groups(cgroup_test_presentations):
     return [(p, cgroup_group(p)) for p in cgroup_test_presentations]
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """``relabel(G, rng)``: G with its elements renumbered at random, index 0
+    kept at 0.  G is a FiniteGroup, which comes back with its labels, label
+    style and name carried along, or a square table, which comes back as a
+    table."""
+    def renumber(G, rng):
+        is_group = isinstance(G, FiniteGroup)
+        table = np.asarray(G.table if is_group else G)
+        sigma = np.concatenate([[0], 1 + rng.permutation(len(table) - 1)])
+        inv = np.argsort(sigma)
+        out = sigma[table[inv][:, inv]]
+        if not is_group:
+            return out
+        labels = None if G.labels is None else [G.labels[i] for i in inv]
+        return FiniteGroup(out, labels=labels, name=f"{G.name} relabelled",
+                           label_style=G.label_style)
+    return renumber
+
+
+@pytest.fixture(scope="session")
+def ref_validate():
+    """``ref_validate(table)``: the error text ``FiniteGroup`` gave when it
+    sorted every row and column for the Latin check before Light's test,
+    which checked each generator on whole n x n gathers; None for a group.
+    Up to order 8 the verdict of Light's test is checked on all n^3 triples."""
+    def validate(table):
+        t = np.asarray(table, dtype=np.int32)
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            return f"Cayley table must be square, got shape {t.shape}"
+        n = len(t)
+        if n == 0:
+            return "empty Cayley table"
+        if t.min() < 0 or t.max() >= n:
+            return "table entries must be element indices"
+        idx = np.broadcast_to(np.arange(n), t.shape)
+        e = next((e for e in range(n)
+                  if np.array_equal(t[e], idx[0]) and np.array_equal(t[:, e], idx[0])), None)
+        if e is None:
+            return "table has no two-sided identity"
+        if not (np.array_equal(np.sort(t, axis=1), idx)
+                and np.array_equal(np.sort(t, axis=0).T, idx)):
+            return "table is not a Latin square"
+
+        def right_column(g):
+            if not np.array_equal(t[t[:, g]], t[:, t[g]]):
+                raise GroupDefinitionError(f"associativity fails at element {g}")
+            return t[:, g]
+
+        try:
+            greedy_closure(n, e, right_column)
+            message = None
+        except GroupDefinitionError as exc:
+            message = str(exc)
+        if n <= 8:  # (a b) c == a (b c) for every triple
+            assert bool((t[t] == t[:, t]).all()) == (message is None), t.tolist()
+        return message
+    return validate
+
+
+@pytest.fixture(scope="session")
+def ref_semidirect_product():
+    """``ref_semidirect_product(M, P, alpha, name)``: the (table, labels,
+    label_style, name) that ``semidirect_product`` once built from four n^2
+    index arrays and two fancy gathers, without validating the table."""
+    def build(M, P, alpha, name=""):
+        check_table_size(M.order * P.order)
+        act = _normalize_action(M, P, alpha)
+        nm, np_ = M.order, P.order
+        n = nm * np_
+        idx = np.arange(n, dtype=np.int32)
+        m1, t1 = idx[:, None] // np_, idx[:, None] % np_
+        m2, t2 = idx[None, :] // np_, idx[None, :] % np_
+        m_part = M.table[m1, act[t1, m2]]
+        t_part = P.table[t1, t2]
+        table = (m_part * np_ + t_part).astype(np.int32)
+        labels = tuple((M.label(i // np_), P.label(i % np_)) for i in range(n))
+        style = "semidirect" if M.label_style in ("cyclic", "cgroup") and \
+            P.label_style == "twogroup" else None
+        return table, labels, style, name or f"semidirect of ({M.name}) and ({P.name})"
+    return build
 
 
 @pytest.fixture(scope="session")

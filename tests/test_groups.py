@@ -359,13 +359,6 @@ def _aut_search_cases(cgroup_test_groups, corpus_reps):
             + [e.group for e in corpus_reps if e.group.order <= 64][::3])
 
 
-def _relabelled(G, rng):
-    """G with its elements renumbered at random, the identity kept at 0."""
-    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-    inv = np.argsort(sigma)
-    return FiniteGroup(sigma[G.table[inv][:, inv]], name=f"{G.name} relabelled")
-
-
 def _assert_searches_agree(G, H, cands, injective, ref_homomorphism_search):
     gens = generating_set(G)
     search = _homomorphism_search(G, H, gens, injective)
@@ -375,13 +368,13 @@ def _assert_searches_agree(G, H, cands, injective, ref_homomorphism_search):
 
 
 def test_automorphism_group_matches_plain_search(cgroup_test_groups, corpus_reps,
-                                                 ref_homomorphism_search):
+                                                 ref_homomorphism_search, relabel):
     # the stabilizer chain lists the images of the two-pass reference DFS, in
     # the same order; the one-pass search agrees with it on automorphisms,
     # on endomorphisms (not injective) and when it stops at the first
     rng = np.random.default_rng(15)
     for given in _aut_search_cases(cgroup_test_groups, corpus_reps):
-        for G in (given, _relabelled(given, rng)):
+        for G in (given, relabel(given, rng)):
             gens = generating_set(G)
             fps = _fingerprints(G)
             auts = [[h for h in range(G.order) if fps[h] == fps[g]] for g in gens]
@@ -417,7 +410,7 @@ def _c8_c2_by(image_a):
 
 
 def test_isomorphism_search_refutes_groups_with_equal_fingerprints(
-        ref_homomorphism_search):
+        ref_homomorphism_search, relabel):
     # non-isomorphic pairs that no fingerprint tells apart, so the search runs
     c4 = cyclic_group(4)
     pairs = [(direct_product(quaternion_group(8), cyclic_group(2)),
@@ -426,8 +419,8 @@ def test_isomorphism_search_refutes_groups_with_equal_fingerprints(
              (_c8_c2_by((3, 0)), _c8_c2_by((3, 1)))]
     rng = np.random.default_rng(16)
     for first, second in pairs:
-        for G, H in ((first, second), (second, _relabelled(first, rng)),
-                     (_relabelled(first, rng), _relabelled(second, rng))):
+        for G, H in ((first, second), (second, relabel(first, rng)),
+                     (relabel(first, rng), relabel(second, rng))):
             assert sorted(_fingerprints(G)) == sorted(_fingerprints(H))
             assert find_isomorphism(G, H) is None
             fps_G, fps_H = _fingerprints(G), _fingerprints(H)

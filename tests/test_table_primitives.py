@@ -158,17 +158,8 @@ def ref_fingerprints(G):
 # -- the groups compared -------------------------------------------------------
 
 
-def relabel(G, rng):
-    """G with its elements renumbered at random, the identity kept at 0."""
-    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-    inv = np.argsort(sigma)
-    labels = None if G.labels is None else [G.labels[i] for i in inv]
-    return FiniteGroup(sigma[G.table[inv][:, inv]], labels=labels,
-                       name=f"{G.name} relabelled", label_style=G.label_style)
-
-
 @pytest.fixture(scope="module")
-def reference_groups(corpus_reps):
+def reference_groups(corpus_reps, relabel):
     """Every corpus representative of order <= 120, and two relabellings of each."""
     rng = np.random.default_rng(20211216)
     out = []
@@ -284,7 +275,7 @@ def test_respects_product_matches_reference(reference_groups, ref_respects_produ
 
 
 @pytest.mark.parametrize("source", ["corpus", *LARGE_TABLES])
-def test_orders_and_classes_match_reference(source, corpus_reps):
+def test_orders_and_classes_match_reference(source, corpus_reps, relabel):
     # each group as given (a fresh copy, so nothing is cached yet) and relabelled
     rng = np.random.default_rng(5)
     given = ([entry.group for entry in corpus_reps] if source == "corpus"
@@ -339,15 +330,15 @@ def _classify_path_groups(G):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: cyclic_group(1000),
-    lambda: relabel(dihedral_group(256), np.random.default_rng(4)),
-    lambda: parse_group_spec(
+    lambda relabel: cyclic_group(1000),
+    lambda relabel: relabel(dihedral_group(256), np.random.default_rng(4)),
+    lambda relabel: parse_group_spec(
         "semidirect (cyclic 63) (dihedral 16) alpha r->phi:62 s->id"),
-    lambda: parse_group_spec(
+    lambda relabel: parse_group_spec(
         "semidirect (cgroup 7 3 2) (dihedral 32) alpha r->id s->phi:6"),
 ], ids=["cyclic-1000", "dihedral-256-relabelled", "split-1008", "split-672"])
-def test_classify_path_builds_no_nested_list_table(make):
-    G = make()
+def test_classify_path_builds_no_nested_list_table(make, relabel):
+    G = make(relabel)
     _, built = _classify_path_groups(G)
     assert len(built) >= 3
     for H in built:

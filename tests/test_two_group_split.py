@@ -17,15 +17,6 @@ from holoreg import (FiniteGroup, aut_decompose, cyclic_group, decompose,
 from holoreg.realizability import _two_group_witnesses
 
 
-def relabel(G: FiniteGroup, rng: np.random.Generator) -> FiniteGroup:
-    """G with its elements renumbered at random, the identity kept at index 0."""
-    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-    inv = np.argsort(sigma)
-    labels = None if G.labels is None else [G.labels[i] for i in inv]
-    return FiniteGroup(sigma[G.table[inv][:, inv]], labels=labels,
-                       name=f"{G.name} relabelled", label_style=G.label_style)
-
-
 def reference_witnesses(G: FiniteGroup, p_elems):
     """(kind, m, r, s) by trying every pair under each kind's relations."""
     order = len(p_elems)
@@ -80,7 +71,7 @@ def assert_split_matches_reference(N: FiniteGroup):
     assert dec.alpha == alpha, N.name
 
 
-def test_split_matches_reference_on_corpus(corpus_reps):
+def test_split_matches_reference_on_corpus(corpus_reps, relabel):
     rng = np.random.default_rng(8)
     for entry in corpus_reps:
         assert_split_matches_reference(entry.group)
@@ -89,7 +80,7 @@ def test_split_matches_reference_on_corpus(corpus_reps):
 
 
 @pytest.mark.parametrize("build", [dihedral_group, quaternion_group])
-def test_split_matches_reference_on_relabelled_two_groups(build):
+def test_split_matches_reference_on_relabelled_two_groups(build, relabel):
     rng = np.random.default_rng(256)
     for m in range(2 if build is dihedral_group else 3, 9):
         assert_split_matches_reference(relabel(build(1 << m), rng))

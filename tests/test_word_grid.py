@@ -85,15 +85,6 @@ def ref_xi_images(dec):
 # -- the comparisons -----------------------------------------------------------
 
 
-def relabel(G: FiniteGroup, rng: np.random.Generator) -> FiniteGroup:
-    """G with its elements renumbered at random, the identity kept at index 0."""
-    sigma = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
-    inv = np.argsort(sigma)
-    labels = None if G.labels is None else [G.labels[i] for i in inv]
-    return FiniteGroup(sigma[G.table[inv][:, inv]], labels=labels,
-                       name=f"{G.name} relabelled", label_style=G.label_style)
-
-
 def assert_grid_matches_reference(N: FiniteGroup, split_model) -> bool:
     """Compare every grid reader on N; True when N had a normalized split."""
     dec = decompose(N)
@@ -112,7 +103,7 @@ def assert_grid_matches_reference(N: FiniteGroup, split_model) -> bool:
     return True
 
 
-def test_grid_matches_reference_on_corpus(corpus_reps, split_model):
+def test_grid_matches_reference_on_corpus(corpus_reps, split_model, relabel):
     rng = np.random.default_rng(13)
     normalized = 0
     for entry in corpus_reps:
