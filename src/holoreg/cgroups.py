@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     check_table_size, is_cgroup, is_normal, memoized,
+                     check_table_size, is_cgroup, memoized,
                      subgroup_generated, words)
 
 
@@ -396,16 +396,21 @@ def recognize_cgroup(G: FiniteGroup) -> Optional[tuple]:
 
 
 def _normal_cyclic_subgroup_generator(G: FiniteGroup, e: int) -> Optional[int]:
-    """Least generator of the normal cyclic subgroup of order e, if one exists."""
+    """Least generator of the normal cyclic subgroup of order e, if one exists.
+
+    <x> is normal exactly when every conjugate g x g^-1 is a power of x,
+    since g<x>g^-1 = <g x g^-1>: one gather of the n conjugates per x.
+    """
     if e == 1:
         return G.identity
-    orders = G.orders
-    for x in range(G.order):
-        if int(orders[x]) != e:
-            continue
-        span = subgroup_generated(G, [x])
-        if is_normal(G, span):
+    t = G.table
+    inside = np.zeros(G.order, dtype=bool)
+    for x in np.flatnonzero(G.orders == e).tolist():
+        powers = list(subgroup_generated(G, [x], limit=e))  # e table reads
+        inside[powers] = True
+        if inside[t[t[:, x], G.inverses]].all():
             return x
+        inside[powers] = False
     return None
 
 

@@ -298,7 +298,11 @@ def main(argv=None) -> int:
     except SpecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    text, code = run(request)
+    try:
+        text, code = run(request)
+    except Exception as exc:  # a bug: one line, exit 2, no traceback
+        sys.stderr.write(f"error: internal error: {exc!r}\n")
+        return EXIT_ERROR
     if request.out:
         try:
             with open(request.out, "w", encoding="utf-8") as fh:

@@ -453,20 +453,43 @@ def words(G: FiniteGroup, gens: Sequence[int], exps) -> np.ndarray:
     return out
 
 
-def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> tuple:
+class _RowsOnDemand:
+    """``rows[u]`` is the list of products u * g for g in ``gens``, read
+    from the table entry by entry when asked for."""
+
+    def __init__(self, G: FiniteGroup, gens: list):
+        self.item, self.gens = G.table.item, gens
+
+    def __getitem__(self, u: int) -> list:
+        return [self.item(u, g) for g in self.gens]
+
+
+def subgroup_generated(G: FiniteGroup, gens: Iterable[int],
+                       limit: Optional[int] = None) -> Optional[tuple]:
     """Sorted indices of the subgroup generated by ``gens``: the closure of
-    the identity under right multiplication by each generator, read off the
-    n x k generator columns of the table alone."""
-    cols = G.table[:, [int(g) for g in gens]].tolist()  # cols[u][i] = u * gens[i]
-    seen = bytearray(G.order)
-    seen[G.identity] = 1
+    the identity under right multiplication by each generator.
+
+    Without ``limit`` the walk reads the n x k generator columns of the
+    table in one gather.  With ``limit`` it returns None once more than
+    ``limit`` elements are reached, and reads only the products u * g of
+    the elements u it reaches: at most ``limit * len(gens)`` table entries.
+    """
+    gens = [int(g) for g in gens]
+    if limit is None:
+        rows = G.table[:, gens].tolist()  # rows[u][i] = u * gens[i]
+        limit = G.order
+    else:
+        rows = _RowsOnDemand(G, gens)
+    seen = {G.identity}
     queue = [G.identity]
     while queue:
-        for v in cols[queue.pop()]:
-            if not seen[v]:
-                seen[v] = 1
+        if len(seen) > limit:
+            return None
+        for v in rows[queue.pop()]:
+            if v not in seen:
+                seen.add(v)
                 queue.append(v)
-    return tuple(np.flatnonzero(seen).tolist())
+    return tuple(sorted(seen))
 
 
 def greedy_closure(n: int, identity: int, right_column: Callable) -> None:
@@ -562,7 +585,14 @@ def quotient_group(G: FiniteGroup, normal_elems: Iterable[int], name: str = ""):
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> tuple:
-    """A Sylow p-subgroup found by deterministic closure over p-elements."""
+    """A Sylow p-subgroup found by deterministic closure over p-elements.
+
+    Each round takes the first p-element g, in index order, outside the
+    current subgroup whose closure with the generators so far is a p-group;
+    a closure is abandoned once it has more than p^a elements, with p^a the
+    Sylow order, so a rejected candidate costs at most p^a table reads per
+    generator.
+    """
     if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
         raise GroupDefinitionError(f"{p} is not prime")
     n = G.order
@@ -573,30 +603,23 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> tuple:
     if target == 1:
         return (G.identity,)
     orders = G.orders
-    p_elements = [g for g in range(G.order)
-                  if g != G.identity and _is_p_power(int(orders[g]), p)]
+    # orders and subgroup sizes divide |G|: the p-powers are those dividing p^a
+    p_elements = np.flatnonzero((orders > 1) & (target % orders == 0)).tolist()
     current = (G.identity,)
     gens: list = []
     while len(current) < target:
-        progressed = False
+        inside = set(current)
         for g in p_elements:
-            if g in current:
+            if g in inside:
                 continue
-            candidate = subgroup_generated(G, gens + [g])
-            if len(candidate) <= target and _is_p_power(len(candidate), p):
+            candidate = subgroup_generated(G, gens + [g], limit=target)
+            if candidate is not None and target % len(candidate) == 0:
                 gens.append(g)
                 current = candidate
-                progressed = True
                 break
-        if not progressed:
+        else:
             raise GroupDefinitionError("Sylow closure search failed")  # unreachable
     return current
-
-
-def _is_p_power(value: int, p: int) -> bool:
-    while value % p == 0:
-        value //= p
-    return value == 1
 
 
 def is_cgroup(G: FiniteGroup) -> bool:
@@ -895,12 +918,26 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
 
 
 def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list:
-    """Every homomorphism G -> H, in deterministic order."""
+    """Every homomorphism G -> H, in deterministic order: lexicographic in
+    the images of ``generating_set(G)``.
+
+    From a cyclic G = <g>, each h with ord(h) | ord(g) extends uniquely, by
+    g^k -> h^k, so the images are the powers of all those h at once.
+    """
     gens = generating_set(G)
     ordersG, ordersH = G.orders, H.orders
     cands = [[h for h in range(H.order) if int(ordersG[g]) % int(ordersH[h]) == 0]
              for g in gens]
-    images = _homomorphism_search(G, H, gens, injective=False)(cands)
+    if len(gens) == 1:
+        hs = np.array(cands[0], dtype=np.int32)
+        images = np.empty((len(hs), G.order), dtype=np.int32)
+        power = np.full(len(hs), H.identity, dtype=np.int32)
+        for gk in words(G, gens, range(G.order)).tolist():  # g^k, k = 0, 1, ...
+            images[:, gk] = power
+            power = H.table[power, hs]
+        images = images.tolist()
+    else:
+        images = _homomorphism_search(G, H, gens, injective=False)(cands)
     return [Homomorphism(G, H, img) for img in images]
 
 

@@ -267,3 +267,74 @@ def ref_homomorphism_search():
             return results[:1] if first_only else results
         return search
     return build
+
+
+def _closure(G, gens):
+    """The subgroup generated by ``gens``, walked over the n x k generator
+    columns of the table, as ``subgroup_generated`` once was."""
+    cols = G.table[:, [int(g) for g in gens]].tolist()
+    seen = bytearray(G.order)
+    seen[G.identity] = 1
+    queue = [G.identity]
+    while queue:
+        for v in cols[queue.pop()]:
+            if not seen[v]:
+                seen[v] = 1
+                queue.append(v)
+    return tuple(np.flatnonzero(seen).tolist())
+
+
+@pytest.fixture(scope="session")
+def ref_sylow_subgroup():
+    """``ref_sylow_subgroup(G, p)``: the Sylow search ``sylow_subgroup`` once
+    was, which closed every candidate over all of G before rejecting it as
+    larger than p^a."""
+    def is_p_power(value, p):
+        while value % p == 0:
+            value //= p
+        return value == 1
+
+    def sylow(G, p):
+        n, target = G.order, 1
+        while n % p == 0:
+            target *= p
+            n //= p
+        if target == 1:
+            return (G.identity,)
+        p_elements = [g for g in range(G.order)
+                      if g != G.identity and is_p_power(int(G.orders[g]), p)]
+        current, gens = (G.identity,), []
+        while len(current) < target:
+            for g in p_elements:
+                if g in current:
+                    continue
+                candidate = _closure(G, gens + [g])
+                if len(candidate) <= target and is_p_power(len(candidate), p):
+                    gens.append(g)
+                    current = candidate
+                    break
+            else:
+                raise AssertionError("Sylow closure search failed")
+        return current
+    return sylow
+
+
+@pytest.fixture(scope="session")
+def ref_normal_cyclic_subgroup_generator():
+    """``ref_normal_cyclic_subgroup_generator(G, e)``: the search the
+    C-group recognizer once made, which closed <x> for each x of order e
+    and checked all n x e conjugates g a g^-1 of its members."""
+    def search(G, e):
+        if e == 1:
+            return G.identity
+        t = G.table
+        for x in range(G.order):
+            if int(G.orders[x]) != e:
+                continue
+            span = np.array(_closure(G, [x]), dtype=np.intp)
+            inside = np.zeros(G.order, dtype=bool)
+            inside[span] = True
+            if inside[t[t[:, span], G.inverses[:, None]]].all():
+                return x
+        return None
+    return search

@@ -296,6 +296,18 @@ def test_homomorphism_error_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_unexpected_error_exits_2_in_one_line(monkeypatch, capsys):
+    def broken(request):
+        raise RuntimeError("a bug\nover two lines")
+    monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+    with pytest.raises(RuntimeError):  # run() keeps raising, so tests see the bug
+        run(Request("classify", spec="dihedral 8"))
+    assert main(["classify", "--spec", "dihedral 8"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal error: RuntimeError('a bug\\nover two lines')\n"
+
+
 def test_hol_bound_flag_defaults_to_20000():
     for name in ("oracle", "aut", "sweep"):
         assert build_parser().parse_args([name]).hol_bound == 20000

@@ -399,6 +399,24 @@ def test_corpus_action_search_matches_plain_search(ref_homomorphism_search):
             assert [h.images for h in all_homomorphisms(P, A)] == plain
 
 
+def test_homomorphisms_from_cyclic_groups_match_plain_search(corpus_reps, relabel,
+                                                             ref_homomorphism_search):
+    # all_homomorphisms(cyclic_group(n), N) as fpf_search calls it, and from
+    # cyclic groups whose order divides n or not; each source also relabelled,
+    # so that its generator is not at index 1
+    rng = np.random.default_rng(16)
+    targets = [entry.group for entry in corpus_reps[::12]]
+    targets += [cgroup_group(pres) for pres in cgroup_pool()] + [klein_group()]
+    for N in targets:
+        for m in (N.order, 1, 2, 6, 9):
+            for G in (cyclic_group(m), relabel(cyclic_group(m), rng)):
+                gens = generating_set(G)
+                cands = [[h for h in range(N.order) if G.orders[g] % N.orders[h] == 0]
+                         for g in gens]
+                plain = ref_homomorphism_search(G, N, gens, False)(cands)
+                assert [h.images for h in all_homomorphisms(G, N)] == plain, (G, N)
+
+
 def _c8_c2_by(image_a):
     """(C8 x C2) x| C2, the C2 acting by a -> image_a, b -> b on a = (1, 0)
     and b = (0, 1); the element (m, t) of C8 x C2 has index 2 m + t."""

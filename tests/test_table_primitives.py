@@ -2,17 +2,22 @@
 against the plain Python loop it replaced, and the classify path is checked
 to build no nested-list copy of the table."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
                      HolElement, as_subgroup, automorphism_perms, cgroup_group,
                      classify, commutator_subgroup, conjugation_perm,
                      cyclic_group, decompose, dihedral_group, direct_product,
-                     generating_set, is_subgroup, parse_group_spec,
+                     generating_set, is_normal, is_subgroup, parse_group_spec,
                      quaternion_group, quotient_group, recognize_cgroup,
-                     respects_product, subgroup_generated)
-from holoreg.groups import _fingerprints
+                     respects_product, subgroup_generated, sylow_subgroup)
+from holoreg import groups
+from holoreg.cgroups import _divisors, _normal_cyclic_subgroup_generator
+from holoreg.groups import _fingerprints, _prime_divisors
 
 REFERENCE_MAX_ORDER = 120
 
@@ -309,6 +314,73 @@ def test_element_arithmetic_matches_reference(reference_groups):
             for twist in (conjugation_perm(G, x), tuple(rng.permutation(n).tolist())):
                 h = HolElement(G, a, twist)
                 assert h.action_perm() == ref_action_perm(h), (G, a, twist)
+
+
+# -- subgroup searches that stop at the size they look for ---------------------
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_bounded_closure_stops_exactly_past_its_limit(reference_groups, data):
+    G = data.draw(st.sampled_from(reference_groups))
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    limit = data.draw(st.integers(0, G.order + 1))
+    full = ref_subgroup_generated(G, gens)
+    assert subgroup_generated(G, gens) == full
+    reads = []
+
+    def item(u, g):
+        reads.append(u)
+        return G.table.item(u, g)
+
+    # the same group with every table read counted
+    counted = SimpleNamespace(table=SimpleNamespace(item=item), order=G.order,
+                              identity=G.identity)
+    got = subgroup_generated(counted, gens, limit=limit)
+    assert got == (None if len(full) > limit else full), (G, gens, limit)
+    assert len(reads) <= limit * len(gens)
+
+
+def check_subgroup_searches(G, ref_sylow, ref_normal):
+    """Every Sylow subgroup and every normal cyclic subgroup search of G
+    against the references; returns whether the Sylow 2-subgroup is normal."""
+    for p in _prime_divisors(G.order):
+        assert sylow_subgroup(G, p) == ref_sylow(G, p), (G, p)
+    for e in _divisors(G.order):
+        assert _normal_cyclic_subgroup_generator(G, e) == ref_normal(G, e), (G, e)
+    return is_normal(G, sylow_subgroup(G, 2))
+
+
+def test_subgroup_searches_match_reference_on_corpus(corpus_reps, relabel,
+                                                     ref_sylow_subgroup,
+                                                     ref_normal_cyclic_subgroup_generator):
+    rng = np.random.default_rng(17)
+    normal = set()
+    for entry in corpus_reps:
+        for G in (entry.group, relabel(entry.group, rng)):
+            normal.add(check_subgroup_searches(G, ref_sylow_subgroup,
+                                               ref_normal_cyclic_subgroup_generator))
+    assert normal == {True, False}
+
+
+def test_subgroup_searches_match_reference_on_large_tables(
+        monkeypatch, relabel, ref_sylow_subgroup, ref_normal_cyclic_subgroup_generator):
+    closures = []  # what each closure of sylow_subgroup returned
+
+    def recorded(G, gens, limit=None):
+        closures.append(subgroup_generated(G, gens, limit))
+        return closures[-1]
+    monkeypatch.setattr(groups, "subgroup_generated", recorded)
+    rng = np.random.default_rng(18)
+    normal = {}
+    for name, build in LARGE_TABLES.items():
+        G = build()
+        for H in (G, relabel(G, rng)):
+            normal[name] = check_subgroup_searches(
+                H, ref_sylow_subgroup, ref_normal_cyclic_subgroup_generator)
+    assert not any(normal[name] for name in
+                   ("semidirect-600", "semidirect-672", "semidirect-1008"))
+    assert None in closures  # candidates were dropped past the Sylow order
 
 
 # -- the classify path reads the table as an array -----------------------------
