@@ -25,11 +25,11 @@ from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
 from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement,
                         HolElements, SkewBrace, all_regular_subgroups,
                         conjugation_perm, crossed_from_regular,
-                        cyclic_regular_oracle, fpf_search, hol_elements,
-                        hol_group, holomorph_order, induction_quotient,
+                        cyclic_regular_oracle, hol_elements, hol_group,
+                        holomorph_order, induction_quotient,
                         induction_restrict, is_regular_subgroup,
                         lambda_embedding, regular_from_crossed,
-                        regular_from_fpf, regular_subgroup_as_group,
+                        regular_subgroup_as_group,
                         regular_subgroups_isomorphic_to, rho_embedding,
                         skew_brace_from_regular, subgroup_generated_by_hol)
 from .realizability import (CorpusEntry, Decomposition, Verdict,

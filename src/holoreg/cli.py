@@ -155,8 +155,8 @@ def _brace_report(request: Request) -> tuple:
     report.add("circle_cyclic",
                int(max(brace.multiplicative.orders)) == group.order)
     names = np.array([str(i) for i in range(group.order)], dtype=object)
-    for a, row in enumerate(names[brace.circle_table].tolist()):
-        report.add(f"circle_row_{a}", " ".join(row))
+    for a, row in enumerate(brace.circle_table):
+        report.add(f"circle_row_{a}", " ".join(names[row].tolist()))
     return report.text(), EXIT_OK
 
 

@@ -155,14 +155,6 @@ class FiniteGroup:
 
     # -- basic arithmetic ----------------------------------------------------
 
-    @cached_property
-    def rows(self) -> list:
-        """Cayley table as nested Python lists: an n^2 copy, built only by the
-        index-heavy search loops that pay for it (``_homomorphism_search``
-        and ``all_regular_subgroups``).  Validation, classification and
-        construction read ``table`` and never build it."""
-        return self.table.tolist()
-
     def mul(self, a: int, b: int) -> int:
         return self.table.item(a, b)
 
@@ -732,21 +724,25 @@ def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
     of <gens[:d+1]> from img[1] = 1: each edge u -> u g, g chosen to go to
     h, sets img[u g] = img[u] h or must agree with it.  That is
     ``respects_product`` on the prefix subgroup, every edge checked once.
+
+    The pass reads only table columns: the k generator columns of G, taken
+    once, and the column x -> x h of H for each image h, taken the first
+    time the DFS tries h and kept for the life of the returned closure.
     """
-    tH = H.rows
-    tG = G.rows
+    colsG = G.table[:, list(gens)].tolist()  # colsG[u][i] = u * gens[i]
+    colsH: dict = {}  # colsH[h][x] = x * h
     n = G.order
 
-    def fill(depth: int, chosen: list) -> Optional[list]:
-        pairs = list(zip(gens[:depth + 1], chosen))
+    def fill(chosen: list) -> Optional[list]:
+        pairs = [(i, colsH[h]) for i, h in enumerate(chosen)]
         img = [-1] * n
         img[G.identity] = H.identity
         used = {H.identity}
         queue = [G.identity]
         for u in queue:
-            rowu, rowh = tG[u], tH[img[u]]
-            for g, h in pairs:
-                v, val = rowu[g], rowh[h]
+            rowu, x = colsG[u], img[u]
+            for i, col in pairs:
+                v, val = rowu[i], col[x]
                 if img[v] == -1:
                     if injective:
                         if val in used:
@@ -765,8 +761,10 @@ def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
 
         def dfs(depth: int, chosen: list):
             for cand in candidates[depth]:
+                if cand not in colsH:
+                    colsH[cand] = H.table[:, cand].tolist()
                 chosen.append(cand)
-                img = fill(depth, chosen)
+                img = fill(chosen)
                 if img is not None:
                     if depth + 1 == len(gens):
                         results.append(tuple(img))

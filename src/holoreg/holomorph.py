@@ -22,9 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import (FiniteGroup, Homomorphism, BoundExceeded,
-                     GroupDefinitionError, HomomorphismError,
-                     all_homomorphisms, as_subgroup, automorphism_perms,
+from .groups import (FiniteGroup, BoundExceeded, GroupDefinitionError,
+                     HomomorphismError, as_subgroup, automorphism_perms,
                      center, find_isomorphism, generating_set, greedy_closure,
                      is_action, is_subgroup, quotient_group, respects_product)
 
@@ -315,7 +314,7 @@ def all_regular_subgroups(N: FiniteGroup) -> list:
     a_count = len(perms)
     perm_rows = perms.tolist()
     comp = _composition_index(perms).tolist()
-    rows = N.rows
+    rows = N.table.tolist()
     identity_perm = perm_rows.index(list(range(n)))
     # the order of (a, p) must divide the subgroup order: (a, p)^n acts trivially
     divides = []
@@ -559,25 +558,6 @@ def skew_brace_from_regular(N: FiniteGroup, subgroup: HolElements) -> SkewBrace:
     if not respects_product(N, N, lam).all():
         raise GroupDefinitionError("brace compatibility fails")
     return SkewBrace(N, mult.table, mult)
-
-
-# -- fixed point free pairs --------------------------------------------------------
-
-
-def fpf_search(G: FiniteGroup, N: FiniteGroup) -> list:
-    """All pairs (f, h) of homomorphisms G -> N agreeing only at the identity."""
-    homs = all_homomorphisms(G, N)
-    others = np.delete(np.array([h.images for h in homs], dtype=np.int32)
-                       .reshape(len(homs), G.order), G.identity, axis=1)
-    return [(homs[i], homs[j]) for i, row in enumerate(others)
-            for j in np.flatnonzero(~(others == row).any(axis=1)).tolist()]
-
-
-def regular_from_fpf(N: FiniteGroup, f: Homomorphism, h: Homomorphism) -> HolElements:
-    """The regular subgroup {rho(h(s)) lambda(f(s))} of a fixed point free
-    pair: element s is (h(s) f(s)^-1, conjugation by f(s))."""
-    fs, hs = np.asarray(f.images), np.asarray(h.images)
-    return HolElements(N, _conjugations(N), N.table[hs, N.inverses[fs]], fs)
 
 
 def subgroup_generated_by_hol(h: HolElement) -> HolElements:

@@ -306,8 +306,8 @@ def _diagnose_rows(body: list, n: int) -> str:
 def dump_cayley_table(G: FiniteGroup, path):
     """Write a group in the line-oriented table format.
 
-    The n decimal names are made once; each row is the names looked up by
-    ``names[G.table]`` and joined, the same bytes as formatting every entry.
+    The n decimal names are made once; each row of the table is looked up
+    in them and joined, the same bytes as formatting every entry.
     """
     if G.identity != 0:
         raise SpecError("table files require the identity at index 0")
@@ -317,5 +317,5 @@ def dump_cayley_table(G: FiniteGroup, path):
         if G.labels is not None:
             rendered = [G.format_element(i).replace(" ", "") for i in range(G.order)]
             fh.write("labels " + " ".join(rendered) + "\n")
-        for row in names[G.table].tolist():
-            fh.write(" ".join(row) + "\n")
+        for row in G.table:
+            fh.write(" ".join(names[row].tolist()) + "\n")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
-                     build_semidirect_from_auts, cgroup_group,
-                     corpus_representatives, generate_corpus)
+                     HolElements, all_homomorphisms, build_semidirect_from_auts,
+                     cgroup_group, corpus_representatives, generate_corpus)
 from holoreg.groups import _normalize_action, check_table_size, greedy_closure
-from holoreg.holomorph import _hol_perms
+from holoreg.holomorph import _conjugations, _hol_perms
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +64,30 @@ def relabel():
         return FiniteGroup(out, labels=labels, name=f"{G.name} relabelled",
                            label_style=G.label_style)
     return renumber
+
+
+@pytest.fixture(scope="session")
+def fpf_search():
+    """``fpf_search(G, N)``: all pairs (f, h) of homomorphisms G -> N
+    agreeing only at the identity (fixed point free pairs)."""
+    def search(G, N):
+        homs = all_homomorphisms(G, N)
+        others = np.delete(np.array([h.images for h in homs], dtype=np.int32)
+                           .reshape(len(homs), G.order), G.identity, axis=1)
+        return [(homs[i], homs[j]) for i, row in enumerate(others)
+                for j in np.flatnonzero(~(others == row).any(axis=1)).tolist()]
+    return search
+
+
+@pytest.fixture(scope="session")
+def regular_from_fpf():
+    """``regular_from_fpf(N, f, h)``: the regular subgroup
+    {rho(h(s)) lambda(f(s))} of a fixed point free pair: element s is
+    (h(s) f(s)^-1, conjugation by f(s))."""
+    def build(N, f, h):
+        fs, hs = np.asarray(f.images), np.asarray(h.images)
+        return HolElements(N, _conjugations(N), N.table[hs, N.inverses[fs]], fs)
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,9 @@ from holoreg import (BoundExceeded, CGroupPresentation, FiniteGroup,
                      closed_form_products, commutator_subgroup,
                      construct, cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
-                     fpf_search, hol_group, is_regular_subgroup,
+                     hol_group, is_regular_subgroup,
                      parse_group_spec, quaternion_group, quotient_action_probe,
-                     quotient_group, recognize_cgroup, regular_from_fpf,
+                     quotient_group, recognize_cgroup,
                      semidirect_product, subgroup_generated,
                      twisted_partial_products, unit_groups)
 from holoreg.cgroups import CGroupAut
@@ -258,7 +258,7 @@ def test_criterion_6_aut_decomposition(cgroup_test_groups):
     _report("6 aut-decomposition", ok)
 
 
-def test_criterion_7_fpf_gap(corpus_reps):
+def test_criterion_7_fpf_gap(corpus_reps, fpf_search, regular_from_fpf):
     ok = True
     for entry in corpus_reps:  # none of these splits is a C-group
         n = entry.group.order

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
@@ -17,6 +18,7 @@ from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      quotient_group, semidirect_product, subgroup_generated,
                      sylow_subgroup, CGroupPresentation, cgroup_aut_group,
                      cgroup_group, cgroup_pool, parse_group_spec)
+from holoreg import realizability
 from holoreg.realizability import TWO_GROUP_SPECS
 from holoreg.groups import (_fingerprints, _homomorphism_search,
                             generating_set)
@@ -427,6 +429,44 @@ def _c8_c2_by(image_a):
                               [np.arange(16), 2 * (m * p % 8) + (m * q + t) % 2])
 
 
+def _assert_isomorphisms_agree(G, H, ref_homomorphism_search):
+    """``find_isomorphism`` and the same fingerprint-candidate search run by
+    the two-pass reference agree on None against found and on the images."""
+    want = None
+    fps_G, fps_H = _fingerprints(G), _fingerprints(H)
+    if G.order == H.order and sorted(fps_G) == sorted(fps_H):
+        gens = generating_set(G)
+        cands = [[h for h in range(H.order) if fps_H[h] == fps_G[g]] for g in gens]
+        found = ref_homomorphism_search(G, H, gens, True)(cands, first_only=True)
+        want = found[0] if found else None
+    got = find_isomorphism(G, H)
+    assert (None if got is None else got.images) == want, (G, H)
+    return got
+
+
+def test_isomorphism_search_matches_plain_search_on_corpus_duplicates(
+        corpus, monkeypatch, ref_homomorphism_search, relabel):
+    # every same-bucket pair that _duplicate_of compares when the corpus is
+    # built (its C-group pool, then its splits), as given and with the
+    # second group relabelled
+    pairs = []
+
+    def recording(G, H):
+        pairs.append((G, H))
+        return find_isomorphism(G, H)
+
+    monkeypatch.setattr(realizability, "find_isomorphism", recording)
+    cgroup_pool()
+    assert (realizability._duplicate_of([e.group for e in corpus])
+            == [e.duplicate_of for e in corpus])
+    monkeypatch.undo()
+    assert len(corpus) == 435 and len(pairs) == 234
+    rng = np.random.default_rng(18)
+    for G, H in pairs:
+        for target in (H, relabel(H, rng)):
+            assert _assert_isomorphisms_agree(G, target, ref_homomorphism_search) is not None
+
+
 def test_isomorphism_search_refutes_groups_with_equal_fingerprints(
         ref_homomorphism_search, relabel):
     # non-isomorphic pairs that no fingerprint tells apart, so the search runs
@@ -440,11 +480,33 @@ def test_isomorphism_search_refutes_groups_with_equal_fingerprints(
         for G, H in ((first, second), (second, relabel(first, rng)),
                      (relabel(first, rng), relabel(second, rng))):
             assert sorted(_fingerprints(G)) == sorted(_fingerprints(H))
-            assert find_isomorphism(G, H) is None
+            assert _assert_isomorphisms_agree(G, H, ref_homomorphism_search) is None
             fps_G, fps_H = _fingerprints(G), _fingerprints(H)
             cands = [[h for h in range(H.order) if fps_H[h] == fps_G[g]]
                      for g in generating_set(G)]
             _assert_searches_agree(G, H, cands, True, ref_homomorphism_search)
+
+
+@pytest.fixture(scope="module")
+def small_groups(corpus_reps):
+    """Corpus representatives of order <= 60 and small direct products."""
+    c2, c3, c4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    products = [direct_product(c2, c2), direct_product(direct_product(c2, c2), c2),
+                direct_product(c3, c3), direct_product(c2, c4), direct_product(c4, c4),
+                direct_product(dihedral_group(8), c2), direct_product(quaternion_group(8), c3),
+                direct_product(cgroup_group(CGroupPresentation(3, 2, 2)), c3),
+                direct_product(c2, cyclic_group(6))]
+    return [e.group for e in corpus_reps if e.group.order <= 60] + products
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_automorphisms_and_isomorphisms_survive_relabelling(small_groups, relabel, data):
+    G = data.draw(st.sampled_from(small_groups))
+    H = relabel(G, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    assert (len(automorphism_perms(G, max_count=100_000))
+            == len(automorphism_perms(H, max_count=100_000))), G
+    assert isinstance(find_isomorphism(G, H), Homomorphism), G
 
 
 def test_automorphism_count_bound_is_exact(cgroup_test_groups, corpus_reps):

@@ -10,11 +10,11 @@ from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
                      as_subgroup, automorphism_perms, cgroup_group, conjugation_perm,
                      crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, direct_product,
-                     find_isomorphism, fpf_search, hol_elements, hol_group,
+                     find_isomorphism, hol_elements, hol_group,
                      holomorph_order, induction_quotient,
                      induction_restrict, is_regular_subgroup,
                      lambda_embedding, quaternion_group, recognize_cgroup,
-                     regular_from_crossed, regular_from_fpf,
+                     regular_from_crossed,
                      regular_subgroup_as_group,
                      regular_subgroups_isomorphic_to, rho_embedding,
                      skew_brace_from_regular, subgroup_generated_by_hol,
@@ -328,9 +328,9 @@ def test_crossed_round_trip_on_every_regular_subgroup():
 
 def _regular_counts_by_dense_table(N, target):
     """Independent enumeration: subgroup extension over the dense holomorph
-    table, pruned at the target order, then a regularity filter на labels."""
+    table, pruned at the target order, then a regularity filter on labels."""
     H = hol_group(N)
-    rows = H.rows
+    rows = H.table.tolist()
 
     def closure(gens):
         seen = {H.identity}
@@ -509,7 +509,7 @@ def test_brace_circle_group_isomorphic_to_source_subgroup():
 # -- fixed point free pairs ---------------------------------------------------------
 
 
-def test_projection_pair_found_for_coprime_product():
+def test_projection_pair_found_for_coprime_product(fpf_search):
     N = cgroup_group(CGroupPresentation(3, 2, 2))
     G = cyclic_group(6)
     pairs = fpf_search(G, N)
@@ -519,11 +519,11 @@ def test_projection_pair_found_for_coprime_product():
     assert hit
 
 
-def test_fpf_empty_for_c4_acting_on_klein():
+def test_fpf_empty_for_c4_acting_on_klein(fpf_search):
     assert fpf_search(cyclic_group(4), klein_group()) == []
 
 
-def test_fpf_gap_on_klein_despite_realizability():
+def test_fpf_gap_on_klein_despite_realizability(fpf_search):
     # the oracle finds cyclic regular subgroups, yet no fpf pair exists:
     # fpf existence is strictly stronger than realizability
     N = klein_group()
@@ -532,7 +532,7 @@ def test_fpf_gap_on_klein_despite_realizability():
     assert classify(N).realizable
 
 
-def test_fpf_pairs_give_regular_subgroups():
+def test_fpf_pairs_give_regular_subgroups(fpf_search, regular_from_fpf):
     N = cgroup_group(CGroupPresentation(7, 3, 2))
     G = cyclic_group(21)
     pairs = fpf_search(G, N)
@@ -542,6 +542,6 @@ def test_fpf_pairs_give_regular_subgroups():
         assert is_regular_subgroup(N, sub)
 
 
-def test_fpf_trivial_group():
+def test_fpf_trivial_group(fpf_search):
     pairs = fpf_search(cyclic_group(1), cyclic_group(1))
     assert len(pairs) == 1

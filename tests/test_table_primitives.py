@@ -2,6 +2,8 @@
 against the plain Python loop it replaced, and the classify path is checked
 to build no nested-list copy of the table."""
 
+import tracemalloc
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
-                     HolElement, as_subgroup, automorphism_perms, cgroup_group,
-                     classify, commutator_subgroup, conjugation_perm,
-                     cyclic_group, decompose, dihedral_group, direct_product,
-                     generating_set, is_normal, is_subgroup, parse_group_spec,
-                     quaternion_group, quotient_group, recognize_cgroup,
-                     respects_product, subgroup_generated, sylow_subgroup)
+                     HolElement, as_subgroup, automorphism_group,
+                     automorphism_perms, cgroup_group, classify,
+                     commutator_subgroup, conjugation_perm, cyclic_group,
+                     decompose, dihedral_group, direct_product,
+                     find_isomorphism, generating_set, is_normal, is_subgroup,
+                     parse_group_spec, quaternion_group, quotient_group,
+                     recognize_cgroup, respects_product, subgroup_generated,
+                     sylow_subgroup)
 from holoreg import groups
 from holoreg.cgroups import _divisors, _normal_cyclic_subgroup_generator
 from holoreg.groups import _fingerprints, _prime_divisors
@@ -25,9 +29,15 @@ REFERENCE_MAX_ORDER = 120
 # -- the plain loops, kept as references --------------------------------------
 
 
+@lru_cache(maxsize=4)
+def table_rows(G):
+    """G's Cayley table as nested lists, for the loops below to index."""
+    return G.table.tolist()
+
+
 def ref_subgroup_generated(G, gens):
     gens = [int(g) for g in gens]
-    t = G.rows
+    t = table_rows(G)
     seen = bytearray(G.order)
     seen[G.identity] = 1
     frontier = [G.identity]
@@ -50,7 +60,7 @@ def ref_is_subgroup(G, elems):
     elems = set(int(x) for x in elems)
     if G.identity not in elems:
         return False
-    t = G.rows
+    t = table_rows(G)
     return all(t[a][b] in elems for a in elems for b in elems)
 
 
@@ -59,7 +69,7 @@ def ref_as_subgroup(G, elems):
     pos = {e: i for i, e in enumerate(elems)}
     k = len(elems)
     table = np.zeros((k, k), dtype=np.int32)
-    t = G.rows
+    t = table_rows(G)
     for i, a in enumerate(elems):
         row = t[a]
         for j, b in enumerate(elems):
@@ -72,13 +82,13 @@ def ref_as_subgroup(G, elems):
 
 
 def ref_conjugation_perm(N, a):
-    row = N.rows
+    row = table_rows(N)
     a_inv = N.inv(a)
     return tuple(row[row[a][x]][a_inv] for x in range(N.order))
 
 
 def ref_action_perm(h):
-    row = h.group.rows
+    row = table_rows(h.group)
     a_inv = h.group.inv(h.translation)
     return tuple(row[p][a_inv] for p in h.twist)
 
@@ -87,7 +97,7 @@ def ref_power(G, a, k):
     if k < 0:
         a, k = G.inv(a), -k
     result, base = G.identity, a
-    t = G.rows
+    t = table_rows(G)
     while k:
         if k & 1:
             result = t[result][base]
@@ -97,12 +107,12 @@ def ref_power(G, a, k):
 
 
 def ref_conj(G, a, b):
-    t = G.rows
+    t = table_rows(G)
     return t[t[b][a]][G.inv(b)]
 
 
 def ref_commutator_subgroup(G):
-    t = G.rows
+    t = table_rows(G)
     inv = G.inverses
     comms = {t[t[g][h]][t[inv[g]][inv[h]]] for g in range(G.order) for h in range(G.order)}
     return ref_subgroup_generated(G, comms)
@@ -110,7 +120,7 @@ def ref_commutator_subgroup(G):
 
 def ref_quotient_group(G, nset):
     """(table, coset_index) of G/N for a normal subgroup N."""
-    t = G.rows
+    t = table_rows(G)
     coset_index = [-1] * G.order
     reps = []
     for a in range(G.order):
@@ -156,7 +166,7 @@ def ref_conjugacy_classes(G):
 
 def ref_fingerprints(G):
     orders, sizes = G.orders, G.class_sizes
-    t = G.rows
+    t = table_rows(G)
     return [(int(orders[g]), int(sizes[g]), int(orders[t[g][g]])) for g in range(G.order)]
 
 
@@ -401,6 +411,13 @@ def _classify_path_groups(G):
     return verdict, built
 
 
+def _nested_list_tables(H):
+    """The attributes and memo entries of H that hold a list of H.order lists."""
+    held = {**vars(H), **{getattr(k, "__name__", k): v for k, v in H.memo.items()}}
+    return [name for name, v in held.items() if isinstance(v, list)
+            and len(v) == H.order and all(isinstance(row, list) for row in v)]
+
+
 @pytest.mark.parametrize("make", [
     lambda relabel: cyclic_group(1000),
     lambda relabel: relabel(dihedral_group(256), np.random.default_rng(4)),
@@ -414,7 +431,7 @@ def test_classify_path_builds_no_nested_list_table(make, relabel):
     _, built = _classify_path_groups(G)
     assert len(built) >= 3
     for H in built:
-        assert "rows" not in H.__dict__, H
+        assert _nested_list_tables(H) == [], H
 
 
 def test_corpus_classify_path_builds_no_nested_list_table(corpus_reps):
@@ -423,7 +440,31 @@ def test_corpus_classify_path_builds_no_nested_list_table(corpus_reps):
         verdict, built = _classify_path_groups(G)
         assert verdict.realizable == classify(entry.group).realizable
         for H in built:
-            assert "rows" not in H.__dict__, (entry.spec, H)
+            assert _nested_list_tables(H) == [], (entry.spec, H)
+
+
+def _retained(call):
+    """(result of call(), bytes allocated by the call and still held after it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_searches_retain_no_table_sized_copy(relabel):
+    # the homomorphism search reads table columns and keeps none of them: a
+    # search leaves behind less than the table itself, besides its result
+    G = LARGE_TABLES["semidirect-1008"]()
+    H = relabel(G, np.random.default_rng(18))
+    iso, retained = _retained(lambda: find_isomorphism(G, H))
+    assert iso is not None and retained < G.table.nbytes, retained
+    G = LARGE_TABLES["semidirect-672"]()
+    auts, retained = _retained(lambda: automorphism_group(G, max_count=10_000))
+    assert len(auts) == 5376
+    assert retained - auts.perms.nbytes < G.table.nbytes, retained
 
 
 # -- C-group recognition, exhaustively at small orders --------------------------
