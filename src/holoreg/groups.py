@@ -61,7 +61,9 @@ class FiniteGroup:
     test over a generating sequence).  An associative table with an identity
     and right inverses is a group, so it is a Latin square.  Both passes
     read the table a block of rows at a time and allocate no n x n
-    temporary.
+    temporary.  ``generators`` is the generating sequence Light's test
+    walked: each member the least index not reached from the identity by
+    right products with the earlier ones.
     """
 
     def __init__(self, table, labels=None, name: str = "",
@@ -83,7 +85,7 @@ class FiniteGroup:
         self.labels = labels
         self.identity = self._find_identity()
         self.inverses = self._right_inverses()
-        self._check_associative()
+        self.generators = self._check_associative()
         table.setflags(write=False)
         self.memo = {}  # filled only by ``memoized``
 
@@ -131,14 +133,14 @@ class FiniteGroup:
         inv.setflags(write=False)
         return inv
 
-    def _check_associative(self):
+    def _check_associative(self) -> tuple:
         """Light's test: (a*g)*b == a*(g*b) for all a, b, checked only for g
         in a generating sequence, each g the least index not yet reached,
         and for each g one block of rows a at a time.
 
         Exact for any table with an identity: the g that pass contain the
         identity and are closed under the product, and every element is a
-        left-nested product of the sequence.
+        left-nested product of the sequence.  Returns the sequence.
         """
         t = self.table
         blocks = self._row_blocks()
@@ -151,7 +153,7 @@ class FiniteGroup:
                     raise GroupDefinitionError(f"associativity fails at element {g}")
             return col
 
-        greedy_closure(self.order, self.identity, right_column)
+        return greedy_closure(self.order, self.identity, right_column)
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -217,17 +219,26 @@ class FiniteGroup:
 
     @cached_property
     def _least_conjugates(self) -> np.ndarray:
-        """The least member of each element's conjugacy class: the running
-        column minimum of t[t[g, :], g^-1], a block of g rows at a time."""
-        n = self.order
-        t = self.table
-        inv = self.inverses
-        least = np.arange(n, dtype=np.int32)
-        block = max(1, (1 << 18) // n)
-        for start in range(0, n, block):
-            g = np.arange(start, min(start + block, n))
-            np.minimum(least, t[t[g], inv[g, None]].min(axis=0), out=least)
-        return least
+        """The least member of each element's conjugacy class.  The
+        conjugations x -> g x g^-1 by the g in ``generators`` generate
+        Inn(G), so the classes are their orbits; walked from each element
+        not yet reached, in index order, an orbit starts at its least
+        member.  O(n k) for k generators."""
+        t, inv = self.table, self.inverses
+        conj = [t[t[g], inv[g]].tolist() for g in self.generators]
+        least = [-1] * self.order
+        for x in range(self.order):
+            if least[x] >= 0:
+                continue
+            least[x] = x
+            orbit = [x]
+            for y in orbit:
+                for c in conj:
+                    z = c[y]
+                    if least[z] < 0:
+                        least[z] = x
+                        orbit.append(z)
+        return np.array(least, dtype=np.int32)
 
     @cached_property
     def conjugacy_classes(self) -> list:
@@ -484,20 +495,21 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int],
     return tuple(sorted(seen))
 
 
-def greedy_closure(n: int, identity: int, right_column: Callable) -> None:
+def greedy_closure(n: int, identity: int, right_column: Callable) -> tuple:
     """Walk the greedy generating sequence of n indexed elements: each g, in
     index order, not yet reached from ``identity`` by right products with
     the earlier ones.  ``right_column(g)`` returns the n indices u * g, or
     raises when g fails its caller's check; the reached set grows from the
-    set already reached.  On return every index was reached or is a
-    generator."""
+    set already reached.  Returns the sequence: every index was reached or
+    is a member."""
     reached = bytearray(n)
     reached[identity] = 1
     members = [identity]
-    cols = []
+    gens, cols = [], []
     for g in range(n):
         if reached[g]:
             continue
+        gens.append(g)
         cols.append(right_column(g))
         rows = np.stack(cols, axis=1).tolist()  # rows[u][i] = u * (generator i)
         queue = cols[-1][members].tolist()
@@ -507,6 +519,7 @@ def greedy_closure(n: int, identity: int, right_column: Callable) -> None:
                 reached[v] = 1
                 members.append(v)
                 queue.extend(rows[v])
+    return tuple(gens)
 
 
 def is_subgroup(G: FiniteGroup, elems: Iterable[int]) -> bool:
@@ -527,9 +540,8 @@ def is_normal(G: FiniteGroup, elems: Iterable[int]) -> bool:
 
 
 def center(G: FiniteGroup) -> tuple:
-    t = G.table
-    return tuple(int(z) for z in range(G.order)
-                 if np.array_equal(t[z], t[:, z]))
+    """The elements whose conjugacy class is a single element."""
+    return tuple(np.flatnonzero(G.class_sizes == 1).tolist())
 
 
 def commutator_subgroup(G: FiniteGroup) -> tuple:
@@ -719,11 +731,15 @@ def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
     """DFS over generator images with prefix-subgroup pruning.
 
     Returns ``search(candidates, first_only=False)``, which lists full image
-    tuples in lexicographic candidate order.  Images chosen for gens[:d+1]
-    are extended and checked in one breadth-first pass over the Cayley graph
-    of <gens[:d+1]> from img[1] = 1: each edge u -> u g, g chosen to go to
-    h, sets img[u g] = img[u] h or must agree with it.  That is
-    ``respects_product`` on the prefix subgroup, every edge checked once.
+    tuples in lexicographic candidate order.  Choosing h for gens[d]
+    extends the images on <gens[:d]>, its DFS parent's, to <gens[:d+1]> in
+    one breadth-first pass: each edge u -> u g, g chosen to go to h', sets
+    img[u g] = img[u] h' or must agree with it.  The pass follows the edges
+    of gens[d] from the parent's elements and the edges of every chosen
+    generator from the elements it adds, so each edge of the Cayley graph
+    of <gens[:d+1]> is checked once: ``respects_product`` on the prefix
+    subgroup.  The images along the last path tried outlive the call, so a
+    prefix that consecutive calls pin is filled once.
 
     The pass reads only table columns: the k generator columns of G, taken
     once, and the column x -> x h of H for each image h, taken the first
@@ -731,51 +747,66 @@ def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
     """
     colsG = G.table[:, list(gens)].tolist()  # colsG[u][i] = u * gens[i]
     colsH: dict = {}  # colsH[h][x] = x * h
-    n = G.order
+    root = [-1] * G.order
+    root[G.identity] = H.identity
+    # trail[d] = (h, (img, reached, used)): gens[d] went to h on the last
+    # path tried, whose images on <gens[:d+1]> are img
+    trail: list = []
 
-    def fill(chosen: list) -> Optional[list]:
+    def fill(parent: tuple, chosen: list) -> Optional[tuple]:
+        img, reached, used = parent
+        img = img[:]
+        if injective:
+            used = set(used)
+        d = len(chosen) - 1
+        fresh: list = []
         pairs = [(i, colsH[h]) for i, h in enumerate(chosen)]
-        img = [-1] * n
-        img[G.identity] = H.identity
-        used = {H.identity}
-        queue = [G.identity]
-        for u in queue:
-            rowu, x = colsG[u], img[u]
-            for i, col in pairs:
-                v, val = rowu[i], col[x]
-                if img[v] == -1:
-                    if injective:
-                        if val in used:
-                            return None
-                        used.add(val)
-                    img[v] = val
-                    queue.append(v)
-                elif img[v] != val:
-                    return None
-        return img
+        for elems, edges in ((reached, pairs[d:]), (fresh, pairs)):
+            for u in elems:
+                rowu, x = colsG[u], img[u]
+                for i, col in edges:
+                    v, val = rowu[i], col[x]
+                    if img[v] == -1:
+                        if injective:
+                            if val in used:
+                                return None
+                            used.add(val)
+                        img[v] = val
+                        fresh.append(v)
+                    elif img[v] != val:
+                        return None
+        return img, reached + fresh, used
 
     def search(candidates: Sequence[Sequence[int]], first_only: bool = False) -> list:
         if not gens:  # trivial source group
             return [(H.identity,)]
         results: list = []
 
-        def dfs(depth: int, chosen: list):
+        def dfs(depth: int, chosen: list, parent: tuple):
+            # trail[:depth] holds the images of chosen, so trail[depth] is
+            # reused only under the same prefix
             for cand in candidates[depth]:
                 if cand not in colsH:
                     colsH[cand] = H.table[:, cand].tolist()
                 chosen.append(cand)
-                img = fill(chosen)
-                if img is not None:
+                if len(trail) > depth and trail[depth][0] == cand:
+                    state = trail[depth][1]
+                else:
+                    del trail[depth:]
+                    state = fill(parent, chosen)
+                    if state is not None:
+                        trail.append((cand, state))
+                if state is not None:
                     if depth + 1 == len(gens):
-                        results.append(tuple(img))
+                        results.append(tuple(state[0]))
                         if first_only:
                             raise StopIteration
                     else:
-                        dfs(depth + 1, chosen)
+                        dfs(depth + 1, chosen, state)
                 chosen.pop()
 
         try:
-            dfs(0, [])
+            dfs(0, [], (root, [G.identity], {H.identity}))
         except StopIteration:
             pass
         return results
@@ -826,21 +857,34 @@ def _check_count(count: int, max_count: Optional[int]):
         raise BoundExceeded(f"more than {max_count} homomorphisms found")
 
 
-def _orbit(x: int, perms: Sequence[np.ndarray], n: int) -> dict:
-    """The orbit of x under the group generated by ``perms``, each point
-    mapped to a product of ``perms`` that sends x to it."""
-    reps = {x: np.arange(n, dtype=np.int32)}
-    queue = [x]
-    qi = 0
-    while qi < len(queue):
-        p = queue[qi]
-        qi += 1
-        for s in perms:
-            q = int(s[p])
-            if q not in reps:
-                reps[q] = s[reps[p]]
-                queue.append(q)
-    return reps
+def _grow_orbit(orbit: dict, perms: list, start: int = 0) -> None:
+    """Close ``orbit`` under the list-form ``perms``, given that it is
+    closed under perms[:start].  ``orbit`` is a tree of parent pointers:
+    orbit[q] = (p, j) when perms[j] maps p, reached earlier, to q, and the
+    root maps to None."""
+    fresh: list = []
+    for elems, first in ((list(orbit), start), (fresh, 0)):
+        for p in elems:
+            for j in range(first, len(perms)):
+                q = perms[j][p]
+                if q not in orbit:
+                    orbit[q] = (p, j)
+                    fresh.append(q)
+
+
+def _inner_orbit_sizes(G: FiniteGroup, gens: Sequence[int]) -> list:
+    """inner[i], the size of the orbit of gens[i] under conjugation by the
+    centralizer of gens[:i].  Those conjugations are automorphisms fixing
+    gens[:i], so inner[i] is at most the size of the stabilizer chain's
+    orbit at level i; the product of all of them is |Inn(G)|."""
+    t, inv = G.table, G.inverses
+    cent = np.ones(G.order, dtype=bool)
+    inner = []
+    for g in gens:
+        C = np.flatnonzero(cent)
+        inner.append(len(np.unique(t[t[C, g], inv[C]])))
+        cent &= t[:, g] == t[g]
+    return inner
 
 
 @memoized
@@ -850,37 +894,61 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> np.ndarray:
     Level i is a transversal of the orbit of gens[i] under the automorphisms
     fixing gens[:i].  Levels are built deepest first: an orbit is closed under
     the automorphisms found so far, all of which fix gens[:i], and a remaining
-    fingerprint candidate is decided by one search with gens[:i] pinned.
-    Fingerprints are invariant under automorphisms, so the candidates cover
-    the orbit, and by orbit-stabilizer |Aut(G)| is the product of the orbit
-    sizes.  Every automorphism is t_0 o ... o t_(k-1) for exactly one choice
-    of level representatives t_i.  The (|Aut|, n) int32 image array returned
-    is the memo itself, so it is read-only.
+    fingerprint candidate is decided by one search with gens[:i] pinned.  The
+    top level, where nothing is pinned, also starts from the conjugations by
+    gens, which generate Inn(G).  Fingerprints are invariant under
+    automorphisms, so the candidates cover the orbit, and by
+    orbit-stabilizer |Aut(G)| is the product of the orbit sizes.  Every
+    automorphism is t_0 o ... o t_(k-1) for exactly one choice of level
+    representatives t_i: the product of the automorphisms along the parent
+    pointers of a tree over the orbit, built once the level is done.
+
+    ``max_count`` is refused as soon as an exact lower bound on |Aut(G)|
+    passes it, before each candidate is decided: the inner orbit sizes of
+    the levels above (``_inner_orbit_sizes``), times the orbit sizes below,
+    times the larger of level i's orbit so far and its inner orbit.  The
+    (|Aut|, n) int32 image array returned is the memo itself, so it is
+    read-only.
     """
     n = G.order
     gens = generating_set(G)
+    inner = _inner_orbit_sizes(G, gens)
+    _check_count(math.prod(inner), max_count)  # |Inn(G)| before any search
     fps = _fingerprints(G)
     cands = [[h for h in range(n) if fps[h] == fps[g]] for g in gens]
     search = _homomorphism_search(G, G, gens, injective=True)
-    found: list = []   # automorphisms found by search, each fixing a prefix of gens
+    found: list = []   # list-form automorphisms, each fixing a prefix of gens
     levels: list = []  # transversals, deepest level first
     count = 1
     for i in reversed(range(len(gens))):
+        above = math.prod(inner[:i])
+        if i == 0:
+            t, inv = G.table, G.inverses
+            found.extend(t[t[g], inv[g]].tolist() for g in gens)
         pinned = [[g] for g in gens[:i]]
-        orbit = _orbit(gens[i], found, n)
+        orbit = {gens[i]: None}
+        _grow_orbit(orbit, found)
         outside: set = set()
         for c in cands[i]:
+            _check_count(above * count * max(len(orbit), inner[i]), max_count)
             if c in orbit or c in outside:
                 continue
             images = search(pinned + [[c]] + cands[i + 1:], first_only=True)
             if images:
-                found.append(np.array(images[0], dtype=np.int32))
-                orbit = _orbit(gens[i], found, n)
+                found.append(images[0])
+                _grow_orbit(orbit, found, len(found) - 1)
             else:  # what the known automorphisms move c to is outside too
-                outside.update(_orbit(c, found, n))
+                stray = {c: None}
+                _grow_orbit(stray, found)
+                outside.update(stray)
         count *= len(orbit)
-        _check_count(count, max_count)
-        levels.append(np.array(list(orbit.values())))
+        _check_count(above * count, max_count)
+        arrays = [np.array(s, dtype=np.int32) for s in found]
+        transversal: dict = {}  # a parent comes before its children
+        for q, step in orbit.items():
+            transversal[q] = (np.arange(n, dtype=np.int32) if step is None
+                              else arrays[step[1]][transversal[step[0]]])
+        levels.append(np.array(list(transversal.values())))
     auts = np.arange(n, dtype=np.int32)[None, :]
     for reps in levels:  # reps[:, auts][r, a] is reps[r] after auts[a]
         auts = reps[:, auts].reshape(-1, n)

@@ -294,7 +294,9 @@ def cyclic_regular_oracle(N: FiniteGroup,
            - np.repeat(np.cumsum(counts) - counts, counts))
     sigma = perms[np.argmax(perms[:, least] == np.arange(n), axis=0)]
     gens = list(generating_set(N))
-    sigma_inv_gens = np.argsort(sigma, axis=1)[:, gens]
+    sigma_inv = np.empty_like(sigma)
+    sigma_inv[np.arange(n)[:, None], sigma] = np.arange(n, dtype=sigma.dtype)
+    sigma_inv_gens = sigma_inv[:, gens]
     images = sigma[b[:, None], perms[twists[src, None], sigma_inv_gens[b]]]
     rows = _rows_of(perms[:, gens], images)  # an automorphism is fixed by its images of gens
     order = np.lexsort((rows, b))

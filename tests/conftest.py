@@ -6,7 +6,8 @@ import pytest
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
                      HolElements, all_homomorphisms, build_semidirect_from_auts,
                      cgroup_group, corpus_representatives, generate_corpus)
-from holoreg.groups import _normalize_action, check_table_size, greedy_closure
+from holoreg.groups import (_check_count, _fingerprints, _normalize_action,
+                            check_table_size, generating_set, greedy_closure)
 from holoreg.holomorph import _conjugations, _hol_perms
 
 
@@ -362,3 +363,75 @@ def ref_normal_cyclic_subgroup_generator():
                 return x
         return None
     return search
+
+
+@pytest.fixture(scope="session")
+def ref_least_conjugates():
+    """``ref_least_conjugates(G)``: the least member of each element's
+    conjugacy class as ``FiniteGroup`` once found it, the running column
+    minimum of t[t[g, :], g^-1] over every g, a block of g rows at a time."""
+    def least_conjugates(G):
+        n = G.order
+        t = G.table
+        inv = G.inverses
+        least = np.arange(n, dtype=np.int32)
+        block = max(1, (1 << 18) // n)
+        for start in range(0, n, block):
+            g = np.arange(start, min(start + block, n))
+            np.minimum(least, t[t[g], inv[g, None]].min(axis=0), out=least)
+        return least
+    return least_conjugates
+
+
+@pytest.fixture(scope="session")
+def ref_automorphisms(ref_homomorphism_search):
+    """``ref_automorphisms(G, max_count)``: the stabilizer chain
+    ``_automorphisms`` once was, over the two-pass reference search, kept as
+    its reference.  It checks ``max_count`` only against the product of the
+    orbits of finished levels, and rebuilds an orbit with its numpy
+    transversal each time an automorphism is found."""
+    def orbit_of(x, perms, n):
+        reps = {x: np.arange(n, dtype=np.int32)}
+        queue = [x]
+        qi = 0
+        while qi < len(queue):
+            p = queue[qi]
+            qi += 1
+            for s in perms:
+                q = int(s[p])
+                if q not in reps:
+                    reps[q] = s[reps[p]]
+                    queue.append(q)
+        return reps
+
+    def automorphisms(G, max_count):
+        n = G.order
+        gens = generating_set(G)
+        fps = _fingerprints(G)
+        cands = [[h for h in range(n) if fps[h] == fps[g]] for g in gens]
+        search = ref_homomorphism_search(G, G, gens, True)
+        found, levels = [], []
+        count = 1
+        for i in reversed(range(len(gens))):
+            pinned = [[g] for g in gens[:i]]
+            orbit = orbit_of(gens[i], found, n)
+            outside = set()
+            for c in cands[i]:
+                if c in orbit or c in outside:
+                    continue
+                images = search(pinned + [[c]] + cands[i + 1:], first_only=True)
+                if images:
+                    found.append(np.array(images[0], dtype=np.int32))
+                    orbit = orbit_of(gens[i], found, n)
+                else:
+                    outside.update(orbit_of(c, found, n))
+            count *= len(orbit)
+            _check_count(count, max_count)
+            levels.append(np.array(list(orbit.values())))
+        auts = np.arange(n, dtype=np.int32)[None, :]
+        for reps in levels:
+            auts = reps[:, auts].reshape(-1, n)
+        if gens:
+            auts = auts[np.lexsort([auts[:, g] for g in reversed(gens)])]
+        return np.ascontiguousarray(auts, dtype=np.int32)
+    return automorphisms

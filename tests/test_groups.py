@@ -18,7 +18,7 @@ from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      quotient_group, semidirect_product, subgroup_generated,
                      sylow_subgroup, CGroupPresentation, cgroup_aut_group,
                      cgroup_group, cgroup_pool, parse_group_spec)
-from holoreg import realizability
+from holoreg import groups, realizability
 from holoreg.realizability import TWO_GROUP_SPECS
 from holoreg.groups import (_fingerprints, _homomorphism_search,
                             generating_set)
@@ -522,6 +522,55 @@ def test_automorphism_count_bound_is_exact(cgroup_test_groups, corpus_reps):
         with pytest.raises(BoundExceeded,  # the memoized count, same text
                            match=f"more than {count - 1} homomorphisms found"):
             automorphism_group(fresh, max_count=count - 1)
+
+
+def test_automorphism_chain_matches_reference(corpus_reps, relabel, ref_automorphisms):
+    # the same array or the same refusal as the chain that checked max_count
+    # only after each level, at bounds on both sides of |Aut| and |Inn|.  That
+    # chain's checked products grow to |Aut|, so it refuses m exactly when
+    # |Aut| > m, with the text of its last check.
+    chain = groups._automorphisms.__wrapped__  # not memoized
+    rng = np.random.default_rng(19)
+    for entry in corpus_reps:
+        for G in (entry.group, relabel(entry.group, rng)):
+            want = ref_automorphisms(G, None)
+            count = len(want)
+            inn = math.prod(groups._inner_orbit_sizes(G, generating_set(G)))
+            assert inn == G.order // len(center(G)) and count % inn == 0, G
+            for m in (None, count, count - 1, inn - 1, 100_000 // G.order, 1):
+                try:
+                    got = chain(G, m)
+                except BoundExceeded as exc:
+                    with pytest.raises(BoundExceeded, match=f"^{exc}$"):
+                        groups._check_count(count, m)
+                else:
+                    assert m is None or count <= m, (G, m)
+                    assert np.array_equal(got, want), (G, m)
+
+
+def test_inner_automorphisms_refuse_before_any_search(monkeypatch):
+    G = cgroup_group(CGroupPresentation(7, 3, 2))  # Z(G) = 1, |Inn(G)| = 21
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+    monkeypatch.setattr(groups, "_homomorphism_search", no_search)
+    with pytest.raises(BoundExceeded, match="more than 20 homomorphisms found"):
+        automorphism_group(G, max_count=20)
+    assert groups._automorphisms.__wrapped__ not in G.memo  # a refusal memoizes nothing
+    monkeypatch.undo()
+    assert len(automorphism_group(G, max_count=42)) == 42
+
+
+def test_generators_are_the_greedy_sequence_and_generate(corpus_reps, relabel):
+    rng = np.random.default_rng(23)
+    for entry in corpus_reps:
+        for G in (entry.group, relabel(entry.group, rng)):
+            gens = G.generators
+            assert subgroup_generated(G, gens) == tuple(range(G.order)), G
+            for j, g in enumerate(gens):  # the least index not yet reached
+                reached = set(subgroup_generated(G, gens[:j]))
+                assert g == min(set(range(G.order)) - reached), (G, j)
+    assert cyclic_group(1).generators == ()
 
 
 def test_searches_have_no_order_cutoff():

@@ -21,7 +21,7 @@ from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
                      sylow_subgroup)
 from holoreg import groups
 from holoreg.cgroups import _divisors, _normal_cyclic_subgroup_generator
-from holoreg.groups import _fingerprints, _prime_divisors
+from holoreg.groups import _fingerprints, _prime_divisors, center
 
 REFERENCE_MAX_ORDER = 120
 
@@ -290,7 +290,8 @@ def test_respects_product_matches_reference(reference_groups, ref_respects_produ
 
 
 @pytest.mark.parametrize("source", ["corpus", *LARGE_TABLES])
-def test_orders_and_classes_match_reference(source, corpus_reps, relabel):
+def test_orders_and_classes_match_reference(source, corpus_reps, relabel,
+                                            ref_least_conjugates):
     # each group as given (a fresh copy, so nothing is cached yet) and relabelled
     rng = np.random.default_rng(5)
     given = ([entry.group for entry in corpus_reps] if source == "corpus"
@@ -299,6 +300,11 @@ def test_orders_and_classes_match_reference(source, corpus_reps, relabel):
         for H in (FiniteGroup(G.table), relabel(G, rng)):
             assert np.array_equal(H.orders, ref_orders(H)), H
             assert H.orders.dtype == np.int32
+            least = H._least_conjugates
+            assert np.array_equal(least, ref_least_conjugates(H)) and least.dtype == np.int32, H
+            t = H.table  # the elements that commute with every element
+            assert center(H) == tuple(z for z in range(H.order)
+                                      if np.array_equal(t[z], t[:, z])), H
             classes = ref_conjugacy_classes(H)
             assert H.conjugacy_classes == classes, H
             sizes = np.zeros(H.order, dtype=np.int32)
