@@ -11,7 +11,7 @@ the holomorph cross-checks every verdict.
 from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
                      all_subgroups, as_subgroup, automorphism_group,
-                     automorphism_perms, center, characteristic_subgroups,
+                     center, characteristic_subgroups,
                      commutator_subgroup, cyclic_group, dihedral_group,
                      direct_product, find_isomorphism, generating_set,
                      is_cgroup, is_normal, is_subgroup,

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
-                     HomomorphismError, generating_set)
+                     HomomorphismError, automorphism_group, generating_set)
 from .holomorph import (DEFAULT_HOL_BOUND, cyclic_regular_oracle,
                         skew_brace_from_regular, subgroup_generated_by_hol)
 from .realizability import (classify, classify_rump, corpus_representatives,
@@ -172,7 +172,6 @@ def _rump_report(request: Request) -> tuple:
 
 
 def _aut_report(request: Request) -> tuple:
-    from .groups import automorphism_group
     group = _load_group(request)
     auts = automorphism_group(group,
                               max_count=max(request.hol_bound // group.order, 1))
@@ -182,7 +181,7 @@ def _aut_report(request: Request) -> tuple:
     report.add("order", group.order)
     report.add("aut_count", len(auts))
     gens = generating_set(group)
-    for idx, images in enumerate(auts.perms.tolist()):
+    for idx, images in enumerate(auts.tolist()):
         report.add(f"aut_{idx}", _images(group, gens, images, ", "))
     return report.text(), EXIT_OK
 

@@ -499,26 +499,16 @@ def greedy_closure(n: int, identity: int, right_column: Callable) -> tuple:
     """Walk the greedy generating sequence of n indexed elements: each g, in
     index order, not yet reached from ``identity`` by right products with
     the earlier ones.  ``right_column(g)`` returns the n indices u * g, or
-    raises when g fails its caller's check; the reached set grows from the
-    set already reached.  Returns the sequence: every index was reached or
-    is a member."""
-    reached = bytearray(n)
-    reached[identity] = 1
-    members = [identity]
-    gens, cols = [], []
+    raises when g fails its caller's check; ``_grow_orbit`` grows the
+    reached set from the set already reached.  Returns the sequence: every
+    index was reached or is a member."""
+    reached = {identity: None}
+    gens, cols = [], []  # cols[i][u] = u * gens[i]
     for g in range(n):
-        if reached[g]:
-            continue
-        gens.append(g)
-        cols.append(right_column(g))
-        rows = np.stack(cols, axis=1).tolist()  # rows[u][i] = u * (generator i)
-        queue = cols[-1][members].tolist()
-        while queue:
-            v = queue.pop()
-            if not reached[v]:
-                reached[v] = 1
-                members.append(v)
-                queue.extend(rows[v])
+        if g not in reached:
+            gens.append(g)
+            cols.append(right_column(g).tolist())
+            _grow_orbit(reached, cols, len(cols) - 1)
     return tuple(gens)
 
 
@@ -820,36 +810,20 @@ def _fingerprints(G: FiniteGroup) -> list:
                     orders[np.diagonal(G.table)].tolist()))
 
 
-@dataclass(frozen=True, eq=False)
-class Automorphisms(Sequence):
-    """Aut(G) as its read-only (|Aut|, n) image array ``perms``, row i the
-    images of automorphism i; a Homomorphism is built only when indexed."""
+def automorphism_group(G: FiniteGroup, max_count: Optional[int] = None) -> np.ndarray:
+    """All automorphisms of G as the memoized (|Aut|, n) int32 image array,
+    row i the images of automorphism i, ordered lexicographically by their
+    images of ``generating_set(G)``.  The array is read-only, like
+    ``G.table``: copy it before writing.
 
-    group: FiniteGroup
-    perms: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.perms)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return Homomorphism(self.group, self.group, self.perms[i].tolist())
-
-
-def automorphism_group(G: FiniteGroup, max_count: Optional[int] = None) -> Automorphisms:
-    """All automorphisms of G, ordered lexicographically by their images of
-    ``generating_set(G)``.
-
-    The result is a sequence over the memoized image array: indexing it
-    builds a Homomorphism, ``.perms`` is the array itself.  ``max_count`` is
-    checked against |Aut(G)|, which a stabilizer chain counts exactly before
-    any automorphism is enumerated: more than ``max_count`` raises
-    BoundExceeded, whether the count is fresh or memoized.
+    ``max_count`` is checked against |Aut(G)|, which a stabilizer chain
+    counts exactly before any automorphism is enumerated: more than
+    ``max_count`` raises BoundExceeded, whether the count is fresh or
+    memoized.
     """
     perms = _automorphisms(G, max_count)
     _check_count(len(perms), max_count)
-    return Automorphisms(G, perms)
+    return perms
 
 
 def _check_count(count: int, max_count: Optional[int]):
@@ -864,9 +838,10 @@ def _grow_orbit(orbit: dict, perms: list, start: int = 0) -> None:
     root maps to None."""
     fresh: list = []
     for elems, first in ((list(orbit), start), (fresh, 0)):
+        later = list(enumerate(perms))[first:]
         for p in elems:
-            for j in range(first, len(perms)):
-                q = perms[j][p]
+            for j, perm in later:
+                q = perm[p]
                 if q not in orbit:
                     orbit[q] = (p, j)
                     fresh.append(q)
@@ -959,15 +934,6 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> np.ndarray:
     return auts
 
 
-def automorphism_perms(G: FiniteGroup, max_count: Optional[int] = None) -> np.ndarray:
-    """Automorphisms as an (|Aut|, n) index array, in enumeration order.
-
-    This is the memoized array of ``automorphism_group(G).perms``, read-only
-    like ``G.table``: copy it before writing.
-    """
-    return automorphism_group(G, max_count=max_count).perms
-
-
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     """A bijective homomorphism G -> H if one exists, else None."""
     if G.order != H.order:
@@ -983,9 +949,10 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     return Homomorphism(G, H, images[0])
 
 
-def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list:
-    """Every homomorphism G -> H, in deterministic order: lexicographic in
-    the images of ``generating_set(G)``.
+def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
+    """Every homomorphism G -> H as a read-only (count, |G|) int32 image
+    array, in deterministic order: lexicographic in the images of
+    ``generating_set(G)``.  The rows get one ``respects_product`` check.
 
     From a cyclic G = <g>, each h with ord(h) | ord(g) extends uniquely, by
     g^k -> h^k, so the images are the powers of all those h at once.
@@ -1001,10 +968,13 @@ def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list:
         for gk in words(G, gens, range(G.order)).tolist():  # g^k, k = 0, 1, ...
             images[:, gk] = power
             power = H.table[power, hs]
-        images = images.tolist()
     else:
-        images = _homomorphism_search(G, H, gens, injective=False)(cands)
-    return [Homomorphism(G, H, img) for img in images]
+        found = _homomorphism_search(G, H, gens, injective=False)(cands)
+        images = np.array(found, dtype=np.int32).reshape(len(found), G.order)
+    if not respects_product(G, H, images).all():
+        raise HomomorphismError("images do not respect the group product")
+    images.setflags(write=False)
+    return images
 
 
 # -- subgroup enumeration -----------------------------------------------------
@@ -1037,12 +1007,8 @@ def all_subgroups(G: FiniteGroup) -> list:
 
 
 def characteristic_subgroups(G: FiniteGroup) -> list:
-    """Subgroups invariant under every automorphism of G."""
+    """Subgroups invariant under every automorphism of G: one that an
+    automorphism maps into itself it maps onto itself."""
     subgroups = all_subgroups(G)  # refuses an oversized G first
-    auts = automorphism_perms(G)
-    out = []
-    for sub in subgroups:
-        sset = set(sub)
-        if all(set(int(perm[g]) for g in sub) == sset for perm in auts):
-            out.append(sub)
-    return out
+    auts = automorphism_group(G)
+    return [sub for sub in subgroups if np.isin(auts[:, list(sub)], sub).all()]

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (FiniteGroup, BoundExceeded, GroupDefinitionError,
-                     HomomorphismError, as_subgroup, automorphism_perms,
+                     HomomorphismError, as_subgroup, automorphism_group,
                      center, find_isomorphism, generating_set, greedy_closure,
                      is_action, is_subgroup, quotient_group, respects_product)
 
@@ -132,13 +132,13 @@ def _conjugations(N: FiniteGroup) -> np.ndarray:
 
 
 def holomorph_order(N: FiniteGroup) -> int:
-    return N.order * len(automorphism_perms(N))
+    return N.order * len(automorphism_group(N))
 
 
 def _hol_perms(N: FiniteGroup, hol_bound: int) -> np.ndarray:
-    """automorphism_perms(N), refused when |Hol(N)| = n |Aut(N)| exceeds
+    """automorphism_group(N), refused when |Hol(N)| = n |Aut(N)| exceeds
     ``hol_bound``; the count is checked before any automorphism is listed."""
-    perms = automorphism_perms(N, max_count=max(hol_bound // N.order, 1))
+    perms = automorphism_group(N, max_count=max(hol_bound // N.order, 1))
     total = N.order * len(perms)
     if total > hol_bound:
         raise BoundExceeded(f"holomorph order {total} exceeds bound {hol_bound}")
@@ -307,66 +307,54 @@ def all_regular_subgroups(N: FiniteGroup) -> list:
     """Every regular subgroup of the holomorph, by transversal backtracking.
 
     A regular subgroup contains exactly one element per translation, so the
-    search assigns a twist to each translation and propagates closure.  Each
-    subgroup is a HolElements in translation order; the list is sorted by
-    the elements' keys.  Refused above ``DEFAULT_SUBGROUP_HOL_BOUND``.
+    search gives the least translation not yet covered each twist in turn
+    and closes the chosen pairs from the identity under right
+    multiplication; a second twist at one translation refuses the choice.
+    Each subgroup is found once, along the path of its least uncovered
+    translations.  Each is a HolElements in translation order; the list is
+    sorted by the elements' keys.  Refused above
+    ``DEFAULT_SUBGROUP_HOL_BOUND``.
     """
     n = N.order
     perms = _hol_perms(N, DEFAULT_SUBGROUP_HOL_BOUND)
-    a_count = len(perms)
     perm_rows = perms.tolist()
     comp = _composition_index(perms).tolist()
     rows = N.table.tolist()
-    identity_perm = perm_rows.index(list(range(n)))
-    # the order of (a, p) must divide the subgroup order: (a, p)^n acts trivially
-    divides = []
-    for a in range(n):
-        acts = N.table[perms, N.inverses[a]]  # x -> p(x) a^-1 for every twist p
-        power, k = np.broadcast_to(np.arange(n), acts.shape), n
-        while k:
-            if k & 1:
-                power = np.take_along_axis(acts, power, axis=1)
-            acts = np.take_along_axis(acts, acts, axis=1)
-            k >>= 1
-        divides.append((power == np.arange(n)).all(axis=1).tolist())
+    start = [-1] * n  # start[a]: the twist at translation a, or -1
+    start[N.identity] = perm_rows.index(list(range(n)))
     results = []
 
-    def propagate(assign: dict) -> Optional[dict]:
-        # Close the partial transversal under composition.  Keying by the
-        # translation makes a repeated translation with a different twist a
-        # conflict, which is exactly failure of regularity.
-        work = dict(assign)
-        queue = list(work.items())
-        processed = []
-        while queue:
-            item = queue.pop()
-            a, p = item
-            for b, q in processed + [item]:
-                for (x, px), (y, py) in ((a, p), (b, q)), ((b, q), (a, p)):
-                    c = rows[x][perm_rows[px][y]]
-                    pc = comp[px][py]
-                    if c in work:
-                        if work[c] != pc:
-                            return None
-                    else:
-                        work[c] = pc
-                        queue.append((c, pc))
-            processed.append(item)
-        return work
+    def close(twist: list, gens: list) -> Optional[list]:
+        # twist is closed under gens[:-1]: follow the edges of gens[-1] from
+        # its elements and those of every generator from the elements added;
+        # (x, p)(a, q) = (x p(a), p o q)
+        twist = twist[:]
+        fresh: list = []
+        for elems, edges in (([x for x in range(n) if twist[x] >= 0], gens[-1:]),
+                             (fresh, gens)):
+            for x in elems:
+                px = twist[x]
+                for a, q in edges:
+                    c, pc = rows[x][perm_rows[px][a]], comp[px][q]
+                    if twist[c] < 0:
+                        twist[c] = pc
+                        fresh.append(c)
+                    elif twist[c] != pc:
+                        return None
+        return twist
 
-    def dfs(assign: dict):
-        if len(assign) == n:
-            results.append([assign[a] for a in range(n)])
+    def dfs(twist: list, gens: list):
+        if -1 not in twist:
+            results.append(twist)
             return
-        a = min(x for x in range(n) if x not in assign)
-        for p in range(a_count):
-            if not divides[a][p]:
-                continue
-            closed = propagate({**assign, a: p})
+        a = twist.index(-1)
+        for q in range(len(perm_rows)):
+            chosen = gens + [(a, q)]
+            closed = close(twist, chosen)
             if closed is not None:
-                dfs(closed)
+                dfs(closed, chosen)
 
-    dfs({N.identity: identity_perm})
+    dfs(start, [])
     results.sort(key=lambda twists: [perm_rows[p] for p in twists])
     return [HolElements(N, perms, np.arange(n), np.array(t)) for t in results]
 
@@ -481,7 +469,7 @@ def induction_restrict(ch: CrossedHom, m_elems: Sequence[int]):
         raise GroupDefinitionError("M must be a subgroup of N")
     inside = np.zeros(N.order, dtype=bool)
     inside[list(m_elems)] = True
-    if not inside[automorphism_perms(N)[:, list(m_elems)]].all():
+    if not inside[automorphism_group(N)[:, list(m_elems)]].all():
         raise GroupDefinitionError("subgroup is not characteristic")
     h_elems = tuple(np.flatnonzero(inside[list(ch.translations)]).tolist())
     if not is_subgroup(G, h_elems):

@@ -30,11 +30,11 @@ from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
                       recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms, as_subgroup,
-                     automorphism_perms, cyclic_group, dihedral_group,
+                     automorphism_group, cyclic_group, dihedral_group,
                      find_isomorphism, is_cgroup, memoized,
                      normal_hall_odd_subgroup, quaternion_group,
-                     quotient_group, subgroup_generated, sylow_subgroup,
-                     words)
+                     quotient_group, respects_product, subgroup_generated,
+                     sylow_subgroup, words)
 from .holomorph import HolElement, conjugation_perm
 from .specs import (action_from_generators, build_semidirect_from_auts,
                     parse_group_spec)
@@ -415,8 +415,11 @@ def closed_form_products(dec: Decomposition, count: int) -> list:
 # -- diagnostics and companions ---------------------------------------------------
 
 
-def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> list:
-    """Automorphisms of N/(M x| P') induced by Aut(N), deduplicated.
+def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> np.ndarray:
+    """Automorphisms of N/(M x| P') induced by Aut(N), deduplicated: the
+    sorted, read-only int32 image array over the cosets as ``quotient_group``
+    numbers them, one row per map, whose rows get one ``respects_product``
+    check.
 
     The quotient is the Klein four-group P/P'; when the classifier condition
     fails, this image is trivial, which certifies non-realizability.
@@ -424,12 +427,16 @@ def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> list:
     r2 = N.mul(dec.r, dec.r)
     m0 = subgroup_generated(N, list(dec.m_elems) + [r2])
     Q, coset = quotient_group(N, m0)
-    coset = np.asarray(coset)
-    images = coset[automorphism_perms(N)]   # images[a, g]: coset of aut a of g
+    coset = np.asarray(coset, dtype=np.int32)
+    images = coset[automorphism_group(N)]   # images[a, g]: coset of aut a of g
     induced = images[:, np.unique(coset, return_index=True)[1]]
     if not np.array_equal(induced[:, coset], images):
         raise GroupDefinitionError("M x| P' is not characteristic")
-    return [Homomorphism(Q, Q, img) for img in np.unique(induced, axis=0)]
+    induced = np.unique(induced, axis=0)
+    if not respects_product(Q, Q, induced).all():
+        raise HomomorphismError("images do not respect the group product")
+    induced.setflags(write=False)
+    return induced
 
 
 def classify_rump(G: FiniteGroup) -> bool:
@@ -523,9 +530,8 @@ def _corpus(max_m_order: int) -> list:
         for p_spec in TWO_GROUP_SPECS:
             P = parse_group_spec(p_spec)
             r, s = P.labels.index((1, 0)), P.labels.index((0, 1))
-            for hom in all_homomorphisms(P, aut_grp):
-                built.append(build_semidirect_from_auts(pres, P, auts[hom(r)],
-                                                        auts[hom(s)]))
+            for a_r, a_s in all_homomorphisms(P, aut_grp)[:, [r, s]].tolist():
+                built.append(build_semidirect_from_auts(pres, P, auts[a_r], auts[a_s]))
     return [CorpusEntry(g.name, g, dup) for g, dup in zip(built, _duplicate_of(built))]
 
 

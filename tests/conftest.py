@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
-                     HolElements, all_homomorphisms, build_semidirect_from_auts,
-                     cgroup_group, corpus_representatives, generate_corpus)
+                     HolElements, Homomorphism, all_homomorphisms,
+                     build_semidirect_from_auts, cgroup_group,
+                     corpus_representatives, generate_corpus)
 from holoreg.groups import (_check_count, _fingerprints, _normalize_action,
                             check_table_size, generating_set, greedy_closure)
-from holoreg.holomorph import _conjugations, _hol_perms
+from holoreg.holomorph import (DEFAULT_SUBGROUP_HOL_BOUND, _composition_index,
+                               _conjugations, _hol_perms)
 
 
 @pytest.fixture(scope="session")
@@ -73,9 +75,9 @@ def fpf_search():
     agreeing only at the identity (fixed point free pairs)."""
     def search(G, N):
         homs = all_homomorphisms(G, N)
-        others = np.delete(np.array([h.images for h in homs], dtype=np.int32)
-                           .reshape(len(homs), G.order), G.identity, axis=1)
-        return [(homs[i], homs[j]) for i, row in enumerate(others)
+        others = np.delete(homs, G.identity, axis=1)
+        return [(Homomorphism(G, N, homs[i]), Homomorphism(G, N, homs[j]))
+                for i, row in enumerate(others)
                 for j in np.flatnonzero(~(others == row).any(axis=1)).tolist()]
     return search
 
@@ -435,3 +437,63 @@ def ref_automorphisms(ref_homomorphism_search):
             auts = auts[np.lexsort([auts[:, g] for g in reversed(gens)])]
         return np.ascontiguousarray(auts, dtype=np.int32)
     return automorphisms
+
+
+@pytest.fixture(scope="session")
+def ref_regular_subgroups():
+    """``ref_regular_subgroups(N)``: the twist rows, one list per translation,
+    of every regular subgroup, sorted, as ``all_regular_subgroups`` once
+    found them: a translation's twists were pre-filtered to pairs whose
+    order divides n, and each choice closed the partial transversal under
+    the products of every pair of its elements."""
+    def enumerate_regular(N):
+        n = N.order
+        perms = _hol_perms(N, DEFAULT_SUBGROUP_HOL_BOUND)
+        perm_rows = perms.tolist()
+        comp = _composition_index(perms).tolist()
+        rows = N.table.tolist()
+        divides = []
+        for a in range(n):
+            acts = N.table[perms, N.inverses[a]]  # x -> p(x) a^-1 for every twist p
+            power, k = np.broadcast_to(np.arange(n), acts.shape), n
+            while k:
+                if k & 1:
+                    power = np.take_along_axis(acts, power, axis=1)
+                acts = np.take_along_axis(acts, acts, axis=1)
+                k >>= 1
+            divides.append((power == np.arange(n)).all(axis=1).tolist())
+        results = []
+
+        def propagate(assign):
+            work = dict(assign)
+            queue = list(work.items())
+            processed = []
+            while queue:
+                item = queue.pop()
+                a, p = item
+                for b, q in processed + [item]:
+                    for (x, px), (y, py) in ((a, p), (b, q)), ((b, q), (a, p)):
+                        c, pc = rows[x][perm_rows[px][y]], comp[px][py]
+                        if c in work:
+                            if work[c] != pc:
+                                return None
+                        else:
+                            work[c] = pc
+                            queue.append((c, pc))
+                processed.append(item)
+            return work
+
+        def dfs(assign):
+            if len(assign) == n:
+                results.append([perm_rows[assign[a]] for a in range(n)])
+                return
+            a = min(x for x in range(n) if x not in assign)
+            for p in range(len(perms)):
+                if divides[a][p]:
+                    closed = propagate({**assign, a: p})
+                    if closed is not None:
+                        dfs(closed)
+
+        dfs({N.identity: perm_rows.index(list(range(n)))})
+        return sorted(results)
+    return enumerate_regular

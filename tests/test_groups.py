@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
-                     all_subgroups, as_subgroup, automorphism_group,
-                     automorphism_perms, center,
+                     all_subgroups, as_subgroup, automorphism_group, center,
                      characteristic_subgroups, commutator_subgroup,
                      cyclic_group, dihedral_group, direct_product,
                      find_isomorphism, is_cgroup, is_normal, is_subgroup,
@@ -335,22 +334,18 @@ def test_cyclic_automorphism_counts_match_totient(n):
 
 def test_automorphisms_are_valid_homomorphisms():
     G = dihedral_group(16)
-    for aut in automorphism_group(G):
-        Homomorphism(G, G, aut.images)  # re-validates the product rule
-        assert aut.is_bijective
+    for images in automorphism_group(G):
+        assert Homomorphism(G, G, images).is_bijective  # re-validates the product rule
 
 
 def test_automorphism_array_is_a_read_only_memo():
     G = dihedral_group(16)
-    perms = automorphism_perms(G)
+    perms = automorphism_group(G)
     before = perms.copy()
     with pytest.raises(ValueError):
         perms[0, 1] = 0
-    assert np.array_equal(automorphism_perms(G), before)
-    auts = automorphism_group(G)  # the lazy sequence reads the same memo
-    assert auts.perms is perms
-    assert [a.images for a in auts] == [tuple(row) for row in before.tolist()]
-    assert [a.images for a in auts[-2:]] == [auts[-2].images, auts[len(auts) - 1].images]
+    assert np.array_equal(automorphism_group(G), before)
+    assert automorphism_group(G) is perms
 
 
 def _aut_search_cases(cgroup_test_groups, corpus_reps):
@@ -385,7 +380,7 @@ def test_automorphism_group_matches_plain_search(cgroup_test_groups, corpus_reps
             _assert_searches_agree(G, G, auts, True, ref_homomorphism_search)
             _assert_searches_agree(G, G, ends, False, ref_homomorphism_search)
             plain = ref_homomorphism_search(G, G, gens, True)(auts)
-            assert [a.images for a in automorphism_group(G)] == plain
+            assert list(map(tuple, automorphism_group(G).tolist())) == plain
 
 
 def test_corpus_action_search_matches_plain_search(ref_homomorphism_search):
@@ -398,7 +393,7 @@ def test_corpus_action_search_matches_plain_search(ref_homomorphism_search):
             cands = [[h for h in range(A.order) if P.orders[g] % A.orders[h] == 0]
                      for g in gens]
             plain = ref_homomorphism_search(P, A, gens, False)(cands)
-            assert [h.images for h in all_homomorphisms(P, A)] == plain
+            assert list(map(tuple, all_homomorphisms(P, A).tolist())) == plain
 
 
 def test_homomorphisms_from_cyclic_groups_match_plain_search(corpus_reps, relabel,
@@ -416,7 +411,7 @@ def test_homomorphisms_from_cyclic_groups_match_plain_search(corpus_reps, relabe
                 cands = [[h for h in range(N.order) if G.orders[g] % N.orders[h] == 0]
                          for g in gens]
                 plain = ref_homomorphism_search(G, N, gens, False)(cands)
-                assert [h.images for h in all_homomorphisms(G, N)] == plain, (G, N)
+                assert list(map(tuple, all_homomorphisms(G, N).tolist())) == plain, (G, N)
 
 
 def _c8_c2_by(image_a):
@@ -504,8 +499,8 @@ def small_groups(corpus_reps):
 def test_automorphisms_and_isomorphisms_survive_relabelling(small_groups, relabel, data):
     G = data.draw(st.sampled_from(small_groups))
     H = relabel(G, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    assert (len(automorphism_perms(G, max_count=100_000))
-            == len(automorphism_perms(H, max_count=100_000))), G
+    assert (len(automorphism_group(G, max_count=100_000))
+            == len(automorphism_group(H, max_count=100_000))), G
     assert isinstance(find_isomorphism(G, H), Homomorphism), G
 
 
@@ -634,6 +629,29 @@ def test_find_isomorphism_rejects_q8_vs_d8():
 def test_all_homomorphisms_c4_to_c2():
     homs = all_homomorphisms(cyclic_group(4), cyclic_group(2))
     assert len(homs) == 2
+
+
+def test_all_homomorphisms_checks_the_rows_it_returns(monkeypatch):
+    # the search's rows get the one respects_product check: a row with one
+    # wrong image is refused (two homomorphisms agreeing on all but one
+    # element of a group of order > 2 agree everywhere)
+    G = klein_group()
+    search = groups._homomorphism_search
+
+    def one_wrong_image(*args, **kwargs):
+        inner = search(*args, **kwargs)
+
+        def wrong(cands, first_only=False):
+            rows = inner(cands, first_only)
+            last = list(rows[-1])
+            last[-1] = (last[-1] + 1) % G.order
+            return rows[:-1] + [tuple(last)]
+        return wrong
+
+    assert len(all_homomorphisms(G, G)) == 16
+    monkeypatch.setattr(groups, "_homomorphism_search", one_wrong_image)
+    with pytest.raises(HomomorphismError):
+        all_homomorphisms(G, G)
 
 
 def test_homomorphism_validation_rejects_non_hom():

@@ -7,7 +7,7 @@ import pytest
 
 from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
                      GroupDefinitionError, HolElements, all_regular_subgroups,
-                     as_subgroup, automorphism_perms, cgroup_group, conjugation_perm,
+                     as_subgroup, automorphism_group, cgroup_group, conjugation_perm,
                      crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, direct_product,
                      find_isomorphism, hol_elements, hol_group,
@@ -105,7 +105,7 @@ def test_hol_action_is_faithful_with_stabilizer_the_twists():
     identity_perm = tuple(range(N.order))
     stabilizer = {h.key() for h in elements if h.act(N.identity) == N.identity}
     twists = {(N.identity, p) for p in
-              (tuple(int(x) for x in row) for row in automorphism_perms(N))}
+              (tuple(int(x) for x in row) for row in automorphism_group(N))}
     assert stabilizer == twists
 
 
@@ -130,7 +130,7 @@ def test_left_translations_are_regular():
 
 def test_stabilizer_copy_is_not_regular():
     N = klein_group()
-    perms = automorphism_perms(N)
+    perms = automorphism_group(N)
     twists = HolElements(N, perms, np.full(len(perms), N.identity), np.arange(len(perms)))
     assert not is_regular_subgroup(N, twists)
 
@@ -206,7 +206,7 @@ def test_oracle_matches_brute_force_cycle_lengths():
         assert [h.key() for h in found] == [h.key() for h in brute]
         # a walk moves at each step until it is back at the identity; only
         # translations that are the least of their Aut(N)-orbit are walked
-        least = {min(int(p[a]) for p in automorphism_perms(N)) for a in range(N.order)}
+        least = {min(int(p[a]) for p in automorphism_group(N)) for a in range(N.order)}
         assert found.pair_steps == sum(
             min(length, N.order - 1) for h, length in zip(hol_elements(N), lengths)
             if h.translation in least)
@@ -266,7 +266,7 @@ def test_composition_index_matches_tuple_lookup():
     # the plain reference: look each composed row up by its tuple
     for N in (cyclic_group(1), klein_group(), dihedral_group(8), quaternion_group(8),
               cgroup_group(CGroupPresentation(7, 3, 2))):
-        perms = automorphism_perms(N)
+        perms = automorphism_group(N)
         rows = [tuple(p) for p in perms.tolist()]
         index = {p: i for i, p in enumerate(rows)}
         plain = [[index[tuple(pi[x] for x in sigma)] for sigma in rows] for pi in rows]
@@ -278,6 +278,18 @@ def test_regular_subgroups_come_sorted_by_keys():
         keys = [[h.key() for h in s] for s in all_regular_subgroups(N)]
         assert keys == sorted(keys)
         assert all([a for a, _ in k] == list(range(N.order)) for k in keys)
+
+
+def test_regular_subgroups_match_pairwise_closure_reference(ref_regular_subgroups):
+    # closing the chosen pairs under right multiplication by them finds the
+    # subgroups that closing under all pairwise products found, in order
+    groups = [cyclic_group(n) for n in range(1, 25)] + [
+        klein_group(), dihedral_group(8), quaternion_group(8),
+        direct_product(cyclic_group(2), klein_group()),
+        cgroup_group(CGroupPresentation(3, 2, 2)), cgroup_group(CGroupPresentation(7, 3, 2))]
+    for N in groups:
+        got = [s.perms[s.twists].tolist() for s in all_regular_subgroups(N)]
+        assert got == ref_regular_subgroups(N), N.name
 
 
 def test_regular_subgroup_enumeration_covers_both_translations():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from holoreg import (CGroupPresentation, CrossedHom, GroupDefinitionError,
-                     HolElements, HomomorphismError, all_regular_subgroups, automorphism_perms, cgroup_group,
+                     HolElements, HomomorphismError, all_regular_subgroups, automorphism_group, cgroup_group,
                      classify, crossed_from_regular, cyclic_group,
                      dihedral_group, direct_product, hol_group,
                      is_regular_subgroup, quaternion_group,
@@ -150,7 +150,7 @@ def _hol_sets(N, rng):
     """Subgroups of Hol(N) generated by one to three random elements, regular
     or not, and random subsets of the size of N."""
     H = hol_group(N)
-    perms = automorphism_perms(N)
+    perms = automorphism_group(N)
     picks = [subgroup_generated(H, rng.choice(H.order, size=k)) for k in (1, 2, 3)
              for _ in range(6)]
     picks += [rng.choice(H.order, size=N.order, replace=False) for _ in range(6)]
@@ -196,7 +196,7 @@ def test_closed_sets_that_are_not_regular_give_false():
     # Aut(D8) has order 8, so its copy fixing the identity is a closed set of
     # the size of a regular subgroup
     for N in (dihedral_group(4), dihedral_group(8)):
-        perms = automorphism_perms(N)
+        perms = automorphism_group(N)
         stabilizer = HolElements(N, perms, np.full(len(perms), N.identity),
                                  np.arange(len(perms)))
         assert not is_regular_subgroup(N, stabilizer)
