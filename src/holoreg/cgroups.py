@@ -398,19 +398,16 @@ def recognize_cgroup(G: FiniteGroup) -> Optional[tuple]:
 def _normal_cyclic_subgroup_generator(G: FiniteGroup, e: int) -> Optional[int]:
     """Least generator of the normal cyclic subgroup of order e, if one exists.
 
-    <x> is normal exactly when every conjugate g x g^-1 is a power of x,
-    since g<x>g^-1 = <g x g^-1>: one gather of the n conjugates per x.
+    <x> is normal exactly when g x g^-1 is a power of x for every g in
+    ``G.generators``: then g<x>g^-1 = <g x g^-1> lies in <x>, and conjugation
+    by a product is the composite of the conjugations.  k + e reads per x.
     """
     if e == 1:
         return G.identity
-    t = G.table
-    inside = np.zeros(G.order, dtype=bool)
+    conj = G.generator_conjugations
     for x in np.flatnonzero(G.orders == e).tolist():
-        powers = list(subgroup_generated(G, [x], limit=e))  # e table reads
-        inside[powers] = True
-        if inside[t[t[:, x], G.inverses]].all():
+        if set(conj[:, x].tolist()) <= set(subgroup_generated(G, [x], limit=e)):
             return x
-        inside[powers] = False
     return None
 
 

@@ -9,6 +9,7 @@ such as parse failures or exceeded bounds.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -53,8 +54,14 @@ class Request:
 
 
 class _Report:
-    def __init__(self):
+    def __init__(self, command: str, request: Optional[Request] = None,
+                 group: Optional[FiniteGroup] = None):
+        """Open a report with its command and, given a group, its source and order."""
         self.lines = []
+        self.add("command", command)
+        if group is not None:
+            self.add("spec", _group_source(request))
+            self.add("order", group.order)
 
     def add(self, key: str, value):
         if isinstance(value, bool):
@@ -90,10 +97,7 @@ def _witness_lines(report: _Report, group: FiniteGroup, witness):
 def _classify_report(request: Request) -> tuple:
     group = _load_group(request)
     verdict = classify(group)
-    report = _Report()
-    report.add("command", "classify")
-    report.add("spec", _group_source(request))
-    report.add("order", group.order)
+    report = _Report("classify", request, group)
     report.add("realizable", verdict.realizable)
     report.add("reason", verdict.reason)
     if verdict.decomposition is not None:
@@ -106,10 +110,7 @@ def _classify_report(request: Request) -> tuple:
 def _oracle_report(request: Request) -> tuple:
     group = _load_group(request)
     found = cyclic_regular_oracle(group, hol_bound=request.hol_bound)
-    report = _Report()
-    report.add("command", "oracle")
-    report.add("spec", _group_source(request))
-    report.add("order", group.order)
+    report = _Report("oracle", request, group)
     report.add("generator_count", len(found))
     gens = generating_set(group)
     twists = {p: _images(group, gens, found.perms[p].tolist(), ",")
@@ -123,10 +124,7 @@ def _oracle_report(request: Request) -> tuple:
 def _construct_report(request: Request) -> tuple:
     group = _load_group(request)
     verdict = classify(group)
-    report = _Report()
-    report.add("command", "construct")
-    report.add("spec", _group_source(request))
-    report.add("order", group.order)
+    report = _Report("construct", request, group)
     report.add("realizable", verdict.realizable)
     report.add("reason", verdict.reason)
     if not verdict.realizable:
@@ -141,10 +139,7 @@ def _construct_report(request: Request) -> tuple:
 def _brace_report(request: Request) -> tuple:
     group = _load_group(request)
     verdict = classify(group)
-    report = _Report()
-    report.add("command", "brace")
-    report.add("spec", _group_source(request))
-    report.add("order", group.order)
+    report = _Report("brace", request, group)
     report.add("realizable", verdict.realizable)
     if not verdict.realizable:
         report.add("reason", verdict.reason)
@@ -163,10 +158,7 @@ def _brace_report(request: Request) -> tuple:
 def _rump_report(request: Request) -> tuple:
     group = _load_group(request)
     verdict = classify_rump(group)
-    report = _Report()
-    report.add("command", "rump")
-    report.add("spec", _group_source(request))
-    report.add("order", group.order)
+    report = _Report("rump", request, group)
     report.add("realizable_over_cyclic_target", verdict)
     return report.text(), EXIT_OK if verdict else EXIT_NEGATIVE
 
@@ -175,10 +167,7 @@ def _aut_report(request: Request) -> tuple:
     group = _load_group(request)
     auts = automorphism_group(group,
                               max_count=max(request.hol_bound // group.order, 1))
-    report = _Report()
-    report.add("command", "aut")
-    report.add("spec", _group_source(request))
-    report.add("order", group.order)
+    report = _Report("aut", request, group)
     report.add("aut_count", len(auts))
     gens = generating_set(group)
     for idx, images in enumerate(auts.tolist()):
@@ -205,31 +194,23 @@ def _sweep_report(request: Request) -> tuple:
     if request.limit is not None:
         entries = entries[:request.limit]
     specs = [e.spec for e in entries]
-    if request.workers > 1:
-        with ProcessPoolExecutor(max_workers=request.workers) as pool:
+    workers = min(request.workers, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(sweep_one, specs,
                                  [request.hol_bound] * len(specs)))
     else:
         rows = [sweep_one(s, request.hol_bound) for s in specs]
-    report = _Report()
-    report.add("command", "sweep")
+    report = _Report("sweep")
     report.add("corpus_size", len(rows))
-    disagreements = 0
-    skipped = 0
-    realizable = 0
     for spec, order, ok, reason, oracle, agree in rows:
-        flag = "agree" if agree else "DISAGREE"
-        if oracle == "skipped(bound)":
-            skipped += 1
-            flag = "skipped"
-        if not agree:
-            disagreements += 1
-        if ok:
-            realizable += 1
+        flag = ("skipped" if oracle == "skipped(bound)"
+                else "agree" if agree else "DISAGREE")
         report.add("group", f"{spec} | order={order} | classify={str(ok).lower()} "
                             f"({reason}) | oracle={oracle} | {flag}")
-    report.add("realizable_count", realizable)
-    report.add("oracle_skipped", skipped)
+    report.add("realizable_count", sum(row[2] for row in rows))
+    report.add("oracle_skipped", sum(row[4] == "skipped(bound)" for row in rows))
+    disagreements = sum(not row[5] for row in rows)
     report.add("disagreements", disagreements)
     return report.text(), EXIT_OK if disagreements == 0 else EXIT_NEGATIVE
 

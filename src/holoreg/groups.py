@@ -214,18 +214,25 @@ class FiniteGroup:
         return out
 
     @cached_property
+    def generator_conjugations(self) -> np.ndarray:
+        """The (k, n) array whose row i is x -> g x g^-1, g = generators[i].
+        Conjugation by a product is the composite of the conjugations, so
+        these k rows generate Inn(G)."""
+        t, gens = self.table, list(self.generators)
+        return t[t[gens], self.inverses[gens, None]].reshape(len(gens), self.order)
+
+    @cached_property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        """Every generator is central: its conjugation is the identity."""
+        return bool((self.generator_conjugations == np.arange(self.order)).all())
 
     @cached_property
     def _least_conjugates(self) -> np.ndarray:
-        """The least member of each element's conjugacy class.  The
-        conjugations x -> g x g^-1 by the g in ``generators`` generate
-        Inn(G), so the classes are their orbits; walked from each element
-        not yet reached, in index order, an orbit starts at its least
-        member.  O(n k) for k generators."""
-        t, inv = self.table, self.inverses
-        conj = [t[t[g], inv[g]].tolist() for g in self.generators]
+        """The least member of each element's conjugacy class: the orbits of
+        ``generator_conjugations``, each walked from the first element not
+        yet reached, in index order, so it starts at its least member.
+        O(n k) for k generators."""
+        conj = self.generator_conjugations.tolist()
         least = [-1] * self.order
         for x in range(self.order):
             if least[x] >= 0:
@@ -308,8 +315,7 @@ def _word(*parts) -> str:
 class Homomorphism:
     """A group homomorphism recorded by the image index of every source element.
 
-    Construction checks the images with ``respects_product``: on a
-    generating set of the source, which is exact.
+    Construction checks the images with ``respects_product``.
     """
 
     source: FiniteGroup
@@ -407,7 +413,7 @@ def semidirect_product(M: FiniteGroup, P: FiniteGroup, alpha,
 
     ``alpha`` is a (|P|, |M|) array whose row t is the automorphism a_t of
     M, given as its images.  Each row is checked to be an automorphism, and
-    a_(t g) = a_t a_g for every t and every g in ``generating_set(P)``.
+    a_(t g) = a_t a_g for every t and every g in ``P.generators``.
     """
     check_table_size(M.order * P.order)
     act = _normalize_action(M, P, alpha)
@@ -521,12 +527,12 @@ def is_subgroup(G: FiniteGroup, elems: Iterable[int]) -> bool:
 
 
 def is_normal(G: FiniteGroup, elems: Iterable[int]) -> bool:
-    """True when every conjugate g a g^-1 of every a in ``elems`` is in ``elems``."""
+    """True when g a g^-1 is in ``elems`` for every a in ``elems`` and every
+    g in ``G.generators``, whose conjugations generate all of them."""
     elems = np.fromiter(elems, dtype=np.intp)
     inside = np.zeros(G.order, dtype=bool)
     inside[elems] = True
-    t = G.table
-    return bool(inside[t[t[:, elems], G.inverses[:, None]]].all())
+    return bool(inside[G.generator_conjugations[:, elems]].all())
 
 
 def center(G: FiniteGroup) -> tuple:
@@ -668,6 +674,10 @@ def generating_set(G: FiniteGroup) -> tuple:
     The first pick is the first element of largest order.  After that, an
     element inside a candidate subgroup already computed in the same pass
     generates no more than that candidate did, so it is skipped unexamined.
+    Checks read ``G.generators``; this set is used only where its order
+    shows in the output: ``_automorphisms`` (the Aut row order),
+    ``find_isomorphism``, ``all_homomorphisms`` (the corpus order), and
+    the ``aut``, ``oracle`` and witness lines of ``cli``.
     """
     if G.order == 1:
         return ()
@@ -692,28 +702,29 @@ def generating_set(G: FiniteGroup) -> tuple:
 
 def respects_product(G: FiniteGroup, H: FiniteGroup, maps) -> np.ndarray:
     """One bool per row f of ``maps``: every entry an index of H and
-    f(x g) = f(x) f(g) for every x in G and every g in ``generating_set(G)``.
+    f(x g) = f(x) f(g) for every x in G and every g in ``G.generators``.
 
     Exact by induction on word length: every element of G is a product of
-    the generators.  x = 1 forces f(1) = 1; the trivial group, with no
+    the generators.  ``is_action``, ``CrossedHom`` and the brace law rest on
+    the same induction.  x = 1 forces f(1) = 1; the trivial group, with no
     generators, is checked at g = 1 instead.
     """
     maps = np.asarray(maps).reshape(-1, G.order)
     ok = (maps.min(axis=1) >= 0) & (maps.max(axis=1) < H.order)
     f = maps if ok.all() else np.where(ok[:, None], maps, H.identity)
-    for g in generating_set(G) or (G.identity,):
+    for g in G.generators or (G.identity,):
         ok &= (f[:, G.table[:, g]] == H.table[f, f[:, g, None]]).all(axis=1)
     return ok
 
 
 def is_action(P: FiniteGroup, rows) -> bool:
     """True when rows[t g] = rows[t] o rows[g] for every t in P and every g
-    in ``generating_set(P)`` (g = 1 for the trivial group).  Exact for rows
-    of permutations: it forces rows[1] = 1, and t -> rows[t] is then a
-    homomorphism by induction on word length."""
+    in ``P.generators`` (g = 1 for the trivial group).  Exact for rows of
+    permutations: it forces rows[1] = 1, and t -> rows[t] is then a
+    homomorphism by the induction of ``respects_product``."""
     rows = np.asarray(rows)
     return all(np.array_equal(rows[P.table[:, g]], rows[:, rows[g]])
-               for g in generating_set(P) or (P.identity,))
+               for g in P.generators or (P.identity,))
 
 
 def _homomorphism_search(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
@@ -870,9 +881,9 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> np.ndarray:
     fixing gens[:i].  Levels are built deepest first: an orbit is closed under
     the automorphisms found so far, all of which fix gens[:i], and a remaining
     fingerprint candidate is decided by one search with gens[:i] pinned.  The
-    top level, where nothing is pinned, also starts from the conjugations by
-    gens, which generate Inn(G).  Fingerprints are invariant under
-    automorphisms, so the candidates cover the orbit, and by
+    top level, where nothing is pinned, also starts from
+    ``G.generator_conjugations``, which generate Inn(G).  Fingerprints are
+    invariant under automorphisms, so the candidates cover the orbit, and by
     orbit-stabilizer |Aut(G)| is the product of the orbit sizes.  Every
     automorphism is t_0 o ... o t_(k-1) for exactly one choice of level
     representatives t_i: the product of the automorphisms along the parent
@@ -898,8 +909,7 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> np.ndarray:
     for i in reversed(range(len(gens))):
         above = math.prod(inner[:i])
         if i == 0:
-            t, inv = G.table, G.inverses
-            found.extend(t[t[g], inv[g]].tolist() for g in gens)
+            found.extend(G.generator_conjugations.tolist())
         pinned = [[g] for g in gens[:i]]
         orbit = {gens[i]: None}
         _grow_orbit(orbit, found)

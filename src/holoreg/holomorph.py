@@ -24,7 +24,7 @@ import numpy as np
 
 from .groups import (FiniteGroup, BoundExceeded, GroupDefinitionError,
                      HomomorphismError, as_subgroup, automorphism_group,
-                     center, find_isomorphism, generating_set, greedy_closure,
+                     center, check_table_size, find_isomorphism, greedy_closure,
                      is_action, is_subgroup, quotient_group, respects_product)
 
 DEFAULT_HOL_BOUND = 20000
@@ -174,6 +174,7 @@ def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
     perms = _hol_perms(N, bound)
     a_count = len(perms)
     n = N.order
+    check_table_size(n * a_count)  # before the table is allocated
     comp = _composition_index(perms)
     b = np.repeat(np.arange(n), a_count)   # translation of each column
     q = np.tile(np.arange(a_count), n)     # twist of each column
@@ -257,10 +258,10 @@ def cyclic_regular_oracle(N: FiniteGroup,
     after n - 1 steps are exactly those whose cycle has length n.  Every
     other translation b takes the conjugates of its orbit's winners by one
     sigma with sigma(least) = b; each conjugate's row in ``perms`` is found
-    from its images of ``generating_set(N)``.  Winners come in (translation,
-    twist) order, as arrays: a HolElement is built only when the result is
-    indexed.  ``pair_steps`` counts the moves of the reduced scan, one per
-    live pair per step.
+    from its images of ``N.generators``, which determine it.  Winners come
+    in (translation, twist) order, as arrays: a HolElement is built only
+    when the result is indexed.  ``pair_steps`` counts the moves of the
+    reduced scan, one per live pair per step.
     """
     n = N.order
     perms = _hol_perms(N, hol_bound)
@@ -293,7 +294,7 @@ def cyclic_regular_oracle(N: FiniteGroup,
     src = (np.searchsorted(translations, least)[b] + np.arange(len(b))
            - np.repeat(np.cumsum(counts) - counts, counts))
     sigma = perms[np.argmax(perms[:, least] == np.arange(n), axis=0)]
-    gens = list(generating_set(N))
+    gens = list(N.generators)
     sigma_inv = np.empty_like(sigma)
     sigma_inv[np.arange(n)[:, None], sigma] = np.arange(n, dtype=sigma.dtype)
     sigma_inv_gens = sigma_inv[:, gens]
@@ -393,9 +394,9 @@ class CrossedHom:
 
     Twists are stored as one permutation of N per element of G.  On
     construction f(s) is checked to be an automorphism of N for every s in
-    ``generating_set(G)``, f to be a homomorphism by ``is_action``, and the
+    ``G.generators``, f to be a homomorphism by ``is_action``, and the
     crossed relation for every t and every generator s.  The relation then
-    holds for all s by induction on word length: g(s w t) =
+    holds for all s by the induction of ``respects_product``: g(s w t) =
     g(s) f(s)(g(w) f(w)(g(t))) splits because f(s) is an automorphism.
     """
 
@@ -416,7 +417,7 @@ class CrossedHom:
             raise HomomorphismError("f must send the identity to the identity map")
         if translations[G.identity] != N.identity:
             raise HomomorphismError("g must send the identity to the identity")
-        gens = list(generating_set(G))
+        gens = list(G.generators)
         fs, st = twists[gens], G.table[gens]
         if not (_are_automorphisms(N, fs) and is_action(G, twists)):
             raise HomomorphismError("f is not a homomorphism into Aut(N)")
@@ -537,7 +538,7 @@ def skew_brace_from_regular(N: FiniteGroup, subgroup: HolElements) -> SkewBrace:
     group, validated as a group, is isomorphic to the subgroup.  The law
     a o (b c) = (a o b) a^-1 (a o c) says that every lambda_a: x -> a^-1 (a o x)
     is an endomorphism of N, which ``respects_product`` checks for every
-    lambda_a on a generating set of N: exact by induction on word length.
+    lambda_a on ``N.generators``.
     """
     circle = _circle_table(N, subgroup)
     if circle is None:

@@ -346,3 +346,46 @@ def test_sweep_parallel_matches_serial():
     parallel, code2 = run(Request("sweep", hol_bound=20000, limit=8, workers=2))
     assert code1 == code2 == EXIT_OK
     assert serial == parallel
+
+
+class RecordingExecutor:
+    """A stand-in for ``ProcessPoolExecutor`` that records ``max_workers``
+    and maps in this process, so that no worker is started."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, limit, cpus, made", [
+    (100000, 3, 4, [3]),   # no more workers than specs
+    (100000, 12, 2, [2]),  # no more workers than cores
+    (2, 5, 1, []),         # one core: serial
+    (3, 1, 4, []),         # one spec: serial
+    (2, 0, 4, []),         # nothing to sweep
+])
+def test_sweep_workers_are_capped(monkeypatch, workers, limit, cpus, made):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "made", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    text, code = run(Request("sweep", hol_bound=20000, limit=limit, workers=workers))
+    serial, _ = run(Request("sweep", hol_bound=20000, limit=limit))
+    assert RecordingExecutor.made == made
+    assert code == EXIT_OK and text == serial
+    assert f"corpus_size: {limit}\n" in text
+
+
+def test_sweep_of_nothing_with_workers_is_empty(capsys):
+    assert main(["sweep", "--limit", "0", "--workers", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == ("command: sweep\ncorpus_size: 0\nrealizable_count: 0\n"
+                                       "oracle_skipped: 0\ndisagreements: 0\n")

@@ -1,6 +1,7 @@
 """Holomorph pairs, regular subgroups, crossed pairs, braces, and fpf pairs."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
                      regular_subgroups_isomorphic_to, rho_embedding,
                      skew_brace_from_regular, subgroup_generated_by_hol,
                      BoundExceeded)
+from holoreg import groups
 from holoreg.holomorph import _composition_index
 from holoreg.realizability import classify
 
@@ -95,6 +97,22 @@ def test_hol_group_respects_bound():
     with pytest.raises(BoundExceeded,  # |Aut| = 1 fits, n = 2 does not
                        match="holomorph order 2 exceeds bound 1"):
         hol_group(cyclic_group(2), bound=1)
+
+
+def test_hol_group_checks_its_table_size_before_allocating(monkeypatch):
+    # |Hol(D16)| = 16 * 32 = 512: a 1 MiB table against 256 KiB of memory
+    N = dihedral_group(16)
+    assert holomorph_order(N) == 512
+    pages = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(groups.os, "sysconf", pages.__getitem__)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupDefinitionError, match="order 512 is too large"):
+            hol_group(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 512 * 512 // 8
 
 
 def test_hol_action_is_faithful_with_stabilizer_the_twists():

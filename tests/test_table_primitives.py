@@ -17,9 +17,9 @@ from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
                      decompose, dihedral_group, direct_product,
                      find_isomorphism, generating_set, is_normal, is_subgroup,
                      parse_group_spec, quaternion_group, quotient_group,
-                     recognize_cgroup, respects_product, subgroup_generated,
-                     sylow_subgroup)
-from holoreg import groups
+                     recognize_cgroup, respects_product, semidirect_product,
+                     subgroup_generated, sylow_subgroup)
+from holoreg import groups, realizability, specs
 from holoreg.cgroups import _divisors, _normal_cyclic_subgroup_generator
 from holoreg.groups import _fingerprints, _prime_divisors, center
 
@@ -109,6 +109,15 @@ def ref_power(G, a, k):
 def ref_conj(G, a, b):
     t = table_rows(G)
     return t[t[b][a]][G.inv(b)]
+
+
+def ref_is_normal(G, elems):
+    """Conjugation by every element of G, as ``is_normal`` once checked."""
+    elems = list(elems)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[elems] = True
+    t = G.table
+    return bool(inside[t[t[:, elems], G.inverses[:, None]]].all())
 
 
 def ref_commutator_subgroup(G):
@@ -270,7 +279,7 @@ def test_respects_product_matches_reference(reference_groups, ref_respects_produ
     verdicts = set()
     for G in reference_groups[0::3] + reference_groups[1::3]:  # given, relabelled
         n = G.order
-        gens = generating_set(G)
+        gens = G.generators  # the generators respects_product walks
         auts = automorphism_group(G)[:4]
         swapped = auts.copy()  # the images of the first and last generator swapped
         swapped[:, [gens[0], gens[-1]]] = auts[:, [gens[-1], gens[0]]]
@@ -397,6 +406,55 @@ def test_subgroup_searches_match_reference_on_large_tables(
     assert not any(normal[name] for name in
                    ("semidirect-600", "semidirect-672", "semidirect-1008"))
     assert None in closures  # candidates were dropped past the Sylow order
+
+
+def test_conjugation_checks_match_full_scans(reference_groups,
+                                             ref_normal_cyclic_subgroup_generator):
+    # given and relabelled: each check reads the generator conjugations only
+    rng = np.random.default_rng(21)
+    abelian, normal, cyclic = set(), {True: set(), False: set()}, set()
+    for G in reference_groups:
+        t = G.table
+        assert G.is_abelian is bool(np.array_equal(t, t.T)), G
+        abelian.add(G.is_abelian)
+        closed, other = element_sets(G, rng)
+        closed += [sylow_subgroup(G, p) for p in _prime_divisors(G.order)]
+        closed += [center(G), commutator_subgroup(G)]
+        for is_closed, sets in ((True, closed), (False, other)):
+            for elems in sets:
+                want = ref_is_normal(G, elems)
+                assert is_normal(G, elems) is want, (G, elems)
+                normal[is_closed].add(want)
+        for e in _divisors(G.order):
+            x = _normal_cyclic_subgroup_generator(G, e)
+            assert x == ref_normal_cyclic_subgroup_generator(G, e), (G, e)
+            cyclic.add(x is None)
+    assert abelian == normal[True] == normal[False] == cyclic == {True, False}
+
+
+def test_checks_compute_no_generating_set(monkeypatch, corpus_reps):
+    # the checks read G.generators; generating_set would leave its memo
+    key = groups.generating_set.__wrapped__
+    factors = []  # the M and P of every semidirect product built
+
+    def recorded(M, P, alpha, name=""):
+        factors.extend((M, P))
+        return semidirect_product(M, P, alpha, name)
+    monkeypatch.setattr(specs, "semidirect_product", recorded)
+    M, P = cyclic_group(15), dihedral_group(8)
+    semidirect_product(M, P, np.tile(np.arange(15, dtype=np.int32), (8, 1)))
+    assert key not in M.memo and key not in P.memo
+    for entry in corpus_reps:
+        factors.clear()
+        N = parse_group_spec(entry.spec)  # fresh: nothing memoized yet
+        verdict = classify(N)
+        seen = [N, *factors]
+        odd = realizability._odd_part(N)
+        if odd is not None:
+            seen.append(odd[1])
+        if verdict.decomposition is not None:
+            seen += [verdict.decomposition.m_group, verdict.decomposition.p_group]
+        assert not any(key in G.memo for G in seen), entry.spec
 
 
 # -- the classify path reads the table as an array -----------------------------
