@@ -2,7 +2,11 @@
 
 The corpus takes every odd metacyclic group of order up to 21, every
 dihedral/quaternion 2-group up to order 16, and every action of the latter
-on the former, then removes isomorphic repeats.  The classifier and the
+on the former, one group per isomorphism class.  The orders of the factors
+are coprime, so two actions give isomorphic groups exactly when one is the
+other twisted by an automorphism of each factor (Taunt's lemma): the
+classes are read off the actions, with no isomorphism search, and a
+group's table is built only when it is read.  The classifier and the
 holomorph scan must agree everywhere the scan is affordable.
 """
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,9 +35,9 @@ from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      normal_hall_odd_subgroup, quaternion_group,
                      quotient_group, respects_product, subgroup_generated,
                      sylow_subgroup, words)
-from .holomorph import HolElement, conjugation_perm
+from .holomorph import HolElement, _conjugations, conjugation_perm
 from .specs import (action_from_generators, build_semidirect_from_auts,
-                    parse_group_spec)
+                    parse_group_spec, semidirect_spec)
 
 REASON_CGROUP = "c-group"
 REASON_CASE_1 = "theorem-case-1"
@@ -506,33 +506,69 @@ TWO_GROUP_SPECS = ("dihedral 4", "quaternion 8", "dihedral 8",
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One split M x| P of the corpus, named by its spec string.
+
+    ``duplicate_of`` is the index of the first earlier entry isomorphic to
+    this one, or None.  It is read off the action alone (see
+    ``generate_corpus``), so no Cayley table is needed for it.  ``group``
+    builds the table from ``factors`` = (pres, P, aut_r, aut_s), through
+    ``build_semidirect_from_auts``, the first time it is read, and keeps it.
+    """
+
     spec: str
-    group: FiniteGroup
-    duplicate_of: Optional[int] = None  # index of an isomorphic earlier entry
+    duplicate_of: Optional[int]
+    factors: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def group(self) -> FiniteGroup:
+        return build_semidirect_from_auts(*self.factors)
 
 
 def generate_corpus(max_m_order: int = 21) -> list:
     """Every split M x| P with M from ``cgroup_pool(max_m_order)`` and P from
-    ``TWO_GROUP_SPECS``, one entry per action.
+    ``TWO_GROUP_SPECS``, one entry per action alpha: P -> Aut(M).
 
     Entries are deterministic; later entries isomorphic to an earlier one
-    carry its index in ``duplicate_of``.  The result is cached per process:
-    the entries are frozen, and the list must not be modified.
+    carry its index in ``duplicate_of``.  The classes come from the action,
+    with no isomorphism search.  |M| is odd and |P| a power of 2, so M is
+    the normal Hall subgroup of N, hence characteristic, and P a Sylow
+    2-subgroup.  Their isomorphism types are invariants of N, and the pool's
+    presentations are pairwise non-isomorphic, so splits over different
+    (M, P) are never isomorphic.  For one (M, P), every complement of M is
+    conjugate to P (Schur-Zassenhaus), so M x|_alpha P and M x|_beta P are
+    isomorphic exactly when beta = c_mu o alpha o sigma for some mu in
+    Aut(M) and sigma in Aut(P): the coprime case of Taunt's lemma.  An
+    action is fixed by (alpha(r), alpha(s)), so the least such pair over
+    all (mu, sigma) names the class of alpha.
+
+    No table is built here: each entry builds its own when ``group`` is
+    read.  The result is cached per process: the entries are frozen, and
+    the list must not be modified.
     """
     return _corpus(max_m_order)
 
 
 @cache
 def _corpus(max_m_order: int) -> list:
-    built = []
+    two_groups = [parse_group_spec(spec) for spec in TWO_GROUP_SPECS]
+    entries = []
     for pres in cgroup_pool(max_m_order):
-        auts, aut_grp = cgroup_auts(pres), cgroup_aut_group(pres)
-        for p_spec in TWO_GROUP_SPECS:
-            P = parse_group_spec(p_spec)
-            r, s = P.labels.index((1, 0)), P.labels.index((0, 1))
-            for a_r, a_s in all_homomorphisms(P, aut_grp)[:, [r, s]].tolist():
-                built.append(build_semidirect_from_auts(pres, P, auts[a_r], auts[a_s]))
-    return [CorpusEntry(g.name, g, dup) for g, dup in zip(built, _duplicate_of(built))]
+        auts, A = cgroup_auts(pres), cgroup_aut_group(pres)
+        conj = _conjugations(A)  # conj[mu, a] = mu a mu^-1
+        for P in two_groups:
+            rs = [P.labels.index((1, 0)), P.labels.index((0, 1))]
+            alphas = all_homomorphisms(P, A)
+            # images[mu, i, sigma] = c_mu o alpha_i o sigma on (r, s)
+            images = conj[:, alphas[:, automorphism_group(P)[:, rs]]]
+            keys = (images[..., 0] * A.order + images[..., 1]).min(axis=(0, 2))
+            first: dict = {}  # class key -> index of its first entry
+            for key, (a_r, a_s) in zip(keys.tolist(), alphas[:, rs].tolist()):
+                dup = first.setdefault(key, len(entries))
+                factors = (pres, P, auts[a_r], auts[a_s])
+                entries.append(CorpusEntry(semidirect_spec(*factors),
+                                           None if dup == len(entries) else dup,
+                                           factors))
+    return entries
 
 
 def corpus_representatives(entries: Sequence[CorpusEntry]) -> list:

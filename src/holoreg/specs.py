@@ -215,7 +215,7 @@ def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
 
     P's relations are checked by ``action_from_generators``; only aut_r and
     aut_s become permutations of M, composed for each r^a s^b.  The name is
-    the spec string that parses back to the product.
+    ``semidirect_spec``, the spec string that parses back to the product.
     """
     action_from_generators(P, aut_r, aut_s)
     M = cgroup_group(pres)
@@ -226,9 +226,15 @@ def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
     while len(r_powers) < P.order // 2:
         r_powers.append(perm_r[r_powers[-1]])
     perms = [r_powers[a][perm_s] if b else r_powers[a] for a, b in P.labels]
-    spec = (f"semidirect ({pres.spec}) ({P.name}) alpha "
-            f"r->{aut_r.spec} s->{aut_s.spec}")
-    return semidirect_product(M, P, perms, name=spec)
+    return semidirect_product(M, P, perms, name=semidirect_spec(pres, P, aut_r, aut_s))
+
+
+def semidirect_spec(pres: CGroupPresentation, P: FiniteGroup,
+                    aut_r: CGroupAut, aut_s: CGroupAut) -> str:
+    """The spec string that parses back to
+    ``build_semidirect_from_auts(pres, P, aut_r, aut_s)``, written without
+    building it."""
+    return f"semidirect ({pres.spec}) ({P.name}) alpha r->{aut_r.spec} s->{aut_s.spec}"
 
 
 # -- Cayley table files -----------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 
 from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
                      GroupDefinitionError, HomomorphismError,
-                     automorphism_group, cgroup_group, classify,
-                     classify_rump, closed_form_products, construct,
+                     automorphism_group, cgroup_aut_group, cgroup_auts,
+                     cgroup_group, classify, classify_rump,
+                     closed_form_products, construct, corpus_representatives,
                      cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
                      generate_corpus, normalize_alpha, parse_group_spec,
@@ -18,6 +19,7 @@ from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
 from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
                                    REASON_P_SHAPE, _corpus)
+from holoreg import specs
 from holoreg.specs import action_from_generators
 
 
@@ -438,6 +440,50 @@ def test_corpus_is_deterministic():
     assert first is not second
     assert [(e.spec, e.duplicate_of) for e in first] == \
         [(e.spec, e.duplicate_of) for e in second]
+
+
+def test_corpus_builds_each_table_only_when_read(monkeypatch):
+    # the classes come from the action, so listing the corpus, its
+    # representatives and every spec and duplicate link builds no table;
+    # reading a group builds its table once
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return semidirect_product(*args, **kwargs)
+
+    monkeypatch.setattr(specs, "semidirect_product", counting)
+    corpus = _corpus.__wrapped__(21)
+    reps = corpus_representatives(corpus)
+    links = [(e.spec, e.duplicate_of) for e in corpus]
+    assert len(links) == 435 and len(reps) == 202 and built == []
+    entry = reps[-1]
+    G = entry.group
+    assert entry.group is G and len(built) == 1
+    assert G.name == entry.spec
+
+
+def test_automorphism_count_matches_split_formula(corpus_reps):
+    # N = M x|_alpha P with coprime orders: Aut(N) moves P through the
+    # |M : C_M(P)| complements of M, all conjugate to P, and the
+    # automorphisms keeping M and P are the pairs (mu, sigma) in
+    # Aut(M) x Aut(P) with c_mu o alpha o sigma = alpha
+    for entry in corpus_reps:
+        pres, P, aut_r, aut_s = entry.factors
+        auts, A = cgroup_auts(pres), cgroup_aut_group(pres)
+        index = {a: i for i, a in enumerate(auts)}
+        alpha = np.array([index[a] for a in action_from_generators(P, aut_r, aut_s)])
+        rs = [P.labels.index((1, 0)), P.labels.index((0, 1))]
+        conj = A.table[A.table, A.inverses[:, None]]  # conj[mu, a] = mu a mu^-1
+        images = conj[:, alpha[automorphism_group(P)[:, rs]]]  # [mu, sigma, r|s]
+        stabilizer = int(np.all(images == alpha[rs], axis=-1).sum())
+        N = entry.group
+        m_elems = [g for g in range(N.order) if N.label(g)[1] == (0, 0)]
+        p_elems = [g for g in range(N.order) if N.label(g)[0] == (0, 0)]
+        centralizer = [x for x in m_elems
+                       if all(N.mul(x, t) == N.mul(t, x) for t in p_elems)]
+        assert len(automorphism_group(N)) == \
+            len(m_elems) // len(centralizer) * stabilizer, entry.spec
 
 
 def test_corpus_specs_parse_back(corpus_reps):
