@@ -10,8 +10,7 @@ the holomorph cross-checks every verdict.
 
 from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
-                     all_subgroups, as_subgroup, automorphism_group,
-                     center, characteristic_subgroups,
+                     as_subgroup, automorphism_group, center,
                      commutator_subgroup, cyclic_group, dihedral_group,
                      direct_product, find_isomorphism, generating_set,
                      is_cgroup, is_normal, is_subgroup,
@@ -25,10 +24,9 @@ from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
 from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement,
                         HolElements, SkewBrace, all_regular_subgroups,
                         conjugation_perm, crossed_from_regular,
-                        cyclic_regular_oracle, hol_elements, hol_group,
-                        holomorph_order, induction_quotient,
-                        induction_restrict, is_regular_subgroup,
-                        lambda_embedding, regular_from_crossed,
+                        cyclic_regular_oracle, hol_group,
+                        is_regular_subgroup, lambda_embedding,
+                        regular_from_crossed,
                         regular_subgroup_as_group,
                         regular_subgroups_isomorphic_to, rho_embedding,
                         skew_brace_from_regular, subgroup_generated_by_hol)

@@ -134,13 +134,6 @@ class CGroupPresentation:
         return ((i1 + i2 * pow(self.k, j1, self.e)) % self.e if self.e > 1 else 0,
                 (j1 + j2) % self.d)
 
-    def inverse(self, a):
-        i, j = a
-        if self.e == 1:
-            return (0, (-j) % self.d)
-        k_inv = pow(self.k, -1, self.e)
-        return ((-i * pow(k_inv, j % self.d, self.e)) % self.e, (-j) % self.d)
-
     def power(self, i: int, j: int, length: int):
         """(x^i y^j)^length = (i * S(k^j, length), j * length)."""
         if self.e == 1:
@@ -148,15 +141,6 @@ class CGroupPresentation:
         kj = pow(self.k, j % self.d, self.e)
         return ((i * geometric_sum(kj, length, self.e)) % self.e,
                 (j * length) % self.d)
-
-    def element_order(self, i: int, j: int) -> int:
-        jo = self.d // math.gcd(self.d, j % self.d) if self.d > 1 else 1
-        cur = self.power(i, j, jo)
-        step = jo
-        while cur != (0, 0):
-            cur = self.mul(cur, self.power(i, j, jo))
-            step += jo
-        return step
 
 
 def unit_groups(M: CGroupPresentation):

@@ -19,8 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-SUBGROUP_ENUM_BOUND = 128
-
 
 class GroupDefinitionError(ValueError):
     """Data fails to define a group, or a constructor was misused."""
@@ -985,40 +983,3 @@ def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> np.ndarray:
         raise HomomorphismError("images do not respect the group product")
     images.setflags(write=False)
     return images
-
-
-# -- subgroup enumeration -----------------------------------------------------
-
-
-def all_subgroups(G: FiniteGroup) -> list:
-    """Every subgroup of G as a sorted tuple, by closure-extension search.
-
-    Refuses G above order ``SUBGROUP_ENUM_BOUND``.
-    """
-    if G.order > SUBGROUP_ENUM_BOUND:
-        raise BoundExceeded(f"subgroup enumeration bound {SUBGROUP_ENUM_BOUND} "
-                            f"exceeded by order {G.order}")
-    trivial = (G.identity,)
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            inside = set(sub)
-            for g in range(G.order):
-                if g in inside:
-                    continue
-                bigger = subgroup_generated(G, list(sub) + [g])
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(found, key=lambda s: (len(s), s))
-
-
-def characteristic_subgroups(G: FiniteGroup) -> list:
-    """Subgroups invariant under every automorphism of G: one that an
-    automorphism maps into itself it maps onto itself."""
-    subgroups = all_subgroups(G)  # refuses an oversized G first
-    auts = automorphism_group(G)
-    return [sub for sub in subgroups if np.isin(auts[:, list(sub)], sub).all()]

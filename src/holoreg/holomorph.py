@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .groups import (FiniteGroup, BoundExceeded, GroupDefinitionError,
-                     HomomorphismError, as_subgroup, automorphism_group,
-                     center, check_table_size, find_isomorphism, greedy_closure,
-                     is_action, is_subgroup, quotient_group, respects_product)
+                     HomomorphismError, automorphism_group, check_table_size,
+                     find_isomorphism, greedy_closure, is_action,
+                     respects_product)
 
 DEFAULT_HOL_BOUND = 20000
 DEFAULT_SUBGROUP_HOL_BOUND = 5000
@@ -84,8 +84,8 @@ class HolElement:
 class HolElements(Sequence):
     """A set of holomorph elements held as arrays: element i is the pair
     (translations[i], perms[twists[i]]).  ``perms`` is any table of twist
-    rows: Aut(N) for the oracle, ``hol_elements`` and
-    ``all_regular_subgroups``, one row per element elsewhere.  Readers check
+    rows: Aut(N) for the oracle and ``all_regular_subgroups``, one row per
+    element elsewhere.  Readers check
     that each twist used is an automorphism of N.  A HolElement is built
     only when one is indexed; a slice is again a HolElements."""
 
@@ -129,10 +129,6 @@ def conjugation_perm(N: FiniteGroup, a: int) -> tuple:
 def _conjugations(N: FiniteGroup) -> np.ndarray:
     """Row a is conjugation by a, x -> a x a^-1."""
     return N.table[N.table, N.inverses[:, None]]
-
-
-def holomorph_order(N: FiniteGroup) -> int:
-    return N.order * len(automorphism_group(N))
 
 
 def _hol_perms(N: FiniteGroup, hol_bound: int) -> np.ndarray:
@@ -184,15 +180,6 @@ def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
             N.table[a, perms[:, b]] * a_count + comp[:, q]
     labels = [(a, p) for a in range(n) for p in range(a_count)]
     return FiniteGroup(table, labels=labels, name=f"holomorph of ({N.name})")
-
-
-def hol_elements(N: FiniteGroup) -> HolElements:
-    """All holomorph elements as a HolElements sequence, translations outer,
-    twists inner; refused above ``DEFAULT_HOL_BOUND``."""
-    perms = _hol_perms(N, DEFAULT_HOL_BOUND)
-    a_count = len(perms)
-    return HolElements(N, perms, np.repeat(np.arange(N.order), a_count),
-                       np.tile(np.arange(a_count), N.order))
 
 
 def _are_automorphisms(N: FiniteGroup, rows: np.ndarray) -> bool:
@@ -454,64 +441,6 @@ def regular_from_crossed(N: FiniteGroup, ch: CrossedHom) -> HolElements:
     if not is_regular_subgroup(N, sub):
         raise GroupDefinitionError("crossed data does not give a regular subgroup")
     return sub
-
-
-def induction_restrict(ch: CrossedHom, m_elems: Sequence[int]):
-    """Restrict a bijective crossed pair to a characteristic subgroup M of N.
-
-    Returns (h_elems, M_group, restricted) where h_elems are the G-indices of
-    the preimage H = g^-1(M) and ``restricted`` is the crossed pair for (H, M).
-    """
-    G, N = ch.source, ch.target
-    if not ch.is_bijective:
-        raise HomomorphismError("induction requires a bijective crossed pair")
-    m_elems = tuple(sorted(int(x) for x in m_elems))
-    if not is_subgroup(N, m_elems):
-        raise GroupDefinitionError("M must be a subgroup of N")
-    inside = np.zeros(N.order, dtype=bool)
-    inside[list(m_elems)] = True
-    if not inside[automorphism_group(N)[:, list(m_elems)]].all():
-        raise GroupDefinitionError("subgroup is not characteristic")
-    h_elems = tuple(np.flatnonzero(inside[list(ch.translations)]).tolist())
-    if not is_subgroup(G, h_elems):
-        raise GroupDefinitionError("preimage of M is not a subgroup")  # unreachable
-    H, _ = as_subgroup(G, h_elems, name=f"preimage of order {len(m_elems)}")
-    M, _ = as_subgroup(N, m_elems, name=f"characteristic subgroup of ({N.name})")
-    m_pos = np.cumsum(inside) - 1  # the index in M of each element of M
-    twists = np.array(ch.twists)[list(h_elems)]
-    restricted = CrossedHom(H, M, m_pos[twists[:, list(m_elems)]],
-                            m_pos[np.array(ch.translations)[list(h_elems)]])
-    return h_elems, M, restricted
-
-
-def induction_quotient(ch: CrossedHom, m_elems: Sequence[int],
-                       h_elems: Sequence[int]):
-    """Quotient crossed pair for (G/H, N/M); requires H central in G.
-
-    As part of well-definedness this checks that every twist attached to H
-    induces the identity on N/M.
-    """
-    G, N = ch.source, ch.target
-    h_elems = tuple(sorted(int(x) for x in h_elems))
-    m_elems = tuple(sorted(int(x) for x in m_elems))
-    zg = set(center(G))
-    if not set(h_elems) <= zg:
-        raise GroupDefinitionError("H must lie in the center of G")
-    Q_G, coset_G = quotient_group(G, h_elems)
-    Q_N, coset_N = quotient_group(N, m_elems)
-    coset_G, coset_N = np.array(coset_G), np.array(coset_N)
-    induced = coset_N[np.array(ch.twists)]  # (|G|, n): the coset of f(s)(x)
-    if (induced[list(h_elems)] != coset_N).any():
-        raise HomomorphismError("a twist attached to H does not act trivially on N/M")
-    twists = induced[:, np.unique(coset_N, return_index=True)[1]]  # at the first of each coset
-    if not np.array_equal(twists[:, coset_N], induced):
-        raise HomomorphismError("twist does not descend to the quotient")
-    translations = coset_N[list(ch.translations)]
-    firsts = np.unique(coset_G, return_index=True)[1]
-    if not (np.array_equal(twists[firsts][coset_G], twists)
-            and np.array_equal(translations[firsts][coset_G], translations)):
-        raise HomomorphismError("crossed data is not constant on cosets")
-    return Q_G, Q_N, CrossedHom(Q_G, Q_N, twists[firsts], translations[firsts])
 
 
 # -- skew braces -----------------------------------------------------------------

@@ -444,11 +444,7 @@ def classify_rump(G: FiniteGroup) -> bool:
     subgroup isomorphic to G exactly when G is 2-nilpotent with a C-group odd
     part and a Sylow 2-subgroup that is trivial, cyclic, or contains a cyclic
     subgroup of index 2."""
-    odd = normal_hall_odd_subgroup(G)
-    if odd is None:
-        return False
-    m_group, _ = as_subgroup(G, odd)
-    if not is_cgroup(m_group):
+    if _odd_part(G) is None:
         return False
     p_elems = sylow_subgroup(G, 2)
     size = len(p_elems)

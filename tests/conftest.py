@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
-                     HolElements, Homomorphism, all_homomorphisms,
-                     build_semidirect_from_auts, cgroup_group,
-                     corpus_representatives, generate_corpus)
+from holoreg import (BoundExceeded, CGroupPresentation, CrossedHom,
+                     FiniteGroup, GroupDefinitionError, HolElements,
+                     Homomorphism, HomomorphismError, all_homomorphisms,
+                     as_subgroup, automorphism_group,
+                     build_semidirect_from_auts, center, cgroup_group,
+                     corpus_representatives, generate_corpus, is_subgroup,
+                     quotient_group, subgroup_generated)
 from holoreg.groups import (_check_count, _fingerprints, _normalize_action,
                             check_table_size, generating_set, greedy_closure)
-from holoreg.holomorph import (DEFAULT_SUBGROUP_HOL_BOUND, _composition_index,
-                               _conjugations, _hol_perms)
+from holoreg.holomorph import (DEFAULT_HOL_BOUND, DEFAULT_SUBGROUP_HOL_BOUND,
+                               _composition_index, _conjugations, _hol_perms)
+
+SUBGROUP_ENUM_BOUND = 128
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +85,119 @@ def fpf_search():
                 for i, row in enumerate(others)
                 for j in np.flatnonzero(~(others == row).any(axis=1)).tolist()]
     return search
+
+
+@pytest.fixture(scope="session")
+def all_subgroups():
+    """``all_subgroups(G)``: every subgroup of G as a sorted tuple, by
+    closure-extension search, sorted by (size, elements).  Refuses G above
+    order ``SUBGROUP_ENUM_BOUND``."""
+    def enumerate_subgroups(G):
+        if G.order > SUBGROUP_ENUM_BOUND:
+            raise BoundExceeded(f"subgroup enumeration bound {SUBGROUP_ENUM_BOUND} "
+                                f"exceeded by order {G.order}")
+        trivial = (G.identity,)
+        found = {trivial}
+        frontier = [trivial]
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                inside = set(sub)
+                for g in range(G.order):
+                    if g in inside:
+                        continue
+                    bigger = subgroup_generated(G, list(sub) + [g])
+                    if bigger not in found:
+                        found.add(bigger)
+                        nxt.append(bigger)
+            frontier = nxt
+        return sorted(found, key=lambda s: (len(s), s))
+    return enumerate_subgroups
+
+
+@pytest.fixture(scope="session")
+def characteristic_subgroups(all_subgroups):
+    """``characteristic_subgroups(G)``: the subgroups invariant under every
+    automorphism of G (one that an automorphism maps into itself it maps
+    onto itself)."""
+    def characteristic(G):
+        subgroups = all_subgroups(G)  # refuses an oversized G first
+        auts = automorphism_group(G)
+        return [sub for sub in subgroups if np.isin(auts[:, list(sub)], sub).all()]
+    return characteristic
+
+
+@pytest.fixture(scope="session")
+def hol_elements():
+    """``hol_elements(N)``: all holomorph elements as a HolElements sequence,
+    translations outer, twists inner; refused above ``DEFAULT_HOL_BOUND``."""
+    def elements(N):
+        perms = _hol_perms(N, DEFAULT_HOL_BOUND)
+        a_count = len(perms)
+        return HolElements(N, perms, np.repeat(np.arange(N.order), a_count),
+                           np.tile(np.arange(a_count), N.order))
+    return elements
+
+
+@pytest.fixture(scope="session")
+def induction_restrict():
+    """``induction_restrict(ch, m_elems)``: a bijective crossed pair
+    restricted to a characteristic subgroup M of N.  Returns (h_elems,
+    M_group, restricted), where h_elems are the G-indices of the preimage
+    H = g^-1(M) and ``restricted`` is the crossed pair for (H, M)."""
+    def restrict(ch, m_elems):
+        G, N = ch.source, ch.target
+        if not ch.is_bijective:
+            raise HomomorphismError("induction requires a bijective crossed pair")
+        m_elems = tuple(sorted(int(x) for x in m_elems))
+        if not is_subgroup(N, m_elems):
+            raise GroupDefinitionError("M must be a subgroup of N")
+        inside = np.zeros(N.order, dtype=bool)
+        inside[list(m_elems)] = True
+        if not inside[automorphism_group(N)[:, list(m_elems)]].all():
+            raise GroupDefinitionError("subgroup is not characteristic")
+        h_elems = tuple(np.flatnonzero(inside[list(ch.translations)]).tolist())
+        if not is_subgroup(G, h_elems):
+            raise GroupDefinitionError("preimage of M is not a subgroup")  # unreachable
+        H, _ = as_subgroup(G, h_elems, name=f"preimage of order {len(m_elems)}")
+        M, _ = as_subgroup(N, m_elems, name=f"characteristic subgroup of ({N.name})")
+        m_pos = np.cumsum(inside) - 1  # the index in M of each element of M
+        twists = np.array(ch.twists)[list(h_elems)]
+        restricted = CrossedHom(H, M, m_pos[twists[:, list(m_elems)]],
+                                m_pos[np.array(ch.translations)[list(h_elems)]])
+        return h_elems, M, restricted
+    return restrict
+
+
+@pytest.fixture(scope="session")
+def induction_quotient():
+    """``induction_quotient(ch, m_elems, h_elems)``: the quotient crossed
+    pair for (G/H, N/M), returned as (G/H, N/M, pair); H must be central in
+    G.  As part of well-definedness this checks that every twist attached to
+    H induces the identity on N/M."""
+    def quotient(ch, m_elems, h_elems):
+        G, N = ch.source, ch.target
+        h_elems = tuple(sorted(int(x) for x in h_elems))
+        m_elems = tuple(sorted(int(x) for x in m_elems))
+        if not set(h_elems) <= set(center(G)):
+            raise GroupDefinitionError("H must lie in the center of G")
+        Q_G, coset_G = quotient_group(G, h_elems)
+        Q_N, coset_N = quotient_group(N, m_elems)
+        coset_G, coset_N = np.array(coset_G), np.array(coset_N)
+        induced = coset_N[np.array(ch.twists)]  # (|G|, n): the coset of f(s)(x)
+        if (induced[list(h_elems)] != coset_N).any():
+            raise HomomorphismError("a twist attached to H does not act trivially on N/M")
+        # each twist read at the first element of each coset
+        twists = induced[:, np.unique(coset_N, return_index=True)[1]]
+        if not np.array_equal(twists[:, coset_N], induced):
+            raise HomomorphismError("twist does not descend to the quotient")
+        translations = coset_N[list(ch.translations)]
+        firsts = np.unique(coset_G, return_index=True)[1]
+        if not (np.array_equal(twists[firsts][coset_G], twists)
+                and np.array_equal(translations[firsts][coset_G], translations)):
+            raise HomomorphismError("crossed data is not constant on cosets")
+        return Q_G, Q_N, CrossedHom(Q_G, Q_N, twists[firsts], translations[firsts])
+    return quotient
 
 
 @pytest.fixture(scope="session")

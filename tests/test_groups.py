@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
-                     all_subgroups, as_subgroup, automorphism_group, center,
-                     characteristic_subgroups, commutator_subgroup,
-                     cyclic_group, dihedral_group, direct_product,
-                     find_isomorphism, is_cgroup, is_normal, is_subgroup,
+                     as_subgroup, automorphism_group, center,
+                     commutator_subgroup, cyclic_group, dihedral_group,
+                     direct_product, find_isomorphism, is_cgroup, is_normal,
+                     is_subgroup,
                      normal_hall_odd_subgroup, quaternion_group,
                      quotient_group, semidirect_product, subgroup_generated,
                      sylow_subgroup, CGroupPresentation, cgroup_aut_group,
@@ -284,7 +284,7 @@ def test_quotient_requires_normal_subgroup():
         quotient_group(G, subgroup_generated(G, [reflection]))
 
 
-def test_is_normal_matches_the_definition():
+def test_is_normal_matches_the_definition(all_subgroups):
     S3 = cgroup_group(CGroupPresentation(3, 2, 2))
     for G in (S3, dihedral_group(8), quaternion_group(8), dihedral_group(16)):
         subsets = all_subgroups(G) + [(G.identity, 1), (), tuple(range(G.order))]
@@ -593,17 +593,17 @@ def test_generating_set_is_the_greedy_choice():
         assert generating_set(G) is generating_set(G)  # memoized per group
 
 
-def test_characteristic_subgroups_of_klein():
+def test_characteristic_subgroups_of_klein(characteristic_subgroups):
     subs = characteristic_subgroups(klein_group())
     assert subs == [(0,), (0, 1, 2, 3)]
 
 
-def test_all_subgroups_of_quaternion_8():
+def test_all_subgroups_of_quaternion_8(all_subgroups):
     subs = all_subgroups(quaternion_group(8))
     assert len(subs) == 6  # 1, center, three C4, Q8
 
 
-def test_odd_normal_part_is_characteristic_in_order_84_group():
+def test_odd_normal_part_is_characteristic_in_order_84_group(characteristic_subgroups):
     D14 = cgroup_group(CGroupPresentation(7, 2, 6))
     D6 = cgroup_group(CGroupPresentation(3, 2, 2))
     N = direct_product(D14, D6)

@@ -11,9 +11,7 @@ from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
                      as_subgroup, automorphism_group, cgroup_group, conjugation_perm,
                      crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, direct_product,
-                     find_isomorphism, hol_elements, hol_group,
-                     holomorph_order, induction_quotient,
-                     induction_restrict, is_regular_subgroup,
+                     find_isomorphism, hol_group, is_regular_subgroup,
                      lambda_embedding, quaternion_group, recognize_cgroup,
                      regular_from_crossed,
                      regular_subgroup_as_group,
@@ -36,7 +34,7 @@ def _actions(elements):
     return np.array([h.action_perm() for h in elements])
 
 
-def test_pair_composition_matches_action_composition():
+def test_pair_composition_matches_action_composition(hol_elements):
     # the array product of hol_group, (a, p)(b, q) = (a p(b), p o q), acts
     # as the composed actions
     for N in (klein_group(), dihedral_group(8), cyclic_group(6)):
@@ -50,7 +48,7 @@ def test_pair_composition_matches_action_composition():
         assert np.array_equal(acts[H.table], chained)
 
 
-def test_inverse_and_identity():
+def test_inverse_and_identity(hol_elements):
     # hol_group's identity and inverses act as the identity and the inverse
     # permutations; the array powers of subgroup_generated_by_hol are the
     # powers of the action and end at the identity
@@ -73,8 +71,8 @@ def test_inverse_and_identity():
 
 
 def test_hol_order_small_groups():
-    assert holomorph_order(cyclic_group(3)) == 6
-    assert holomorph_order(klein_group()) == 24
+    for N, order in ((cyclic_group(3), 6), (klein_group(), 24)):
+        assert N.order * len(automorphism_group(N)) == order
 
 
 def test_hol_group_c3():
@@ -102,7 +100,7 @@ def test_hol_group_respects_bound():
 def test_hol_group_checks_its_table_size_before_allocating(monkeypatch):
     # |Hol(D16)| = 16 * 32 = 512: a 1 MiB table against 256 KiB of memory
     N = dihedral_group(16)
-    assert holomorph_order(N) == 512
+    assert N.order * len(automorphism_group(N)) == 512
     pages = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(groups.os, "sysconf", pages.__getitem__)
     tracemalloc.start()
@@ -115,7 +113,7 @@ def test_hol_group_checks_its_table_size_before_allocating(monkeypatch):
     assert peak < 4 * 512 * 512 // 8
 
 
-def test_hol_action_is_faithful_with_stabilizer_the_twists():
+def test_hol_action_is_faithful_with_stabilizer_the_twists(hol_elements):
     N = dihedral_group(8)
     elements = hol_elements(N)
     actions = {h.action_perm() for h in elements}
@@ -209,7 +207,7 @@ def test_oracle_result_is_a_lazy_sequence():
         found[len(found)]
 
 
-def test_oracle_matches_brute_force_cycle_lengths():
+def test_oracle_matches_brute_force_cycle_lengths(hol_elements):
     # the orbit scan and its expansion keep exactly the full-cycle pairs,
     # in scan order
     c2 = cyclic_group(2)
@@ -430,7 +428,7 @@ def _cyclic_witness_subgroup(N):
     return subgroup_generated_by_hol(found[0])
 
 
-def test_restrict_to_whole_group_is_identity_on_data():
+def test_restrict_to_whole_group_is_identity_on_data(induction_restrict):
     N = dihedral_group(8)
     G, ch = crossed_from_regular(N, _cyclic_witness_subgroup(N))
     h_elems, M, restricted = induction_restrict(ch, tuple(range(N.order)))
@@ -438,7 +436,7 @@ def test_restrict_to_whole_group_is_identity_on_data():
     assert restricted.translations == ch.translations
 
 
-def test_restrict_to_trivial_subgroup():
+def test_restrict_to_trivial_subgroup(induction_restrict):
     N = dihedral_group(8)
     G, ch = crossed_from_regular(N, _cyclic_witness_subgroup(N))
     h_elems, M, restricted = induction_restrict(ch, (N.identity,))
@@ -446,7 +444,7 @@ def test_restrict_to_trivial_subgroup():
     assert M.order == 1
 
 
-def test_restrict_d8_to_rotations():
+def test_restrict_d8_to_rotations(induction_restrict):
     N = dihedral_group(8)
     G, ch = crossed_from_regular(N, _cyclic_witness_subgroup(N))
     rotations = tuple(sorted([0, 2, 4, 6]))
@@ -457,14 +455,14 @@ def test_restrict_d8_to_rotations():
     assert restricted.is_bijective
 
 
-def test_restrict_rejects_non_characteristic_subgroup():
+def test_restrict_rejects_non_characteristic_subgroup(induction_restrict):
     N = klein_group()
     G, ch = crossed_from_regular(N, _cyclic_witness_subgroup(N))
     with pytest.raises(GroupDefinitionError):
         induction_restrict(ch, (0, 1))  # single involution is moved by Aut
 
 
-def test_quotient_induction_on_d8():
+def test_quotient_induction_on_d8(induction_restrict, induction_quotient):
     N = dihedral_group(8)
     G, ch = crossed_from_regular(N, _cyclic_witness_subgroup(N))
     rotations = tuple(sorted([0, 2, 4, 6]))
@@ -474,7 +472,8 @@ def test_quotient_induction_on_d8():
     assert quotient.is_bijective
 
 
-def test_quotient_induction_on_realizable_order_84_member():
+def test_quotient_induction_on_realizable_order_84_member(induction_restrict,
+                                                           induction_quotient):
     # a cyclic witness on C21 x| (C2 x C2) with a small action restricts to the
     # odd part and then quotients down to a crossed pair on the Klein group
     from holoreg import classify, normal_hall_odd_subgroup, parse_group_spec
@@ -493,7 +492,7 @@ def test_quotient_induction_on_realizable_order_84_member():
     assert max(int(o) for o in QG.orders) == 4  # the quotient source is cyclic
 
 
-def test_quotient_induction_requires_central_kernel():
+def test_quotient_induction_requires_central_kernel(induction_restrict, induction_quotient):
     N = cgroup_group(CGroupPresentation(3, 2, 2))
     G, ch = crossed_from_regular(N, _cyclic_witness_subgroup(N))
     odd = tuple(sorted(g for g in range(6) if N.order_of(g) % 2 == 1))

@@ -1,0 +1,35 @@
+"""Every name the package exports is reached by the library, a demo or the bench.
+
+A name that only tests call belongs in ``tests/``; this guard keeps such
+names from drifting back into ``holoreg/__init__.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "holoreg"
+
+
+def _names_used(path: Path) -> set:
+    """The names a module reads or imports; strings (docstrings) do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_export_is_used_outside_the_tests():
+    readers = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+               + sorted((ROOT / "demos").glob("*.py"))
+               + sorted((ROOT / "bench").glob("*.py")))
+    used = set().union(*map(_names_used, readers))
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(exported - used) == []

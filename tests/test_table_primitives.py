@@ -535,6 +535,9 @@ def test_searches_retain_no_table_sized_copy(relabel):
 
 
 def test_recognize_cgroup_on_every_small_presentation():
+    # every valid C(e, d, k) of order <= 120, the 195 of odd order among
+    # them: ``_odd_part`` and so ``classify_rump`` treat an odd Hall part as
+    # a C-group exactly when ``recognize_cgroup`` accepts it
     cases = 0
     for e in range(1, 121):
         for d in range(1, 120 // e + 1):
