@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     check_table_size, is_cgroup, memoized,
+                     _prime_powers, check_table_size, is_cgroup, memoized,
                      subgroup_generated, words)
 
 
@@ -61,17 +61,6 @@ def multiplicative_order(k: int, modulus: int) -> int:
         cur = (cur * k) % modulus
         n += 1
     return n
-
-
-def _radical(n: int) -> int:
-    out, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            out *= d
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out * (n if n > 1 else 1)
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,7 @@ class CGroupPresentation:
     @cached_property
     def is_normalized(self) -> bool:
         """True when every prime factor of d divides the order of k mod e."""
-        return self.ord % _radical(self.d) == 0
+        return self.ord % math.prod(_prime_powers(self.d)) == 0
 
     @property
     def spec(self) -> str:
@@ -180,6 +169,11 @@ class CGroupAut:
     @property
     def is_identity(self) -> bool:
         return self.c == 0 and self.u == 1 and self.v == 1
+
+    @property
+    def is_phi(self) -> bool:
+        """self is some phi_u: x -> x^u, y -> y."""
+        return self.c == 0 and self.v == 1
 
     def x_image(self):
         return (self.u % self.pres.e, 0)

@@ -243,8 +243,15 @@ def run(request: Request) -> tuple:
         return f"error: out of memory: {exc}\n", EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holoreg",
         description="Decide, construct, and verify cyclic regular subgroups "
                     "in holomorphs of finite groups.")
@@ -254,27 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "sweep":
             cmd.add_argument("--spec", help="group spec in the mini-language")
             cmd.add_argument("--table", help="path to a Cayley-table file")
-        cmd.add_argument("--hol-bound", type=int, default=DEFAULT_HOL_BOUND,
-                         help=f"holomorph size bound (default {DEFAULT_HOL_BOUND})")
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="parallel workers (sweep only)")
-        cmd.add_argument("--out", help="write the report to this file")
+        if name in ("oracle", "aut", "sweep"):
+            cmd.add_argument("--hol-bound", type=int, default=DEFAULT_HOL_BOUND,
+                             help=f"holomorph size bound (default {DEFAULT_HOL_BOUND})")
         if name == "sweep":
+            cmd.add_argument("--workers", type=int, default=1, help="parallel workers")
             cmd.add_argument("--limit", type=int, default=None,
                              help="only sweep the first K corpus entries")
+        cmd.add_argument("--out", help="write the report to this file")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        request = Request(command=args.command,
-                          spec=getattr(args, "spec", None),
-                          table=getattr(args, "table", None),
-                          hol_bound=args.hol_bound,
-                          workers=args.workers,
-                          out=args.out,
-                          limit=getattr(args, "limit", None))
+        request = Request(**vars(build_parser().parse_args(argv)))
+    except SystemExit as exc:  # --help, or a malformed command line
+        return exc.code
     except SpecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -199,11 +199,8 @@ class FiniteGroup:
         x^m strip one factor p at a time."""
         n = self.order
         out = np.ones(n, dtype=np.int32)
-        for p in _prime_divisors(n):
-            m = n
-            while m % p == 0:
-                m //= p
-            y = self._powers(np.arange(n, dtype=np.int32), m)
+        for p, q in _prime_powers(n).items():
+            y = self._powers(np.arange(n, dtype=np.int32), n // q)
             moving = y != self.identity
             while moving.any():
                 out[moving] *= p
@@ -593,11 +590,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> tuple:
     """
     if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
         raise GroupDefinitionError(f"{p} is not prime")
-    n = G.order
-    target = 1
-    while n % p == 0:
-        target *= p
-        n //= p
+    target = _prime_powers(G.order).get(p, 1)
     if target == 1:
         return (G.identity,)
     orders = G.orders
@@ -622,39 +615,28 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> tuple:
 
 def is_cgroup(G: FiniteGroup) -> bool:
     """True when every Sylow subgroup is cyclic."""
-    n = G.order
-    orders = set(int(x) for x in G.orders)
-    for p in _prime_divisors(n):
-        pk = 1
-        m = n
-        while m % p == 0:
-            pk *= p
-            m //= p
-        if pk not in orders:
-            return False
-    return True
+    orders = set(G.orders.tolist())
+    return all(q in orders for q in _prime_powers(G.order).values())
 
 
-def _prime_divisors(n: int) -> list:
-    out = []
+def _prime_powers(n: int) -> dict:
+    """{p: p^a} over the primes p dividing n, p^a the largest power dividing n."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 1) * d
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = n
     return out
 
 
 def normal_hall_odd_subgroup(G: FiniteGroup) -> Optional[tuple]:
     """The normal Hall subgroup of odd order (all odd-order elements), if it exists."""
     n = G.order
-    odd_part = n
-    while odd_part % 2 == 0:
-        odd_part //= 2
+    odd_part = n // _prime_powers(n).get(2, 1)
     elems = tuple(g for g in range(n) if int(G.orders[g]) % 2 == 1)
     if len(elems) != odd_part or not is_subgroup(G, elems):
         return None

@@ -26,15 +26,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
-                      cgroup_aut_group, cgroup_auts, cgroup_group,
-                      recognize_cgroup)
+                      cgroup_aut_group, cgroup_auts, recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms, as_subgroup,
                      automorphism_group, cyclic_group, dihedral_group,
-                     find_isomorphism, is_cgroup, memoized,
-                     normal_hall_odd_subgroup, quaternion_group,
-                     quotient_group, respects_product, subgroup_generated,
-                     sylow_subgroup, words)
+                     is_cgroup, memoized, normal_hall_odd_subgroup,
+                     quaternion_group, quotient_group, respects_product,
+                     subgroup_generated, sylow_subgroup, words)
 from .holomorph import HolElement, _conjugations, conjugation_perm
 from .specs import (action_from_generators, build_semidirect_from_auts,
                     parse_group_spec, semidirect_spec)
@@ -97,6 +95,11 @@ class Decomposition:
     @property
     def alpha_s(self) -> CGroupAut:
         return self.alpha[self.pos[self.s]]
+
+    @property
+    def is_normalized(self) -> bool:
+        """r acts trivially and s as some phi_u: the form ``construct`` needs."""
+        return self.alpha_r.is_identity and self.alpha_s.is_phi
 
     @property
     def p_is_klein_or_q8(self) -> bool:
@@ -163,6 +166,10 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
     Returns None when no such split exists, which already certifies that the
     holomorph of N has no cyclic regular subgroup.  P's shape, its table and
     its action all come from the one pair (r, s) of ``_two_group_witnesses``.
+
+    Past these checks ``_split`` cannot fail: conjugation by r or s is an
+    automorphism of M, which keeps the characteristic <x> (see
+    ``cgroup_pool``), and r, s meet P's relations; so an error is a bug.
     """
     odd = _odd_part(N)
     if odd is None:
@@ -178,10 +185,7 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
         p_group = FiniteGroup(C.table, labels=[(a, 0) for a in C.labels], name=C.name)
     else:
         p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(len(p_elems))
-    try:
-        return _split(N, m_elems, m_group, pres, x, y, p_elems, p_group, kind, m_exp, r, s)
-    except HomomorphismError:
-        return None
+    return _split(N, m_elems, m_group, pres, x, y, p_elems, p_group, kind, m_exp, r, s)
 
 
 @memoized
@@ -215,7 +219,8 @@ def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
     bijection only if the words x^i y^j are exactly M and the words r^a s^b
     exactly P.  Only conjugation by r and s is read off N (M, all odd-order
     elements, is normal); ``action_from_generators`` extends it to P and
-    checks P's relations on it, which is exact by von Dyck's theorem.
+    checks P's relations on it, which is exact by von Dyck's theorem.  No
+    check fails on the witnesses of ``decompose`` (see there).
     """
     m, t = np.divmod(np.arange(pres.order * p_group.order), p_group.order)
     exps = np.column_stack([m // pres.d, m % pres.d, np.array(p_group.labels)[t]])
@@ -303,52 +308,39 @@ _KAPPA_IMAGES = {
 def normalize_alpha(dec: Decomposition) -> Decomposition:
     """Rewitness the split so that r acts trivially and s acts as some phi_u.
 
-    Works inside N: the P witnesses are replaced along an automorphism of P
-    moving an alpha-trivial element onto r, and the presentation witnesses of
-    M are moved by an inner search over canonical automorphisms so that the
-    action of s lands in the phi family.  Returns the rewitnessed split.
+    Both moves are read off ``dec``: the new r, s are words in the old ones
+    along an automorphism of P moving an alpha-trivial element onto r; the
+    new x, y are read off ``dec.grid`` along a canonical automorphism that
+    conjugates the action of the new s, ``dec.alpha`` at its index, into the
+    phi family.  The split is rebuilt once if a witness moved, else never.
     """
-    dec = _retarget_s(_retarget_r(dec))
+    N, r, s = dec.group, dec.r, dec.s
     if not dec.alpha_r.is_identity:
-        raise GroupDefinitionError("normalization failed to trivialize the r action")
-    a_s = dec.alpha_s
-    if a_s.c != 0 or a_s.v != 1:
-        raise GroupDefinitionError("normalization failed to reduce s to the phi family")
-    return dec
-
-
-def _retarget_r(dec: Decomposition) -> Decomposition:
-    if dec.alpha_r.is_identity:
-        return dec
-    if not dec.p_is_klein_or_q8:
-        raise GroupDefinitionError(
-            "only the Klein/quaternion-8 cases admit moving r inside ker(alpha)")
-    N = dec.group
-    choices = (("r", dec.r), ("s", dec.s), ("rs", N.mul(dec.r, dec.s)))
-    for name, eps in choices:
-        if not dec.alpha[dec.pos[eps]].is_identity:
-            continue
+        if not dec.p_is_klein_or_q8:
+            raise GroupDefinitionError(
+                "only the Klein/quaternion-8 cases admit moving r inside ker(alpha)")
+        choices = (("r", r), ("s", s), ("rs", N.mul(r, s)))
+        name = next((name for name, eps in choices
+                     if dec.alpha[dec.pos[eps]].is_identity), None)
+        if name is None:
+            raise GroupDefinitionError("no alpha-trivial element among r, s, rs")
         # images such as r s^2 are words, not all in the grid's normal form
-        new_r, new_s = words(N, (dec.r, dec.s), _KAPPA_IMAGES[(dec.p_kind, name)]).tolist()
-        return _rewitness(dec, new_r, new_s, dec.x, dec.y)
-    raise GroupDefinitionError("no alpha-trivial element among r, s, rs")
-
-
-def _retarget_s(dec: Decomposition) -> Decomposition:
-    a_s = dec.alpha_s
-    if a_s.c == 0 and a_s.v == 1:
-        return dec
-    for pi in cgroup_auts(dec.pres):
-        conj = pi.compose(a_s).compose(pi.inverse())
-        if conj.c == 0 and conj.v == 1:
-            break
-    else:
-        raise GroupDefinitionError("no conjugate of the s action lies in the phi family")
-    pi_inv = pi.inverse()
-    d, p = dec.pres.d, dec.p_group
-    new_x, new_y = (int(dec.grid[(i * d + j) * p.order + p.identity]) for i, j in
-                    (pi_inv.apply(1 % dec.pres.e, 0), pi_inv.apply(0, 1 % d)))
-    return _rewitness(dec, dec.r, dec.s, new_x, new_y)
+        r, s = words(N, (r, s), _KAPPA_IMAGES[(dec.p_kind, name)]).tolist()
+    a_s, x, y = dec.alpha[dec.pos[s]], dec.x, dec.y
+    if not a_s.is_phi:
+        pi = next((pi for pi in cgroup_auts(dec.pres)
+                   if pi.compose(a_s).compose(pi.inverse()).is_phi), None)
+        if pi is None:
+            raise GroupDefinitionError("no conjugate of the s action lies in the phi family")
+        pi_inv = pi.inverse()
+        d, p = dec.pres.d, dec.p_group
+        x, y = (int(dec.grid[(i * d + j) * p.order + p.identity]) for i, j in
+                (pi_inv.apply(1 % dec.pres.e, 0), pi_inv.apply(0, 1 % d)))
+    if (r, s, x, y) != (dec.r, dec.s, dec.x, dec.y):
+        dec = _rewitness(dec, r, s, x, y)
+    if not dec.is_normalized:
+        raise GroupDefinitionError("normalization failed to reach r trivial, s in the phi family")
+    return dec
 
 
 def _rewitness(dec: Decomposition, r: int, s: int, x: int, y: int) -> Decomposition:
@@ -370,17 +362,11 @@ def construct(dec: Decomposition):
     witness is the holomorph pair (eta0, xi), whose powers sweep out all
     of N.
     """
-    if not dec.alpha_r.is_identity:
-        raise GroupDefinitionError("construction requires r to act trivially")
-    a_s = dec.alpha_s
-    if a_s.c != 0 or a_s.v != 1:
-        raise GroupDefinitionError("construction requires the s action in the phi family")
-    N = dec.group
-    pres = dec.pres
-    if pres.e > 1:
-        u0 = (a_s.u * pow(pres.k, -1, pres.e)) % pres.e
-    else:
-        u0 = 1
+    if not dec.is_normalized:
+        raise GroupDefinitionError(
+            "construction requires r to act trivially and s in the phi family")
+    N, pres = dec.group, dec.pres
+    u0 = (dec.alpha_s.u * pow(pres.k, -1, pres.e)) % pres.e if pres.e > 1 else 1
     xi_gens = (N.power(dec.x, u0), dec.y, N.inv(dec.r), N.mul(dec.r, dec.s))
     xi = Homomorphism(N, N, words(N, xi_gens, dec.exps)[dec.pos])
     if not xi.is_bijective:
@@ -458,42 +444,30 @@ def classify_rump(G: FiniteGroup) -> bool:
 
 
 def cgroup_pool(max_order: int = 21) -> list:
-    """Deduplicated normalized presentations of odd order e*d up to max_order."""
-    found = []
+    """Pairwise non-isomorphic normalized presentations of odd order e*d up
+    to max_order: the first found per key (e, d, <k> in U(e)), no search.
+
+    The key is exact.  In a normalized C(e, d, k) the Sylow subgroup of a
+    prime of d acts nontrivially on <x>, so it is not normal, while those of
+    the primes of e are; so <x>, their product, is characteristic.  An
+    isomorphism onto C(e, d, k') sends y to x^c y^v, v a unit mod d, so
+    k' = k^v; and x, y^v satisfy the relations of C(e, d, k^v).
+    """
+    found: dict = {}
     for total in range(1, max_order + 1, 2):
-        for e in sorted(d for d in range(1, total + 1) if total % d == 0):
+        for e in range(1, total + 1):
             d = total // e
-            if math.gcd(e, d) != 1:
+            if total % e or math.gcd(e, d) != 1:
                 continue
             for k in range(1, max(e, 2)):
-                if math.gcd(e, k) != 1:
-                    continue
-                try:
+                try:  # refuses gcd(e, k) > 1 and an order of k not dividing d
                     pres = CGroupPresentation(e, d, k)
                 except GroupDefinitionError:
                     continue
                 if pres.is_normalized:
-                    found.append(pres)
-    duplicate_of = _duplicate_of([cgroup_group(pres) for pres in found])
-    return [pres for pres, dup in zip(found, duplicate_of) if dup is None]
-
-
-def _duplicate_of(groups: Sequence[FiniteGroup]) -> list:
-    """For each group, the index of the first earlier one isomorphic to it,
-    or None; only groups in one bucket of invariants (order, element orders,
-    class sizes) are compared."""
-    duplicate_of = []
-    by_invariant: dict = {}
-    for idx, g in enumerate(groups):
-        key = (g.order, tuple(sorted(g.orders.tolist())),
-               tuple(sorted(g.class_sizes.tolist())))
-        bucket = by_invariant.setdefault(key, [])
-        dup = next((prev for prev in bucket
-                    if find_isomorphism(groups[prev], g) is not None), None)
-        if dup is None:
-            bucket.append(idx)
-        duplicate_of.append(dup)
-    return duplicate_of
+                    powers = frozenset(pow(pres.k, i, e) for i in range(pres.ord))
+                    found.setdefault((e, d, powers), pres)
+    return list(found.values())
 
 
 TWO_GROUP_SPECS = ("dihedral 4", "quaternion 8", "dihedral 8",

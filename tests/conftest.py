@@ -11,7 +11,8 @@ from holoreg import (BoundExceeded, CGroupPresentation, CrossedHom,
                      corpus_representatives, generate_corpus, is_subgroup,
                      quotient_group, subgroup_generated)
 from holoreg.groups import (_check_count, _fingerprints, _normalize_action,
-                            check_table_size, generating_set, greedy_closure)
+                            check_table_size, find_isomorphism, generating_set,
+                            greedy_closure)
 from holoreg.holomorph import (DEFAULT_HOL_BOUND, DEFAULT_SUBGROUP_HOL_BOUND,
                                _composition_index, _conjugations, _hol_perms)
 
@@ -27,6 +28,31 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_reps(corpus):
     return corpus_representatives(corpus)
+
+
+def _duplicate_of(groups):
+    """For each group, the index of the first earlier one isomorphic to it,
+    or None; only groups in one bucket of invariants (order, element orders,
+    class sizes) are compared."""
+    duplicate_of = []
+    by_invariant: dict = {}
+    for idx, g in enumerate(groups):
+        key = (g.order, tuple(sorted(g.orders.tolist())),
+               tuple(sorted(g.class_sizes.tolist())))
+        bucket = by_invariant.setdefault(key, [])
+        dup = next((prev for prev in bucket
+                    if find_isomorphism(groups[prev], g) is not None), None)
+        if dup is None:
+            bucket.append(idx)
+        duplicate_of.append(dup)
+    return duplicate_of
+
+
+@pytest.fixture(scope="session")
+def duplicate_of():
+    """``duplicate_of(groups)``: the reference deduplication by isomorphism
+    search, which looks ``find_isomorphism`` up in this module."""
+    return _duplicate_of
 
 
 @pytest.fixture(scope="session")

@@ -119,6 +119,17 @@ def test_invalid_limit_and_workers_exit_2(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["classify", "--spec", "cyclic 3", "--bogus"],
+                                  ["classify", "--spec", "cyclic 3", "--hol-bound", "7"],
+                                  [],
+                                  ["oracle", "--spec", "cyclic 3", "--hol-bound", "x"]])
+def test_malformed_command_line_is_one_error_line(argv, capsys):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_request_requires_exactly_one_source():
     with pytest.raises(SpecError):
         Request("classify")

@@ -17,7 +17,7 @@ from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      quotient_group, semidirect_product, subgroup_generated,
                      sylow_subgroup, CGroupPresentation, cgroup_aut_group,
                      cgroup_group, cgroup_pool, parse_group_spec)
-from holoreg import groups, realizability
+from holoreg import groups
 from holoreg.realizability import TWO_GROUP_SPECS
 from holoreg.groups import (_fingerprints, _homomorphism_search,
                             generating_set)
@@ -440,22 +440,21 @@ def _assert_isomorphisms_agree(G, H, ref_homomorphism_search):
 
 
 def test_isomorphism_search_matches_plain_search_on_corpus_duplicates(
-        corpus, monkeypatch, ref_homomorphism_search, relabel):
-    # every same-bucket pair that _duplicate_of compares when the corpus is
-    # built (its C-group pool, then its splits), as given and with the
-    # second group relabelled
+        corpus, duplicate_of, monkeypatch, ref_homomorphism_search, relabel):
+    # every same-bucket pair that the reference deduplication compares on
+    # the corpus splits, as given and with the second group relabelled; the
+    # pool's one pair is covered by test_cgroup_pool_matches_isomorphism_search
     pairs = []
 
     def recording(G, H):
         pairs.append((G, H))
         return find_isomorphism(G, H)
 
-    monkeypatch.setattr(realizability, "find_isomorphism", recording)
-    cgroup_pool()
-    assert (realizability._duplicate_of([e.group for e in corpus])
+    monkeypatch.setitem(duplicate_of.__globals__, "find_isomorphism", recording)
+    assert (duplicate_of([e.group for e in corpus])
             == [e.duplicate_of for e in corpus])
     monkeypatch.undo()
-    assert len(corpus) == 435 and len(pairs) == 234
+    assert len(corpus) == 435 and len(pairs) == 233
     rng = np.random.default_rng(18)
     for G, H in pairs:
         for target in (H, relabel(H, rng)):

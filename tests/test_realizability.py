@@ -1,6 +1,8 @@
 """The classifier, the decomposition, normalization, and the constructor."""
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
                      GroupDefinitionError, HomomorphismError,
                      automorphism_group, cgroup_aut_group, cgroup_auts,
-                     cgroup_group, classify, classify_rump,
+                     cgroup_group, cgroup_pool, classify, classify_rump,
                      closed_form_products, construct, corpus_representatives,
                      cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
@@ -18,8 +20,8 @@ from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
                      twisted_partial_products)
 from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
-                                   REASON_P_SHAPE, _corpus)
-from holoreg import specs
+                                   REASON_P_SHAPE, _corpus, _rewitness)
+from holoreg import realizability, specs
 from holoreg.specs import action_from_generators
 
 
@@ -217,10 +219,9 @@ def test_normalize_moves_kernel_element_onto_r(split_model):
     assert split_model(ndec).order == N.order
 
 
-def test_normalize_conjugates_s_action_into_phi_family(split_model):
-    # force witnesses that put the s action outside the phi family, then
-    # check the normalization search conjugates it back in
-    from holoreg.realizability import _rewitness
+def _split_with_s_outside_phi_family():
+    """(N, dec) for a split of order 84 whose witnesses put the r action at
+    the identity and the s action outside the phi family."""
     from holoreg.specs import build_semidirect_from_auts
 
     pres = CGroupPresentation(7, 3, 2)
@@ -239,7 +240,13 @@ def test_normalize_conjugates_s_action_into_phi_family(split_model):
     # grid row (i d + j) |P| holds x^i y^j r^0 s^0
     x_z = int(dec.grid[(dec.pres.z % 7) * dec.pres.d * dec.p_group.order])
     theta_shifted_y = N.mul(x_z, dec.y)
-    dec = _rewitness(dec, dec.r, dec.s, dec.x, theta_shifted_y)
+    return N, _rewitness(dec, dec.r, dec.s, dec.x, theta_shifted_y)
+
+
+def test_normalize_conjugates_s_action_into_phi_family(split_model):
+    # force witnesses that put the s action outside the phi family, then
+    # check the normalization search conjugates it back in
+    N, dec = _split_with_s_outside_phi_family()
     assert dec.alpha_r.is_identity
     assert dec.alpha_s.c != 0
     ndec = normalize_alpha(dec)
@@ -249,6 +256,27 @@ def test_normalize_conjugates_s_action_into_phi_family(split_model):
     assert split_model(ndec).order == N.order
     _, _, witness = construct(ndec)
     assert witness.cycle_length_through_identity() == 84
+
+
+def test_normalize_rebuilds_the_split_at_most_once(monkeypatch):
+    # swapping r and s of the forced split makes both moves needed: r acts
+    # nontrivially, and the s that takes its place acts outside the phi
+    # family; both are read off the given split, which is rebuilt once
+    _, mid = _split_with_s_outside_phi_family()
+    dec = _rewitness(mid, mid.s, mid.r, mid.x, mid.y)
+    assert not dec.alpha_r.is_identity and mid.alpha_s.c != 0
+    calls, split = [], realizability._split
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(realizability, "_split", counting)
+    ndec = normalize_alpha(dec)
+    assert len(calls) == 1 and ndec.is_normalized
+    # the same witnesses as taking the two moves one at a time
+    assert ndec == normalize_alpha(mid) and len(calls) == 2
+    assert normalize_alpha(ndec) is ndec and len(calls) == 2
 
 
 def test_normalize_rejects_failing_condition():
@@ -461,6 +489,38 @@ def test_corpus_builds_each_table_only_when_read(monkeypatch):
     G = entry.group
     assert entry.group is G and len(built) == 1
     assert G.name == entry.spec
+
+
+def test_corpus_makes_no_isomorphism_search(monkeypatch):
+    # the pool and the splits are both classed without a search
+    def refuse(G, H):
+        raise AssertionError("find_isomorphism called while building the corpus")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "holoreg" and hasattr(module, "find_isomorphism"):
+            monkeypatch.setattr(module, "find_isomorphism", refuse)
+    assert len(_corpus.__wrapped__(21)) == 435
+
+
+def test_cgroup_pool_matches_isomorphism_search(duplicate_of):
+    # the pool keeps the first normalized presentation per (e, d, <k>); the
+    # reference search over every normalized presentation of odd order up to
+    # 255 keeps the same first member of each class
+    found = []
+    for total in range(1, 256, 2):
+        for e in range(1, total + 1):
+            if total % e or math.gcd(e, total // e) != 1:
+                continue
+            for k in range(1, max(e, 2)):
+                try:
+                    pres = CGroupPresentation(e, total // e, k)
+                except GroupDefinitionError:
+                    continue
+                if pres.is_normalized:
+                    found.append(pres)
+    dup = duplicate_of([cgroup_group(pres) for pres in found])
+    assert len(found) == 202 and dup.count(None) == 153
+    assert cgroup_pool(255) == [pres for pres, d in zip(found, dup) if d is None]
 
 
 def test_automorphism_count_matches_split_formula(corpus_reps):

@@ -21,7 +21,7 @@ from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
                      subgroup_generated, sylow_subgroup)
 from holoreg import groups, realizability, specs
 from holoreg.cgroups import _divisors, _normal_cyclic_subgroup_generator
-from holoreg.groups import _fingerprints, _prime_divisors, center
+from holoreg.groups import _fingerprints, _prime_powers, center
 
 REFERENCE_MAX_ORDER = 120
 
@@ -369,7 +369,7 @@ def test_bounded_closure_stops_exactly_past_its_limit(reference_groups, data):
 def check_subgroup_searches(G, ref_sylow, ref_normal):
     """Every Sylow subgroup and every normal cyclic subgroup search of G
     against the references; returns whether the Sylow 2-subgroup is normal."""
-    for p in _prime_divisors(G.order):
+    for p in _prime_powers(G.order):
         assert sylow_subgroup(G, p) == ref_sylow(G, p), (G, p)
     for e in _divisors(G.order):
         assert _normal_cyclic_subgroup_generator(G, e) == ref_normal(G, e), (G, e)
@@ -418,7 +418,7 @@ def test_conjugation_checks_match_full_scans(reference_groups,
         assert G.is_abelian is bool(np.array_equal(t, t.T)), G
         abelian.add(G.is_abelian)
         closed, other = element_sets(G, rng)
-        closed += [sylow_subgroup(G, p) for p in _prime_divisors(G.order)]
+        closed += [sylow_subgroup(G, p) for p in _prime_powers(G.order)]
         closed += [center(G), commutator_subgroup(G)]
         for is_closed, sets in ((True, closed), (False, other)):
             for elems in sets:
