@@ -10,7 +10,7 @@ the holomorph cross-checks every verdict.
 
 from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
-                     as_subgroup, automorphism_group, center,
+                     automorphism_group, center,
                      commutator_subgroup, cyclic_group, dihedral_group,
                      direct_product, find_isomorphism, generating_set,
                      is_cgroup, is_normal, is_subgroup,

@@ -5,8 +5,8 @@ presentation with gcd(e, d) = gcd(e, k) = 1 and the order of k mod e dividing
 d.  This module does exact symbolic arithmetic in those coordinates: element
 powers through geometric sums, the three standard automorphism families
 (theta, phi_u, psi_v), a canonical normal form theta^c phi_u psi_v for the
-full automorphism group, and a recognizer that recovers a presentation from a
-raw Cayley table.
+full automorphism group, and a recognizer that reads a presentation off a
+group's element orders.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     _prime_powers, check_table_size, is_cgroup, memoized,
-                     subgroup_generated, words)
+                     _prime_powers, check_table_size, memoized, words)
 
 
 def geometric_sum(h: int, length: int, modulus: int) -> int:
@@ -328,72 +327,41 @@ def cgroup_aut_group(M: CGroupPresentation) -> FiniteGroup:
 # -- recognition ---------------------------------------------------------------
 
 
-def recognize_cgroup(G: FiniteGroup) -> Optional[tuple]:
-    """Find a presentation C(e, d, k) with witnesses (x, y) inside G.
+def recognize_cgroup(G: FiniteGroup, hall: Optional[int] = None) -> Optional[tuple]:
+    """The normalized presentation C(e, d, k) of the normal Hall subgroup H
+    of G of order ``hall`` (all of G by default), with witnesses (x, y) in
+    G; None when H is not a C-group.
 
-    Prefers presentations where every prime factor of d divides the order of
-    k mod e, and among those the lexicographically least (e, d, k).  Returns
-    None when G is not a C-group, or when no such normalized presentation is
-    reachable by the element-pair search.
+    H holds every element of G whose order divides |H|, so its element
+    orders, its Sylow subgroups and whether they are normal are all read
+    off ``G.orders``; no subgroup is closed and no table is built.  Among
+    the presentations of H it returns the least k, then the least (x, y).
+
+    The lemma behind it: in a normalized C(e, d, k), where every prime of
+    d divides the order of k mod e, the primes of e are exactly those whose
+    Sylow subgroup is normal.  Those of e are characteristic in the normal
+    cyclic <x>, so normal; a normal Sylow q-subgroup for a prime q of d,
+    spanned by a power w of y, meets <x> trivially, so w centralizes x and
+    q does not divide the order of k.  Hence e is the product of the p^a
+    with exactly p^a elements of order dividing p^a (the Sylow p-subgroup
+    is then the only one).  Every element of order e spans a Hall
+    subgroup, conjugate to the normal <x> and so equal to it.  Every y of
+    order d = |H|/e gives a normalized presentation: the q-part of y, for
+    a prime q of d not dividing the order of k, would centralize x and y
+    and so span a normal Sylow q-subgroup.  Every C-group has a normalized
+    presentation, so such a y exists.
     """
-    n = G.order
-    if not is_cgroup(G):
-        return None
-    if n == 1:
-        e = G.identity
-        return CGroupPresentation(1, 1, 1), e, e
+    n = G.order if hall is None else hall
     orders = G.orders
-    candidates = []
-    for e in sorted(_divisors(n)):
-        d = n // e
-        if math.gcd(e, d) != 1:
-            continue
-        x = _normal_cyclic_subgroup_generator(G, e)
-        if x is None:
-            continue
-        xpow = {g: t for t, g in enumerate(words(G, (x,), range(e)).tolist())}
-        seen_k = set()
-        for y in range(n):
-            if int(orders[y]) != d:
-                continue
-            conj = G.conj(x, y)
-            k = 1 if e == 1 else xpow[conj] % e
-            if k in seen_k:
-                continue
-            seen_k.add(k)
-            try:
-                pres = CGroupPresentation(e, d, k)
-            except GroupDefinitionError:
-                continue
-            candidates.append((pres, x, y))
-    normalized = [c for c in candidates if c[0].is_normalized]
-    if not normalized:
-        return None
-    normalized.sort(key=lambda c: (c[0].e, c[0].d, c[0].k, c[1], c[2]))
-    return normalized[0]
-
-
-def _normal_cyclic_subgroup_generator(G: FiniteGroup, e: int) -> Optional[int]:
-    """Least generator of the normal cyclic subgroup of order e, if one exists.
-
-    <x> is normal exactly when g x g^-1 is a power of x for every g in
-    ``G.generators``: then g<x>g^-1 = <g x g^-1> lies in <x>, and conjugation
-    by a product is the composite of the conjugations.  k + e reads per x.
-    """
-    if e == 1:
-        return G.identity
-    conj = G.generator_conjugations
-    for x in np.flatnonzero(G.orders == e).tolist():
-        if set(conj[:, x].tolist()) <= set(subgroup_generated(G, [x], limit=e)):
-            return x
-    return None
-
-
-def _divisors(n: int) -> list:
-    out = []
-    for a in range(1, int(math.isqrt(n)) + 1):
-        if n % a == 0:
-            out.append(a)
-            if a != n // a:
-                out.append(n // a)
-    return out
+    prime_powers = _prime_powers(n).values()
+    if not all((orders == q).any() for q in prime_powers):
+        return None  # a Sylow subgroup of H is not cyclic
+    e = math.prod(q for q in prime_powers if np.count_nonzero(q % orders == 0) == q)
+    x = int(np.argmax(orders == e))
+    ys = np.flatnonzero(orders == n // e)
+    log_x = np.zeros(G.order, dtype=np.int64)  # x^i -> i
+    log_x[words(G, (x,), range(e))] = np.arange(e)
+    t = G.table
+    ks = log_x[t[t[ys, x], G.inverses[ys]]]  # y x y^-1 = x^k for each y
+    least = int(np.argmin(ks))
+    return CGroupPresentation(e, n // e, int(ks[least])), x, int(ys[least])

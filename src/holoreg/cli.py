@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
-                     HomomorphismError, automorphism_group, generating_set)
-from .holomorph import (DEFAULT_HOL_BOUND, cyclic_regular_oracle,
+                     HomomorphismError, generating_set)
+from .holomorph import (DEFAULT_HOL_BOUND, _hol_perms, cyclic_regular_oracle,
                         skew_brace_from_regular, subgroup_generated_by_hol)
 from .realizability import (classify, classify_rump, corpus_representatives,
                             generate_corpus)
@@ -165,8 +165,7 @@ def _rump_report(request: Request) -> tuple:
 
 def _aut_report(request: Request) -> tuple:
     group = _load_group(request)
-    auts = automorphism_group(group,
-                              max_count=max(request.hol_bound // group.order, 1))
+    auts = _hol_perms(group, request.hol_bound)
     report = _Report("aut", request, group)
     report.add("aut_count", len(auts))
     gens = generating_set(group)

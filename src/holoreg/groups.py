@@ -542,21 +542,6 @@ def commutator_subgroup(G: FiniteGroup) -> tuple:
     return subgroup_generated(G, comms)
 
 
-def as_subgroup(G: FiniteGroup, elems: Iterable[int], name: str = ""):
-    """Reindex a subgroup as its own FiniteGroup; returns (H, to_parent)."""
-    elems = tuple(sorted(int(x) for x in elems))
-    E = np.array(elems, dtype=np.intp)
-    pos = np.full(G.order, -1, dtype=np.int32)  # -1 outside the set
-    pos[E] = np.arange(len(E), dtype=np.int32)
-    table = pos[G.table[np.ix_(E, E)]]
-    if (table < 0).any():
-        raise GroupDefinitionError("element set is not closed under the product")
-    labels = [G.label(e) for e in elems] if G.labels is not None else list(elems)
-    H = FiniteGroup(table, labels=labels, name=name or f"subgroup of ({G.name})",
-                    label_style=G.label_style)
-    return H, elems
-
-
 def quotient_group(G: FiniteGroup, normal_elems: Iterable[int], name: str = ""):
     """Quotient by a normal subgroup; returns (Q, coset_index of each element)."""
     nset = tuple(sorted(int(x) for x in normal_elems))

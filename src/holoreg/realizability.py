@@ -28,7 +28,7 @@ import numpy as np
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
                       cgroup_aut_group, cgroup_auts, recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
-                     HomomorphismError, all_homomorphisms, as_subgroup,
+                     HomomorphismError, all_homomorphisms,
                      automorphism_group, cyclic_group, dihedral_group,
                      is_cgroup, memoized, normal_hall_odd_subgroup,
                      quaternion_group, quotient_group, respects_product,
@@ -49,11 +49,12 @@ REASON_ALPHA = "fails-alpha-condition"
 class Decomposition:
     """A split N = M x| P with structured witnesses inside N.
 
-    M is the normal Hall subgroup of odd order with presentation witnesses
-    x, y; P is a Sylow 2-subgroup with witnesses r, s satisfying the dihedral
-    or quaternion relations; alpha records conjugation by each element of P
-    as a canonical-form automorphism of M, derived from conjugation by r and
-    s alone.  Built only by ``_split`` and never changed afterwards.
+    M is the normal Hall subgroup of odd order, held as its elements
+    ``m_elems`` of N with presentation witnesses x, y in N (M gets no table
+    of its own); P is a Sylow 2-subgroup with witnesses r, s satisfying the
+    dihedral or quaternion relations; alpha records conjugation by each
+    element of P as a canonical-form automorphism of M, derived from
+    conjugation by r and s alone.  Built only by ``_split`` and never changed afterwards.
 
     Every element of N is one word x^i y^j r^a s^b.  Row k of ``exps`` is
     (i, j, a, b) with k = (i d + j) |P| + t, where t is the index of r^a s^b
@@ -64,7 +65,6 @@ class Decomposition:
 
     group: FiniteGroup
     m_elems: tuple
-    m_group: FiniteGroup
     pres: CGroupPresentation
     x: int
     y: int
@@ -169,12 +169,12 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
 
     Past these checks ``_split`` cannot fail: conjugation by r or s is an
     automorphism of M, which keeps the characteristic <x> (see
-    ``cgroup_pool``), and r, s meet P's relations; so an error is a bug.
+    ``recognize_cgroup``), and r, s meet P's relations; so an error is a bug.
     """
     odd = _odd_part(N)
     if odd is None:
         return None
-    m_elems, m_group, pres, x, y = odd
+    m_elems, pres, x, y = odd
     p_elems = sylow_subgroup(N, 2)
     shape = _two_group_witnesses(N, p_elems)
     if shape is None:
@@ -185,32 +185,29 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
         p_group = FiniteGroup(C.table, labels=[(a, 0) for a in C.labels], name=C.name)
     else:
         p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(len(p_elems))
-    return _split(N, m_elems, m_group, pres, x, y, p_elems, p_group, kind, m_exp, r, s)
+    return _split(N, m_elems, pres, x, y, p_elems, p_group, kind, m_exp, r, s)
 
 
 @memoized
 def _odd_part(N: FiniteGroup) -> Optional[tuple]:
-    """(m_elems, m_group, pres, x, y) for the odd Hall part M of N, or None
-    when M does not exist or is not a C-group.
+    """(m_elems, pres, x, y) for the odd Hall part M of N, or None when M
+    does not exist or is not a C-group.
 
-    Memoized, so a failing ``classify`` reads its reason off the same pass
-    that ``decompose`` made.
+    M is recognized inside N, from N's element orders (``recognize_cgroup``
+    with Hall order |M|), so x and y are indices of N.  Memoized, so a
+    failing ``classify`` reads its reason off the same pass that
+    ``decompose`` made.
     """
     m_elems = normal_hall_odd_subgroup(N)
     if m_elems is None:
         return None
-    m_group, _ = as_subgroup(N, m_elems, name=f"odd part of ({N.name})")
-    recognized = recognize_cgroup(m_group)
-    if recognized is None:
-        return None
-    pres, x, y = recognized
-    return m_elems, m_group, pres, m_elems[x], m_elems[y]
+    recognized = recognize_cgroup(N, len(m_elems))
+    return None if recognized is None else (m_elems, *recognized)
 
 
-def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
-           pres: CGroupPresentation, x: int, y: int, p_elems: tuple,
-           p_group: FiniteGroup, p_kind: str, m_exp: int, r: int,
-           s: int) -> Decomposition:
+def _split(N: FiniteGroup, m_elems: tuple, pres: CGroupPresentation,
+           x: int, y: int, p_elems: tuple, p_group: FiniteGroup, p_kind: str,
+           m_exp: int, r: int, s: int) -> Decomposition:
     """The one builder of a Decomposition: every word x^i y^j r^a s^b
     evaluated once, and the action alpha of P on M.
 
@@ -233,8 +230,8 @@ def _split(N: FiniteGroup, m_elems: tuple, m_group: FiniteGroup,
     alpha = action_from_generators(p_group, *(  # from the (i, j) of each conjugate
         aut_decompose(pres, *exps[pos[[N.conj(x, g), N.conj(y, g)]], :2].tolist())
         for g in (r, s)))
-    return Decomposition(N, m_elems, m_group, pres, x, y, p_elems, p_group,
-                         p_kind, m_exp, r, s, alpha, exps, grid, pos)
+    return Decomposition(N, m_elems, pres, x, y, p_elems, p_group, p_kind,
+                         m_exp, r, s, alpha, exps, grid, pos)
 
 
 @memoized
@@ -345,8 +342,8 @@ def normalize_alpha(dec: Decomposition) -> Decomposition:
 
 def _rewitness(dec: Decomposition, r: int, s: int, x: int, y: int) -> Decomposition:
     """The same split of the same N over new witnesses r, s, x, y."""
-    return _split(dec.group, dec.m_elems, dec.m_group, dec.pres, x, y,
-                  dec.p_elems, dec.p_group, dec.p_kind, dec.m_exp, r, s)
+    return _split(dec.group, dec.m_elems, dec.pres, x, y, dec.p_elems,
+                  dec.p_group, dec.p_kind, dec.m_exp, r, s)
 
 
 # -- explicit construction -----------------------------------------------------
@@ -447,9 +444,9 @@ def cgroup_pool(max_order: int = 21) -> list:
     """Pairwise non-isomorphic normalized presentations of odd order e*d up
     to max_order: the first found per key (e, d, <k> in U(e)), no search.
 
-    The key is exact.  In a normalized C(e, d, k) the Sylow subgroup of a
-    prime of d acts nontrivially on <x>, so it is not normal, while those of
-    the primes of e are; so <x>, their product, is characteristic.  An
+    The key is exact.  In a normalized C(e, d, k) the primes of e are
+    exactly those whose Sylow subgroup is normal (the lemma of
+    ``recognize_cgroup``), so <x>, their product, is characteristic.  An
     isomorphism onto C(e, d, k') sends y to x^c y^v, v a unit mod d, so
     k' = k^v; and x, y^v satisfy the relations of C(e, d, k^v).
     """

@@ -3,23 +3,25 @@
 Grammar (whitespace separated)::
 
     spec       := atom | semidirect
-    atom       := "cyclic" N | "dihedral" N | "quaternion" N | "cgroup" E D K
+    atom       := "cyclic" INT | "dihedral" INT | "quaternion" INT
+                | "cgroup" INT INT INT
     semidirect := "semidirect" "(" atom ")" "(" atom ")"
                   "alpha" "r->" AUT "s->" AUT
     AUT        := "id" | PART ("*" PART)*
     PART       := ("theta" | "phi" | "psi") ":" INT
+    INT        := [+-]?[0-9]+
 
 In a semidirect spec the first factor must be a cyclic or cgroup atom (so
 that automorphisms have canonical coordinates) and the second must be
 dihedral or quaternion.
 
-Table files: line 1 ``order n``; line 2 optionally ``labels`` followed by n
-tokens; then n rows of n indices, row g column h holding g*h, with the
-identity at index 0.  Blank lines are skipped.  An index is a signed ASCII
-decimal integer, ``[+-]?[0-9]+`` (no ``_`` separators, no other digits), and
-tokens are separated by whitespace; ``#`` is an ordinary character, not a
-comment.  An order whose n x n int32 table would exceed the machine's
-physical memory is refused before any row is read.
+Table files: line 1 exactly ``order n``; line 2 optionally ``labels``
+followed by n tokens; then n rows of n indices, row g column h holding g*h,
+with the identity at index 0.  Blank lines are skipped.  Every integer, in a
+spec or a table file, is a signed ASCII decimal INT (no ``_`` separators, no
+other digits), and tokens are separated by whitespace; ``#`` is an ordinary
+character, not a comment.  An order whose n x n int32 table would exceed
+the machine's physical memory is refused before any row is read.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
 
 class SpecError(ValueError):
     """Raised on any malformed group spec or table file."""
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # every integer of a spec or a table file
 
 
 def _tokenize(text: str) -> list:
@@ -61,7 +66,7 @@ def _parse_spec(tokens: list):
 
 
 def _take_int(tokens: list, what: str) -> tuple:
-    if not tokens or not re.fullmatch(r"-?\d+", tokens[0]):
+    if not tokens or not _INTEGER.fullmatch(tokens[0]):
         raise SpecError(f"expected an integer for {what}")
     return int(tokens[0]), tokens[1:]
 
@@ -135,7 +140,7 @@ def parse_aut_spec(text: str, pres: CGroupPresentation) -> CGroupAut:
     c, u, v = 0, 1, 1
     seen = set()
     for part in text.split("*"):
-        m = re.fullmatch(r"(theta|phi|psi):(-?\d+)", part)
+        m = re.fullmatch(rf"(theta|phi|psi):({_INTEGER.pattern})", part)
         if m is None:
             raise SpecError(f"malformed automorphism component {part!r}")
         kind, value = m.group(1), int(m.group(2))
@@ -282,10 +287,10 @@ def _read_order(line: str) -> int:
     """n from the ``order n`` line, refused if its table could not fit."""
     if not line.startswith("order"):
         raise SpecError("table file must start with 'order n'")
-    try:
-        n = int(line.split()[1])
-    except (IndexError, ValueError) as exc:
-        raise SpecError("malformed order line") from exc
+    tokens = line.split()
+    if tokens[0] != "order" or len(tokens) != 2 or not _INTEGER.fullmatch(tokens[1]):
+        raise SpecError("malformed order line")
+    n = int(tokens[1])
     if n < 1:
         raise SpecError("table order must be at least 1")
     try:
@@ -293,9 +298,6 @@ def _read_order(line: str) -> int:
     except GroupDefinitionError as exc:
         raise SpecError(str(exc)) from exc
     return n
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _diagnose_rows(body: list, n: int) -> str:

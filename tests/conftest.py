@@ -1,15 +1,17 @@
 """Shared fixtures: the generated test corpus is expensive, so build it once."""
 
+import math
+
 import numpy as np
 import pytest
 
 from holoreg import (BoundExceeded, CGroupPresentation, CrossedHom,
                      FiniteGroup, GroupDefinitionError, HolElements,
                      Homomorphism, HomomorphismError, all_homomorphisms,
-                     as_subgroup, automorphism_group,
+                     automorphism_group,
                      build_semidirect_from_auts, center, cgroup_group,
-                     corpus_representatives, generate_corpus, is_subgroup,
-                     quotient_group, subgroup_generated)
+                     corpus_representatives, generate_corpus, is_cgroup,
+                     is_subgroup, quotient_group, subgroup_generated, words)
 from holoreg.groups import (_check_count, _fingerprints, _normalize_action,
                             check_table_size, find_isomorphism, generating_set,
                             greedy_closure)
@@ -101,6 +103,25 @@ def relabel():
 
 
 @pytest.fixture(scope="session")
+def as_subgroup():
+    """``as_subgroup(G, elems, name)``: a subgroup reindexed as its own
+    FiniteGroup; returns (H, to_parent)."""
+    def reindex(G, elems, name=""):
+        elems = tuple(sorted(int(x) for x in elems))
+        E = np.array(elems, dtype=np.intp)
+        pos = np.full(G.order, -1, dtype=np.int32)  # -1 outside the set
+        pos[E] = np.arange(len(E), dtype=np.int32)
+        table = pos[G.table[np.ix_(E, E)]]
+        if (table < 0).any():
+            raise GroupDefinitionError("element set is not closed under the product")
+        labels = [G.label(e) for e in elems] if G.labels is not None else list(elems)
+        H = FiniteGroup(table, labels=labels, name=name or f"subgroup of ({G.name})",
+                        label_style=G.label_style)
+        return H, elems
+    return reindex
+
+
+@pytest.fixture(scope="session")
 def fpf_search():
     """``fpf_search(G, N)``: all pairs (f, h) of homomorphisms G -> N
     agreeing only at the identity (fixed point free pairs)."""
@@ -166,7 +187,7 @@ def hol_elements():
 
 
 @pytest.fixture(scope="session")
-def induction_restrict():
+def induction_restrict(as_subgroup):
     """``induction_restrict(ch, m_elems)``: a bijective crossed pair
     restricted to a characteristic subgroup M of N.  Returns (h_elems,
     M_group, restricted), where h_elems are the G-indices of the preimage
@@ -509,6 +530,62 @@ def ref_normal_cyclic_subgroup_generator():
                 return x
         return None
     return search
+
+
+def _divisors(n):
+    out = []
+    for a in range(1, int(math.isqrt(n)) + 1):
+        if n % a == 0:
+            out.append(a)
+            if a != n // a:
+                out.append(n // a)
+    return out
+
+
+@pytest.fixture(scope="session")
+def ref_recognize_cgroup(ref_normal_cyclic_subgroup_generator):
+    """``ref_recognize_cgroup(G)``: the search ``recognize_cgroup`` once was,
+    kept as its reference.  For each divisor e of n prime to n/e it takes
+    the least generator x of a normal cyclic subgroup of order e and, for
+    each y of order n/e, the presentation with y x y^-1 = x^k; it returns
+    the least normalized (e, d, k, x, y), or None."""
+    def recognize(G):
+        n = G.order
+        if not is_cgroup(G):
+            return None
+        if n == 1:
+            e = G.identity
+            return CGroupPresentation(1, 1, 1), e, e
+        orders = G.orders
+        candidates = []
+        for e in sorted(_divisors(n)):
+            d = n // e
+            if math.gcd(e, d) != 1:
+                continue
+            x = ref_normal_cyclic_subgroup_generator(G, e)
+            if x is None:
+                continue
+            xpow = {g: t for t, g in enumerate(words(G, (x,), range(e)).tolist())}
+            seen_k = set()
+            for y in range(n):
+                if int(orders[y]) != d:
+                    continue
+                conj = G.conj(x, y)
+                k = 1 if e == 1 else xpow[conj] % e
+                if k in seen_k:
+                    continue
+                seen_k.add(k)
+                try:
+                    pres = CGroupPresentation(e, d, k)
+                except GroupDefinitionError:
+                    continue
+                candidates.append((pres, x, y))
+        normalized = [c for c in candidates if c[0].is_normalized]
+        if not normalized:
+            return None
+        normalized.sort(key=lambda c: (c[0].e, c[0].d, c[0].k, c[1], c[2]))
+        return normalized[0]
+    return recognize
 
 
 @pytest.fixture(scope="session")

@@ -400,3 +400,12 @@ def test_sweep_of_nothing_with_workers_is_empty(capsys):
     assert main(["sweep", "--limit", "0", "--workers", "2"]) == EXIT_OK
     assert capsys.readouterr().out == ("command: sweep\ncorpus_size: 0\nrealizable_count: 0\n"
                                        "oracle_skipped: 0\ndisagreements: 0\n")
+
+
+def test_aut_refuses_a_bound_below_n_as_the_oracle_does(capsys):
+    for command in ("aut", "oracle"):
+        assert main([command, "--spec", "cyclic 2", "--hol-bound", "1"]) == EXIT_ERROR
+        assert capsys.readouterr().out == \
+            "error: bound exceeded: holomorph order 2 exceeds bound 1\n"
+    text, code = run(Request("aut", spec="cyclic 2", hol_bound=2))
+    assert code == EXIT_OK and "aut_count: 1" in text

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from holoreg import (BoundExceeded, FiniteGroup, GroupDefinitionError,
                      Homomorphism, HomomorphismError, all_homomorphisms,
-                     as_subgroup, automorphism_group, center,
+                     automorphism_group, center,
                      commutator_subgroup, cyclic_group, dihedral_group,
                      direct_product, find_isomorphism, is_cgroup, is_normal,
                      is_subgroup,
@@ -224,7 +224,7 @@ def test_subgroup_generated_whole_group():
     assert len(subgroup_generated(G, [2, 1])) == 8
 
 
-def test_sylow_of_cyclic_group():
+def test_sylow_of_cyclic_group(as_subgroup):
     G = cyclic_group(12)
     syl = sylow_subgroup(G, 2)
     assert len(syl) == 4
@@ -232,7 +232,7 @@ def test_sylow_of_cyclic_group():
     assert max(int(o) for o in H.orders) == 4  # the unique C4
 
 
-def test_sylow_of_order_84_group():
+def test_sylow_of_order_84_group(as_subgroup):
     D14 = cgroup_group(CGroupPresentation(7, 2, 6))
     D6 = cgroup_group(CGroupPresentation(3, 2, 2))
     N = direct_product(D14, D6)

@@ -8,7 +8,7 @@ import pytest
 
 from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
                      GroupDefinitionError, HolElements, all_regular_subgroups,
-                     as_subgroup, automorphism_group, cgroup_group, conjugation_perm,
+                     automorphism_group, cgroup_group, conjugation_perm,
                      crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, direct_product,
                      find_isomorphism, hol_group, is_regular_subgroup,
@@ -444,7 +444,7 @@ def test_restrict_to_trivial_subgroup(induction_restrict):
     assert M.order == 1
 
 
-def test_restrict_d8_to_rotations(induction_restrict):
+def test_restrict_d8_to_rotations(induction_restrict, as_subgroup):
     N = dihedral_group(8)
     G, ch = crossed_from_regular(N, _cyclic_witness_subgroup(N))
     rotations = tuple(sorted([0, 2, 4, 6]))

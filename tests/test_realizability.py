@@ -164,8 +164,9 @@ def test_every_positive_verdict_carries_regular_witness(corpus_reps):
             assert w.cycle_length_through_identity() == entry.group.order
 
 
-def test_classify_builds_only_the_odd_part_and_p(corpus_reps, monkeypatch):
-    # the split is checked inside N: no second copy of N is built
+def test_classify_builds_only_p(corpus_reps, monkeypatch):
+    # the split is checked inside N, and M recognized there: no second copy
+    # of N and no table of M is built
     built = []
     init = FiniteGroup.__init__
 
@@ -179,7 +180,7 @@ def test_classify_builds_only_the_odd_part_and_p(corpus_reps, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(FiniteGroup, "__init__", counting_init)
             dec = classify(N).decomposition
-        assert built == [dec.m_group, dec.p_group], entry.spec
+        assert built == [dec.p_group], entry.spec
 
 
 def test_classify_agrees_with_oracle_on_small_corpus(corpus_reps):

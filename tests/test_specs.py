@@ -124,6 +124,7 @@ def test_table_rejects_malformed_files(tmp_path):
         "hash.tbl": ("order 2\n0 #\n1 0\n", "must contain integers"),  # not a comment
         "hash_after_row.tbl": ("order 2\n0 1 #\n1 0\n", "inconsistent width"),
         "zero_order.tbl": ("order 0\n", "at least 1"),
+        "underscore_order.tbl": ("order 1_0\n" + "0\n" * 10, "malformed order line"),
     }
     for name, (content, message) in cases.items():
         path = tmp_path / name
@@ -235,6 +236,30 @@ def test_constructors_refuse_tables_beyond_memory(n):
         parse_group_spec(f"cyclic {n}")
 
 
+@pytest.mark.parametrize("source", [
+    ["--spec", "cyclic \u0661\u0662"],
+    ["--spec", "semidirect (cyclic 7) (dihedral 4) alpha r->phi:\u0666 s->id"],
+    ["--table", "order \u0662\n0 1\n1 0\n"],
+    ["--table", "orderly 2\n0 1\n1 0\n"],
+    ["--table", "order 2 3\n0 1\n1 0\n"],
+], ids=["arabic-order", "arabic-phi", "arabic-table-order", "orderly", "order-2-3"])
+def test_integers_are_ascii(source, tmp_path, capsys):
+    # each is refused with one error line, never read as a group
+    if source[0] == "--table":
+        path = tmp_path / "group.tbl"
+        path.write_text(source[1], encoding="utf-8")
+        source = ["--table", str(path)]
+    assert cli.main(["classify", *source]) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out.startswith("error: ") and out.count("\n") == 1 and err == "", out
+
+
+def test_spec_integers_take_a_sign_as_table_entries_do():
+    assert parse_group_spec("cyclic +6").order == 6
+    aut = parse_aut_spec("theta:+2*phi:+3", CGroupPresentation(7, 3, 2))
+    assert (aut.c, aut.u, aut.v) == (2, 3, 1)
+
+
 def test_huge_spec_order_exits_2(capsys):
     assert cli.main(["classify", "--spec", "cyclic 99999999999999999999"]) == cli.EXIT_ERROR
     out = capsys.readouterr().out
@@ -266,7 +291,9 @@ SPEC_WORDS = ["cyclic", "dihedral", "quaternion", "cgroup", "semidirect", "(", "
               "alpha", "r->id", "s->id", "r->", "s->", "->", "id", "r->theta:1",
               "s->phi:2", "r->psi:2", "s->theta:1*phi:-1", "r->phi:1*phi:1",
               "s->psi:1000000007", "r->theta:x", "s->phi:2*", "(cyclic", "4)"]
-# no decimal digits (category Nd): the parser reads Unicode digits as integers
+# no decimal digits (category Nd): runs of ASCII digits could name tables
+# too large to build in a test, and the parser refuses all other digits
+# (``test_integers_are_ascii``)
 spec_token = st.one_of(st.sampled_from(SPEC_WORDS), SPEC_INTS,
                        st.text(st.characters(blacklist_categories=("Cs", "Nd")),
                                min_size=1, max_size=3))
@@ -335,12 +362,10 @@ def reference_parse(data: bytes):
     except UnicodeDecodeError:
         return None
     lines = [ln.strip() for ln in re.split(r"\r\n|\r|\n", text) if ln.strip()]
-    if not lines or not lines[0].startswith("order"):
+    order = lines[0].split() if lines else []
+    if order[:1] != ["order"] or len(order) != 2 or not _INTEGER.fullmatch(order[1]):
         return None
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        return None
+    n = int(order[1])
     body, labels = lines[1:], None
     if body and body[0].startswith("labels"):
         labels, body = body[0].split()[1:], body[1:]

@@ -2,6 +2,7 @@
 against the plain Python loop it replaced, and the classify path is checked
 to build no nested-list copy of the table."""
 
+import math
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
@@ -11,16 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
-                     HolElement, as_subgroup, automorphism_group,
+                     HolElement, automorphism_group,
                      cgroup_group, classify,
                      commutator_subgroup, conjugation_perm, cyclic_group,
                      decompose, dihedral_group, direct_product,
                      find_isomorphism, generating_set, is_normal, is_subgroup,
-                     parse_group_spec, quaternion_group, quotient_group,
-                     recognize_cgroup, respects_product, semidirect_product,
-                     subgroup_generated, sylow_subgroup)
-from holoreg import groups, realizability, specs
-from holoreg.cgroups import _divisors, _normal_cyclic_subgroup_generator
+                     normal_hall_odd_subgroup, parse_group_spec,
+                     quaternion_group, quotient_group, recognize_cgroup,
+                     respects_product, semidirect_product, subgroup_generated,
+                     sylow_subgroup)
+from holoreg import cgroups, groups, realizability, specs
 from holoreg.groups import _fingerprints, _prime_powers, center
 
 REFERENCE_MAX_ORDER = 120
@@ -243,7 +244,7 @@ def test_subgroup_closure_matches_reference(reference_groups):
         assert commutator_subgroup(G) == ref_commutator_subgroup(G), G
 
 
-def test_subgroup_tests_match_reference(reference_groups):
+def test_subgroup_tests_match_reference(reference_groups, as_subgroup):
     rng = np.random.default_rng(2)
     for G in reference_groups:
         closed, other = element_sets(G, rng)
@@ -366,30 +367,26 @@ def test_bounded_closure_stops_exactly_past_its_limit(reference_groups, data):
     assert len(reads) <= limit * len(gens)
 
 
-def check_subgroup_searches(G, ref_sylow, ref_normal):
-    """Every Sylow subgroup and every normal cyclic subgroup search of G
-    against the references; returns whether the Sylow 2-subgroup is normal."""
+def check_subgroup_searches(G, ref_sylow):
+    """Every Sylow subgroup search of G against the reference; returns
+    whether the Sylow 2-subgroup is normal."""
     for p in _prime_powers(G.order):
         assert sylow_subgroup(G, p) == ref_sylow(G, p), (G, p)
-    for e in _divisors(G.order):
-        assert _normal_cyclic_subgroup_generator(G, e) == ref_normal(G, e), (G, e)
     return is_normal(G, sylow_subgroup(G, 2))
 
 
 def test_subgroup_searches_match_reference_on_corpus(corpus_reps, relabel,
-                                                     ref_sylow_subgroup,
-                                                     ref_normal_cyclic_subgroup_generator):
+                                                     ref_sylow_subgroup):
     rng = np.random.default_rng(17)
     normal = set()
     for entry in corpus_reps:
         for G in (entry.group, relabel(entry.group, rng)):
-            normal.add(check_subgroup_searches(G, ref_sylow_subgroup,
-                                               ref_normal_cyclic_subgroup_generator))
+            normal.add(check_subgroup_searches(G, ref_sylow_subgroup))
     assert normal == {True, False}
 
 
 def test_subgroup_searches_match_reference_on_large_tables(
-        monkeypatch, relabel, ref_sylow_subgroup, ref_normal_cyclic_subgroup_generator):
+        monkeypatch, relabel, ref_sylow_subgroup):
     closures = []  # what each closure of sylow_subgroup returned
 
     def recorded(G, gens, limit=None):
@@ -401,18 +398,16 @@ def test_subgroup_searches_match_reference_on_large_tables(
     for name, build in LARGE_TABLES.items():
         G = build()
         for H in (G, relabel(G, rng)):
-            normal[name] = check_subgroup_searches(
-                H, ref_sylow_subgroup, ref_normal_cyclic_subgroup_generator)
+            normal[name] = check_subgroup_searches(H, ref_sylow_subgroup)
     assert not any(normal[name] for name in
                    ("semidirect-600", "semidirect-672", "semidirect-1008"))
     assert None in closures  # candidates were dropped past the Sylow order
 
 
-def test_conjugation_checks_match_full_scans(reference_groups,
-                                             ref_normal_cyclic_subgroup_generator):
+def test_conjugation_checks_match_full_scans(reference_groups):
     # given and relabelled: each check reads the generator conjugations only
     rng = np.random.default_rng(21)
-    abelian, normal, cyclic = set(), {True: set(), False: set()}, set()
+    abelian, normal = set(), {True: set(), False: set()}
     for G in reference_groups:
         t = G.table
         assert G.is_abelian is bool(np.array_equal(t, t.T)), G
@@ -425,11 +420,7 @@ def test_conjugation_checks_match_full_scans(reference_groups,
                 want = ref_is_normal(G, elems)
                 assert is_normal(G, elems) is want, (G, elems)
                 normal[is_closed].add(want)
-        for e in _divisors(G.order):
-            x = _normal_cyclic_subgroup_generator(G, e)
-            assert x == ref_normal_cyclic_subgroup_generator(G, e), (G, e)
-            cyclic.add(x is None)
-    assert abelian == normal[True] == normal[False] == cyclic == {True, False}
+    assert abelian == normal[True] == normal[False] == {True, False}
 
 
 def test_checks_compute_no_generating_set(monkeypatch, corpus_reps):
@@ -449,11 +440,8 @@ def test_checks_compute_no_generating_set(monkeypatch, corpus_reps):
         N = parse_group_spec(entry.spec)  # fresh: nothing memoized yet
         verdict = classify(N)
         seen = [N, *factors]
-        odd = realizability._odd_part(N)
-        if odd is not None:
-            seen.append(odd[1])
         if verdict.decomposition is not None:
-            seen += [verdict.decomposition.m_group, verdict.decomposition.p_group]
+            seen.append(verdict.decomposition.p_group)
         assert not any(key in G.memo for G in seen), entry.spec
 
 
@@ -462,7 +450,7 @@ def test_checks_compute_no_generating_set(monkeypatch, corpus_reps):
 
 def _classify_path_groups(G):
     """Classify and construct G as the classify and construct commands do;
-    return N with the odd part M and P the path built."""
+    return N and the P the path built."""
     verdict = classify(G)
     generating_set(G)
     if verdict.witness is not None:
@@ -471,7 +459,7 @@ def _classify_path_groups(G):
     dec = verdict.decomposition or decompose(G)
     built = [G]
     if dec is not None:
-        built += [dec.m_group, dec.p_group]
+        built.append(dec.p_group)
     return verdict, built
 
 
@@ -493,7 +481,7 @@ def _nested_list_tables(H):
 def test_classify_path_builds_no_nested_list_table(make, relabel):
     G = make(relabel)
     _, built = _classify_path_groups(G)
-    assert len(built) >= 3
+    assert len(built) == 2
     for H in built:
         assert _nested_list_tables(H) == [], H
 
@@ -534,22 +522,101 @@ def test_searches_retain_no_table_sized_copy(relabel):
 # -- C-group recognition, exhaustively at small orders --------------------------
 
 
+def small_presentations():
+    """Every valid C(e, d, k) of order <= 120."""
+    out = []
+    for e in range(1, 121):
+        for d in range(1, 120 // e + 1):
+            for k in range(e):
+                try:
+                    out.append(CGroupPresentation(e, d, k))
+                except GroupDefinitionError:
+                    continue
+    return out
+
+
 def test_recognize_cgroup_on_every_small_presentation():
     # every valid C(e, d, k) of order <= 120, the 195 of odd order among
     # them: ``_odd_part`` and so ``classify_rump`` treat an odd Hall part as
     # a C-group exactly when ``recognize_cgroup`` accepts it
     cases = 0
-    for e in range(1, 121):
-        for d in range(1, 120 // e + 1):
-            for k in range(e):
-                try:
-                    pres = CGroupPresentation(e, d, k)
-                except GroupDefinitionError:
-                    continue
-                cases += 1
-                G = cgroup_group(pres)
-                found, x, y = recognize_cgroup(G)
-                assert found.order == G.order == e * d, pres
-                assert G.order_of(x) == found.e and G.order_of(y) == found.d, pres
-                assert G.conj(x, y) == G.power(x, found.k), pres
+    for pres in small_presentations():
+        cases += 1
+        G = cgroup_group(pres)
+        found, x, y = recognize_cgroup(G)
+        assert found.order == G.order == pres.order, pres
+        assert G.order_of(x) == found.e and G.order_of(y) == found.d, pres
+        assert G.conj(x, y) == G.power(x, found.k), pres
     assert cases == 637
+
+
+def test_recognizer_matches_reference_on_small_presentations(relabel,
+                                                             ref_recognize_cgroup):
+    rng = np.random.default_rng(29)
+    for pres in small_presentations():
+        G = cgroup_group(pres)
+        for H in (G, relabel(G, rng)):
+            assert recognize_cgroup(H) == ref_recognize_cgroup(H), (pres, H)
+
+
+def test_recognizer_matches_reference_on_corpus_and_large_tables(
+        corpus_reps, relabel, ref_recognize_cgroup):
+    rng = np.random.default_rng(30)
+    tables = [build() for build in LARGE_TABLES.values()]
+    tables += [relabel(G, rng) for G in tables]
+    recognized = set()
+    for G in [H for e in corpus_reps for H in (e.group, relabel(e.group, rng))] + tables:
+        want = ref_recognize_cgroup(G)
+        assert recognize_cgroup(G) == want, G
+        recognized.add(want is not None)
+    assert recognized == {True, False}
+
+
+def test_recognizer_matches_reference_on_coprime_products(relabel, ref_recognize_cgroup):
+    # direct products of two C-groups of coprime orders, of order <= 400
+    pool = [cgroup_group(pres) for pres in small_presentations() if pres.order > 1]
+    pairs = [(A, B) for i, A in enumerate(pool) for B in pool[i + 1:]
+             if A.order * B.order <= 400 and math.gcd(A.order, B.order) == 1]
+    rng = np.random.default_rng(31)
+    for i in rng.choice(len(pairs), size=60, replace=False).tolist():
+        G = direct_product(*pairs[i])
+        for H in (G, relabel(G, rng)):
+            want = ref_recognize_cgroup(H)
+            assert want is not None and recognize_cgroup(H) == want, H
+
+
+def test_odd_part_matches_reference_on_its_own_table(corpus_reps, relabel, as_subgroup,
+                                                     ref_recognize_cgroup):
+    # M recognized inside N, against the reference run on M's own table
+    rng = np.random.default_rng(32)
+    groups_ = [H for e in corpus_reps for H in (e.group, relabel(e.group, rng))]
+    groups_ += [build() for build in LARGE_TABLES.values()]
+    outcomes = set()
+    for N in groups_:
+        m_elems = normal_hall_odd_subgroup(N)
+        M, to_parent = as_subgroup(N, m_elems)
+        ref = ref_recognize_cgroup(M)
+        want = None if ref is None else (m_elems, ref[0], to_parent[ref[1]],
+                                         to_parent[ref[2]])
+        assert realizability._odd_part(N) == want, N
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_recognizer_closes_no_subgroup_and_tests_no_normality(monkeypatch, corpus_reps):
+    # fresh groups, nothing memoized: the corpus and every C(e, d, k) of
+    # order <= 120, the odd part of each recognized inside it
+    fresh = [parse_group_spec(entry.spec) for entry in corpus_reps]
+    fresh += [cgroup_group(pres) for pres in small_presentations()]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("recognition closed a subgroup or tested normality")
+    for module in (groups, cgroups, realizability):
+        for name in ("subgroup_generated", "is_normal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    monkeypatch.setattr(FiniteGroup, "generator_conjugations", property(fail))
+    recognized = [recognize_cgroup(N) is not None for N in fresh]
+    corpus_count = len(corpus_reps)  # no corpus group is a C-group
+    assert recognized == [False] * corpus_count + [True] * (len(fresh) - corpus_count)
+    assert all(realizability._odd_part(N) is not None for N in fresh)
