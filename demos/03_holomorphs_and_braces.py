@@ -9,8 +9,8 @@ bijective crossed homomorphisms and as skew braces on the group.
 
 import numpy as np
 
-from holoreg import (crossed_from_regular, cyclic_group,
-                     cyclic_regular_oracle, dihedral_group, hol_group,
+from holoreg import (automorphism_group, crossed_from_regular, cyclic_group,
+                     cyclic_regular_oracle, dihedral_group,
                      is_regular_subgroup, lambda_embedding,
                      regular_from_crossed, regular_subgroups_isomorphic_to,
                      rho_embedding, skew_brace_from_regular,
@@ -18,9 +18,8 @@ from holoreg import (crossed_from_regular, cyclic_group,
 
 N = dihedral_group(8)
 
-# the holomorph as an honest Cayley table (|N| * |Aut N| = 64 here)
-H = hol_group(N)
-print("holomorph of D8 has order", H.order)
+# one element of the holomorph per (translation, twist) pair: |N| * |Aut N|
+print("holomorph of D8 has order", N.order * len(automorphism_group(N)))
 
 # both regular representations are regular subgroups
 print("right translations regular?", is_regular_subgroup(N, rho_embedding(N)))

@@ -10,9 +10,9 @@ group is cyclic, so the two questions genuinely differ.
 
 import math
 
-from holoreg import (CGroupPresentation, cgroup_group, classify,
-                     classify_rump, decompose, dihedral_group, direct_product,
-                     find_isomorphism, hol_group, parse_group_spec,
+from holoreg import (CGroupPresentation, HolElement, automorphism_group,
+                     cgroup_group, classify, classify_rump, decompose,
+                     direct_product, find_isomorphism, parse_group_spec,
                      quotient_action_probe)
 
 N = parse_group_spec(
@@ -28,12 +28,13 @@ d6 = cgroup_group(CGroupPresentation(3, 2, 2))
 print("isomorphic to D14 x D6?",
       find_isomorphism(N, direct_product(d14, d6)) is not None)
 
-# the holomorph splits over the two factors; scan their element orders
-hol14, hol6 = hol_group(d14), hol_group(d6)
-orders14 = set(int(o) for o in hol14.orders)
-orders6 = set(int(o) for o in hol6.orders)
-print(f"element orders in Hol(D14) (order {hol14.order}):", sorted(orders14))
-print(f"element orders in Hol(D6)  (order {hol6.order}):", sorted(orders6))
+# the holomorph splits over the two factors; scan their element orders,
+# one (translation, twist) pair at a time
+auts14, auts6 = automorphism_group(d14).tolist(), automorphism_group(d6).tolist()
+orders14 = {HolElement(d14, a, p).order() for a in range(d14.order) for p in auts14}
+orders6 = {HolElement(d6, a, p).order() for a in range(d6.order) for p in auts6}
+print(f"element orders in Hol(D14) (order {d14.order * len(auts14)}):", sorted(orders14))
+print(f"element orders in Hol(D6)  (order {d6.order * len(auts6)}):", sorted(orders6))
 print("any pair with lcm 84?",
       any(math.lcm(a, b) == 84 for a in orders14 for b in orders6))
 

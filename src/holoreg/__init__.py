@@ -24,7 +24,7 @@ from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
 from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement,
                         HolElements, SkewBrace, all_regular_subgroups,
                         conjugation_perm, crossed_from_regular,
-                        cyclic_regular_oracle, hol_group,
+                        cyclic_regular_oracle,
                         is_regular_subgroup, lambda_embedding,
                         regular_from_crossed,
                         regular_subgroup_as_group,

@@ -3,7 +3,8 @@
 Reports are line-oriented ``key: value`` text with a stable key order, so
 reruns are byte-identical and diffs stay meaningful.  Exit codes: 0 for a
 realizable verdict (or plain success), 1 for not realizable, 2 for errors
-such as parse failures or exceeded bounds.
+such as parse failures or exceeded bounds.  ``main`` writes an error as one
+``error:`` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -284,7 +285,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug: one line, exit 2, no traceback
         sys.stderr.write(f"error: internal error: {exc!r}\n")
         return EXIT_ERROR
-    if request.out:
+    if code == EXIT_ERROR:
+        sys.stderr.write(text)
+    elif request.out:
         try:
             with open(request.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

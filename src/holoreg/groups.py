@@ -217,11 +217,6 @@ class FiniteGroup:
         return t[t[gens], self.inverses[gens, None]].reshape(len(gens), self.order)
 
     @cached_property
-    def is_abelian(self) -> bool:
-        """Every generator is central: its conjugation is the identity."""
-        return bool((self.generator_conjugations == np.arange(self.order)).all())
-
-    @cached_property
     def _least_conjugates(self) -> np.ndarray:
         """The least member of each element's conjugacy class: the orbits of
         ``generator_conjugations``, each walked from the first element not
@@ -241,14 +236,6 @@ class FiniteGroup:
                         least[z] = x
                         orbit.append(z)
         return np.array(least, dtype=np.int32)
-
-    @cached_property
-    def conjugacy_classes(self) -> list:
-        """Conjugacy classes as sorted tuples, ordered by least member."""
-        least = self._least_conjugates
-        members = np.argsort(least, kind="stable")
-        bounds = np.flatnonzero(np.diff(least[members])) + 1
-        return [tuple(c.tolist()) for c in np.split(members, bounds)]
 
     @cached_property
     def class_sizes(self) -> np.ndarray:

@@ -8,8 +8,8 @@ of the two actions when pi is an automorphism.  A set of pairs is a
 when evaluation at the identity is a bijection, which for pairs means the
 translation components exhaust the group.  Regular subgroups, bijective
 crossed homomorphisms, and skew braces are three views of the same data and
-this module converts between all of them.  Pair arithmetic never needs the
-dense holomorph table, which is only materialized on request.
+this module converts between all of them.  Everything here is pair
+arithmetic; no dense holomorph table is ever built.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (FiniteGroup, BoundExceeded, GroupDefinitionError,
-                     HomomorphismError, automorphism_group, check_table_size,
+                     HomomorphismError, automorphism_group,
                      find_isomorphism, greedy_closure, is_action,
                      respects_product)
 
@@ -75,9 +75,6 @@ class HolElement:
         while cur != e:
             cur, length = self.act(cur), length + 1
         return length
-
-    def key(self):
-        return (self.translation, self.twist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,27 +156,6 @@ def _rows_of(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     order = np.argsort(keys)
     found = order[np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)]
     return np.where(keys[found] == wanted, found, -1)
-
-
-def hol_group(N: FiniteGroup, bound: int = DEFAULT_HOL_BOUND) -> FiniteGroup:
-    """The holomorph as a dense Cayley table over (translation, twist) labels.
-
-    Memory grows with the square of |N| * |Aut(N)|, so this is intended for
-    holomorphs into the low thousands; pair arithmetic covers the rest.
-    """
-    perms = _hol_perms(N, bound)
-    a_count = len(perms)
-    n = N.order
-    check_table_size(n * a_count)  # before the table is allocated
-    comp = _composition_index(perms)
-    b = np.repeat(np.arange(n), a_count)   # translation of each column
-    q = np.tile(np.arange(a_count), n)     # twist of each column
-    table = np.empty((n * a_count, n * a_count), dtype=np.int32)
-    for a in range(n):  # rows (a, p) for every p: (a, p)(b, q) = (a * p(b), p o q)
-        table[a * a_count:(a + 1) * a_count] = \
-            N.table[a, perms[:, b]] * a_count + comp[:, q]
-    labels = [(a, p) for a in range(n) for p in range(a_count)]
-    return FiniteGroup(table, labels=labels, name=f"holomorph of ({N.name})")
 
 
 def _are_automorphisms(N: FiniteGroup, rows: np.ndarray) -> bool:

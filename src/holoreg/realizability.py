@@ -80,11 +80,6 @@ class Decomposition:
     pos: np.ndarray = field(compare=False)   # N index -> row k
 
     @property
-    def p_to_n(self) -> tuple:
-        """p_group index -> N index: the words r^a s^b, the grid's first rows."""
-        return tuple(self.grid[:self.p_group.order].tolist())
-
-    @property
     def alpha_image_size(self) -> int:
         return len(set(self.alpha))
 
@@ -106,10 +101,6 @@ class Decomposition:
         """P is the Klein group or Q8: theorem case 1."""
         return self.p_group.order == 4 or (
             self.p_kind == "quaternion" and self.p_group.order == 8)
-
-    def factorization(self, g: int) -> tuple:
-        """(i, j, a, b) with g = x^i y^j r^a s^b."""
-        return tuple(self.exps[self.pos[g]].tolist())
 
     def summary(self) -> str:
         return (f"e={self.pres.e} d={self.pres.d} k={self.pres.k} "

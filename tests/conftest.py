@@ -187,6 +187,29 @@ def hol_elements():
 
 
 @pytest.fixture(scope="session")
+def hol_group():
+    """``hol_group(N, bound)``: the holomorph as a dense Cayley table over
+    (translation, twist) labels, the reference for pair arithmetic.  Refused
+    above ``bound`` pairs, and its (n |Aut(N)|)^2 entries are checked against
+    physical memory before the table is allocated."""
+    def build(N, bound=DEFAULT_HOL_BOUND):
+        perms = _hol_perms(N, bound)
+        a_count = len(perms)
+        n = N.order
+        check_table_size(n * a_count)
+        comp = _composition_index(perms)
+        b = np.repeat(np.arange(n), a_count)   # translation of each column
+        q = np.tile(np.arange(a_count), n)     # twist of each column
+        table = np.empty((n * a_count, n * a_count), dtype=np.int32)
+        for a in range(n):  # rows (a, p) for every p: (a, p)(b, q) = (a * p(b), p o q)
+            table[a * a_count:(a + 1) * a_count] = \
+                N.table[a, perms[:, b]] * a_count + comp[:, q]
+        labels = [(a, p) for a in range(n) for p in range(a_count)]
+        return FiniteGroup(table, labels=labels, name=f"holomorph of ({N.name})")
+    return build
+
+
+@pytest.fixture(scope="session")
 def induction_restrict(as_subgroup):
     """``induction_restrict(ch, m_elems)``: a bijective crossed pair
     restricted to a characteristic subgroup M of N.  Returns (h_elems,

@@ -14,7 +14,7 @@ from holoreg import (BoundExceeded, CGroupPresentation, FiniteGroup,
                      closed_form_products, commutator_subgroup,
                      construct, cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
-                     hol_group, is_regular_subgroup,
+                     HolElement, is_regular_subgroup,
                      parse_group_spec, quaternion_group, quotient_action_probe,
                      quotient_group, recognize_cgroup,
                      semidirect_product, subgroup_generated,
@@ -117,13 +117,14 @@ def test_criterion_3_order_84_counterexample():
         ok = ok and {int(perm[g]) for g in first} == first
         ok = ok and {int(perm[g]) for g in second} == second
 
-    hol_d14 = hol_group(d14)   # order 588
-    hol_d6 = hol_group(d6)     # order 36
-    ok = ok and hol_d14.order == 588 and hol_d6.order == 36
-    ok = ok and hol_d14.order * hol_d6.order == 84 * len(
-        automorphism_group(product))
-    orders_14 = set(int(o) for o in hol_d14.orders)
-    orders_6 = set(int(o) for o in hol_d6.orders)
+    # the holomorphs read off their (translation, twist) pairs
+    auts_14, auts_6 = automorphism_group(d14), automorphism_group(d6)
+    ok = ok and d14.order * len(auts_14) == 588 and d6.order * len(auts_6) == 36
+    ok = ok and 588 * 36 == 84 * len(automorphism_group(product))
+    orders_14 = {HolElement(d14, a, p).order()
+                 for a in range(d14.order) for p in auts_14.tolist()}
+    orders_6 = {HolElement(d6, a, p).order()
+                for a in range(d6.order) for p in auts_6.tolist()}
     ok = ok and 4 not in orders_14 and 4 not in orders_6
     # element orders in the split holomorph are lcm pairs: none reaches 84
     ok = ok and all(math.lcm(a, b) != 84 for a in orders_14 for b in orders_6)
@@ -307,7 +308,8 @@ def test_criterion_9_structural_lemma_suite(corpus_reps):
         if dec is None or dec.p_kind == "cyclic":
             continue
         N = entry.group
-        P, p_to_n = dec.p_group, dec.p_to_n
+        P = dec.p_group
+        p_to_n = dec.grid[:P.order].tolist()
         image = {(a.c, a.u, a.v) for a in dec.alpha}
 
         # the action avoids the psi family and lands in an elementary
@@ -344,7 +346,7 @@ def test_criterion_9_structural_lemma_suite(corpus_reps):
         for g in range(N.order):
             o = int(orders[g])
             if o & (o - 1) == 0:  # 2-power order, including 1
-                ok = ok and dec.factorization(g)[1] == 0
+                ok = ok and dec.exps[dec.pos[g], 1] == 0
 
         # quotient-action collapse when the index-2 cyclic subgroup acts
         big_p = dec.p_group.order >= 16 or \

@@ -1,14 +1,19 @@
 """The batch front end: reports, exit codes, determinism, bounds."""
 
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoreg import (HomomorphismError, cli, cyclic_group, dihedral_group,
                      direct_product, dump_cayley_table, realizability)
 from holoreg.cli import (EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, Request,
                          build_parser, main, run)
 from holoreg.specs import SpecError
+from test_specs import SEED_SPECS, spec_strings, table_files
 
 ORDER_84_SPEC = "semidirect (cgroup 21 1 1) (dihedral 4) alpha r->phi:8 s->phi:13"
 
@@ -98,8 +103,9 @@ def test_undecodable_table_exits_2(tmp_path, capsys):
     path = tmp_path / "t.tbl"
     path.write_bytes(b"order 2\n\xff\xfe 1\n1 0\n")
     assert main(["classify", "--table", str(path)]) == EXIT_ERROR
-    out = capsys.readouterr().out
-    assert out.startswith("error: table file is not UTF-8 text") and out.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: table file is not UTF-8 text") and err.count("\n") == 1
 
 
 def test_unwritable_out_file_exits_2(tmp_path, capsys):
@@ -293,7 +299,7 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     assert code == EXIT_ERROR
     assert text.startswith("error: out of memory:") and text.count("\n") == 1
     assert main(["classify", "--spec", "cyclic 100000"]) == EXIT_ERROR
-    assert capsys.readouterr().out == text
+    assert capsys.readouterr() == ("", text)
 
 
 def test_homomorphism_error_exits_2(monkeypatch, capsys):
@@ -304,7 +310,7 @@ def test_homomorphism_error_exits_2(monkeypatch, capsys):
     assert code == EXIT_ERROR
     assert text == "error: images do not respect the group product\n"
     assert main(["construct", "--spec", "dihedral 8"]) == EXIT_ERROR
-    assert capsys.readouterr().out == text
+    assert capsys.readouterr() == ("", text)
 
 
 def test_unexpected_error_exits_2_in_one_line(monkeypatch, capsys):
@@ -405,7 +411,71 @@ def test_sweep_of_nothing_with_workers_is_empty(capsys):
 def test_aut_refuses_a_bound_below_n_as_the_oracle_does(capsys):
     for command in ("aut", "oracle"):
         assert main([command, "--spec", "cyclic 2", "--hol-bound", "1"]) == EXIT_ERROR
-        assert capsys.readouterr().out == \
-            "error: bound exceeded: holomorph order 2 exceeds bound 1\n"
+        assert capsys.readouterr() == \
+            ("", "error: bound exceeded: holomorph order 2 exceeds bound 1\n")
     text, code = run(Request("aut", spec="cyclic 2", hol_bound=2))
     assert code == EXIT_OK and "aut_count: 1" in text
+
+
+def test_error_writes_no_out_file(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["classify", "--spec", "cyclic x", "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "error: expected an integer for cyclic order\n")
+
+
+# -- fuzzing the command line ---------------------------------------------------
+
+# a Latin square with identity 0 that is not associative: the loop L5
+LOOP5 = b"order 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+BOUNDS = ["1", "6", "100", "20000", "0", "-5", "1e3", "٣"]
+# options that some command does not take, or takes with a bad value;
+# --workers is never above 1, so no process pool starts
+STRAY = [["--bogus"], ["--workers", "1"], ["--workers", "0"], ["--limit", "1"],
+         ["--limit", "-1"], ["--hol-bound"], ["--spec", "cyclic 3"], ["--table", "missing.tbl"],
+         ["->"]]
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, table bytes or None): a command on a well-formed spec, a
+    mutated spec, a mutated table file or a loop, with bounds and stray
+    options; a table goes to a file whose path the test appends as --table."""
+    command = draw(st.sampled_from(list(cli._HANDLERS)))
+    argv, table = [command], None
+    if command == "sweep":
+        argv += ["--limit", draw(st.sampled_from(["0", "1", "2"]))]
+    else:
+        source = draw(st.sampled_from(["seed", "seed", "spec", "table", "loop"]))
+        if source == "seed":
+            argv.append(f"--spec={draw(st.sampled_from([*SEED_SPECS, ORDER_84_SPEC]))}")
+        elif source == "spec":
+            argv.append(f"--spec={draw(spec_strings())}")
+        else:
+            table = draw(table_files()) if source == "table" else LOOP5
+    if command in ("oracle", "aut", "sweep") and draw(st.booleans()):
+        argv += ["--hol-bound", draw(st.sampled_from(BOUNDS))]
+    if draw(st.integers(0, 4)) == 0:
+        argv += draw(st.sampled_from(STRAY))
+    return argv, table
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(command_lines())
+def test_every_command_exits_cleanly(case):
+    argv, table = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if table is not None:
+            path = Path(tmp) / "fuzz.tbl"
+            path.write_bytes(table)
+            argv = [*argv, "--table", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR), argv
+    assert "internal error" not in err, (argv, err)
+    one_error_line = err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert (code == EXIT_ERROR) == (out == "" and one_error_line), (argv, out, err)
+    if code != EXIT_ERROR:
+        assert err == "" and out.startswith(f"command: {argv[0]}\n"), (argv, out, err)

@@ -53,7 +53,7 @@ def test_cyclic_rejects_zero():
 
 def test_dihedral_4_is_klein():
     G = klein_group()
-    assert G.is_abelian
+    assert np.array_equal(G.table, G.table.T)
     assert all(G.order_of(g) <= 2 for g in range(4))
 
 
@@ -102,7 +102,7 @@ def test_quaternion_rejects_order_4():
 def test_trivial_action_gives_direct_product():
     G = direct_product(cyclic_group(3), klein_group())
     assert G.order == 12
-    assert G.is_abelian
+    assert np.array_equal(G.table, G.table.T)
 
 
 def test_semidirect_validates_action():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
-                     GroupDefinitionError, HolElements, all_regular_subgroups,
+                     GroupDefinitionError, HolElement, HolElements, all_regular_subgroups,
                      automorphism_group, cgroup_group, conjugation_perm,
                      crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, direct_product,
-                     find_isomorphism, hol_group, is_regular_subgroup,
+                     find_isomorphism, is_regular_subgroup,
                      lambda_embedding, quaternion_group, recognize_cgroup,
                      regular_from_crossed,
                      regular_subgroup_as_group,
@@ -34,7 +34,7 @@ def _actions(elements):
     return np.array([h.action_perm() for h in elements])
 
 
-def test_pair_composition_matches_action_composition(hol_elements):
+def test_pair_composition_matches_action_composition(hol_elements, hol_group):
     # the array product of hol_group, (a, p)(b, q) = (a p(b), p o q), acts
     # as the composed actions
     for N in (klein_group(), dihedral_group(8), cyclic_group(6)):
@@ -48,7 +48,7 @@ def test_pair_composition_matches_action_composition(hol_elements):
         assert np.array_equal(acts[H.table], chained)
 
 
-def test_inverse_and_identity(hol_elements):
+def test_inverse_and_identity(hol_elements, hol_group):
     # hol_group's identity and inverses act as the identity and the inverse
     # permutations; the array powers of subgroup_generated_by_hol are the
     # powers of the action and end at the identity
@@ -75,13 +75,27 @@ def test_hol_order_small_groups():
         assert N.order * len(automorphism_group(N)) == order
 
 
-def test_hol_group_c3():
+def test_holomorph_order_and_element_orders_from_pairs(hol_group):
+    # what the demos read off the (translation, twist) pairs is what the
+    # dense table says: |Hol(N)| = n |Aut(N)| and the set of element orders
+    for N in (dihedral_group(8), cgroup_group(CGroupPresentation(7, 2, 6)),
+              cgroup_group(CGroupPresentation(3, 2, 2)), klein_group(),
+              cyclic_group(9), quaternion_group(8)):
+        ref = hol_group(N)
+        auts = automorphism_group(N).tolist()
+        assert N.order * len(auts) == ref.order, N.name
+        assert {HolElement(N, a, p).order() for a in range(N.order) for p in auts} == \
+            set(ref.orders.tolist()), N.name
+
+
+def test_hol_group_c3(hol_group):
     H = hol_group(cyclic_group(3))
     assert H.order == 6
-    assert not H.is_abelian  # it is the symmetric group on 3 points
+    # it is the symmetric group on 3 points, not abelian
+    assert not np.array_equal(H.table, H.table.T)
 
 
-def test_hol_group_klein_is_symmetric_4():
+def test_hol_group_klein_is_symmetric_4(hol_group):
     H = hol_group(klein_group())
     from itertools import permutations
     # row i of the table holds the index of p_i o p_j
@@ -89,7 +103,7 @@ def test_hol_group_klein_is_symmetric_4():
     assert find_isomorphism(H, S4) is not None
 
 
-def test_hol_group_respects_bound():
+def test_hol_group_respects_bound(hol_group):
     with pytest.raises(BoundExceeded):
         hol_group(direct_product(cyclic_group(4), cyclic_group(4)), bound=100)
     with pytest.raises(BoundExceeded,  # |Aut| = 1 fits, n = 2 does not
@@ -97,7 +111,7 @@ def test_hol_group_respects_bound():
         hol_group(cyclic_group(2), bound=1)
 
 
-def test_hol_group_checks_its_table_size_before_allocating(monkeypatch):
+def test_hol_group_checks_its_table_size_before_allocating(monkeypatch, hol_group):
     # |Hol(D16)| = 16 * 32 = 512: a 1 MiB table against 256 KiB of memory
     N = dihedral_group(16)
     assert N.order * len(automorphism_group(N)) == 512
@@ -119,7 +133,8 @@ def test_hol_action_is_faithful_with_stabilizer_the_twists(hol_elements):
     actions = {h.action_perm() for h in elements}
     assert len(actions) == len(elements)  # faithful
     identity_perm = tuple(range(N.order))
-    stabilizer = {h.key() for h in elements if h.act(N.identity) == N.identity}
+    stabilizer = {(h.translation, h.twist) for h in elements
+                  if h.act(N.identity) == N.identity}
     twists = {(N.identity, p) for p in
               (tuple(int(x) for x in row) for row in automorphism_group(N))}
     assert stabilizer == twists
@@ -164,13 +179,13 @@ def test_regularity_requires_closure():
 def test_oracle_cyclic_3():
     found = cyclic_regular_oracle(cyclic_group(3))
     assert len(found) == 2  # both generators of one subgroup
-    spans = {frozenset(h.key() for h in subgroup_generated_by_hol(f)) for f in found}
+    spans = {frozenset(subgroup_generated_by_hol(f)) for f in found}
     assert len(spans) == 1
 
 
 def test_oracle_klein_gives_three_subgroups():
     found = cyclic_regular_oracle(klein_group())
-    spans = {frozenset(h.key() for h in subgroup_generated_by_hol(f)) for f in found}
+    spans = {frozenset(subgroup_generated_by_hol(f)) for f in found}
     assert len(spans) == 3
 
 
@@ -219,7 +234,7 @@ def test_oracle_matches_brute_force_cycle_lengths(hol_elements):
         brute = [h for h, length in zip(hol_elements(N), lengths)
                  if length == N.order]
         found = cyclic_regular_oracle(N)
-        assert [h.key() for h in found] == [h.key() for h in brute]
+        assert list(found) == brute
         # a walk moves at each step until it is back at the identity; only
         # translations that are the least of their Aut(N)-orbit are walked
         least = {min(int(p[a]) for p in automorphism_group(N)) for a in range(N.order)}
@@ -291,7 +306,7 @@ def test_composition_index_matches_tuple_lookup():
 
 def test_regular_subgroups_come_sorted_by_keys():
     for N in (cyclic_group(4), klein_group(), dihedral_group(8)):
-        keys = [[h.key() for h in s] for s in all_regular_subgroups(N)]
+        keys = [[(h.translation, h.twist) for h in s] for s in all_regular_subgroups(N)]
         assert keys == sorted(keys)
         assert all([a for a, _ in k] == list(range(N.order)) for k in keys)
 
@@ -311,9 +326,9 @@ def test_regular_subgroups_match_pairwise_closure_reference(ref_regular_subgroup
 def test_regular_subgroup_enumeration_covers_both_translations():
     N = cyclic_group(4)
     subs = all_regular_subgroups(N)
-    keys = [frozenset(h.key() for h in s) for s in subs]
-    assert frozenset(h.key() for h in rho_embedding(N)) in keys
-    lam = frozenset(h.key() for h in lambda_embedding(N))
+    keys = [frozenset(s) for s in subs]
+    assert frozenset(rho_embedding(N)) in keys
+    lam = frozenset(lambda_embedding(N))
     assert lam in keys  # abelian: lambda = rho
     for s in subs:
         assert is_regular_subgroup(N, s)
@@ -351,13 +366,12 @@ def test_crossed_round_trip_on_every_regular_subgroup():
         for sub in all_regular_subgroups(N):
             G, ch = crossed_from_regular(N, sub)
             back = regular_from_crossed(N, ch)
-            assert {h.key() for h in back} == {h.key() for h in sub}
+            assert set(back) == set(sub)
 
 
-def _regular_counts_by_dense_table(N, target):
+def _regular_counts_by_dense_table(H, target):
     """Independent enumeration: subgroup extension over the dense holomorph
-    table, pruned at the target order, then a regularity filter on labels."""
-    H = hol_group(N)
+    table H, pruned at the target order, then a regularity filter on labels."""
     rows = H.table.tolist()
 
     def closure(gens):
@@ -397,11 +411,11 @@ def _regular_counts_by_dense_table(N, target):
                and len({H.label(g)[0] for g in s}) == target)
 
 
-def test_regular_subgroup_counts_match_independent_enumeration():
+def test_regular_subgroup_counts_match_independent_enumeration(hol_group):
     for N in (klein_group(), cyclic_group(4), cyclic_group(6),
               cgroup_group(CGroupPresentation(3, 2, 2))):
         assert len(all_regular_subgroups(N)) == \
-            _regular_counts_by_dense_table(N, N.order)
+            _regular_counts_by_dense_table(hol_group(N), N.order)
 
 
 def test_regular_subgroup_count_for_elementary_8():

@@ -13,7 +13,7 @@ import pytest
 from holoreg import (CGroupPresentation, CrossedHom, GroupDefinitionError,
                      HolElements, HomomorphismError, all_regular_subgroups, automorphism_group, cgroup_group,
                      classify, crossed_from_regular, cyclic_group,
-                     dihedral_group, direct_product, hol_group,
+                     dihedral_group, direct_product,
                      is_regular_subgroup, quaternion_group,
                      regular_subgroup_as_group, rho_embedding,
                      skew_brace_from_regular, subgroup_generated,
@@ -46,8 +46,7 @@ def ref_product_table(N, elements):
 def ref_is_regular_subgroup(N, elements):
     if ref_product_table(N, elements) is None:
         raise GroupDefinitionError("set is not closed under composition")
-    keys = {h.key() for h in elements}
-    return len(keys) == len(elements) == len(set(elements.translations.tolist())) == N.order
+    return len(set(elements)) == len(elements) == len(set(elements.translations.tolist())) == N.order
 
 
 def ref_subgroup_generated_by_hol(h):
@@ -140,16 +139,15 @@ def test_witness_subgroups_match_reference(corpus_reps):
         if not verdict.realizable:
             continue
         sub = subgroup_generated_by_hol(verdict.witness)
-        assert [h.key() for h in sub] == ref_subgroup_generated_by_hol(verdict.witness)
+        assert [(h.translation, h.twist) for h in sub] == ref_subgroup_generated_by_hol(verdict.witness)
         _check_regular_subgroup(N, sub)
         checked += 1
     assert checked == 75
 
 
-def _hol_sets(N, rng):
+def _hol_sets(H, N, rng):
     """Subgroups of Hol(N) generated by one to three random elements, regular
-    or not, and random subsets of the size of N."""
-    H = hol_group(N)
+    or not, and random subsets of the size of N; H is the dense Hol(N)."""
     perms = automorphism_group(N)
     picks = [subgroup_generated(H, rng.choice(H.order, size=k)) for k in (1, 2, 3)
              for _ in range(6)]
@@ -167,10 +165,10 @@ def _hol_sets(N, rng):
 
 
 @pytest.mark.parametrize("make", ROUND_TRIP_GROUPS[:7])
-def test_closure_on_generators_decides_as_pairwise_closure(make):
+def test_closure_on_generators_decides_as_pairwise_closure(make, hol_group):
     N = make()
     rng = np.random.default_rng(N.order)
-    for elements in _hol_sets(N, rng):
+    for elements in _hol_sets(hol_group(N), N, rng):
         try:
             want = ref_is_regular_subgroup(N, elements)
         except GroupDefinitionError:

@@ -91,12 +91,12 @@ def test_decompose_witnesses_satisfy_relations():
 def test_decompose_alpha_matches_conjugation():
     N = faithful_order_84_group()
     dec = decompose(N)
-    for idx, t in enumerate(dec.p_to_n):
+    for idx, t in enumerate(dec.grid[:dec.p_group.order].tolist()):
         aut = dec.alpha[idx]
         for m in dec.m_elems:
-            i, j, a, b = dec.factorization(m)
+            i, j, a, b = dec.exps[dec.pos[m]].tolist()
             assert (a, b) == (0, 0)
-            assert dec.factorization(N.conj(m, t)) == (*aut.apply(i, j), 0, 0)
+            assert dec.exps[dec.pos[N.conj(m, t)]].tolist() == [*aut.apply(i, j), 0, 0]
 
 
 def test_action_check_rejects_a_non_action():

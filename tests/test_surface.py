@@ -1,9 +1,10 @@
-"""Every name the package exports is reached by the library, a demo or the
-bench, and every name a module of the package imports is read by it.
+"""Every function, class and method the package defines, and every name it
+exports, is reached by the library, a demo or the bench, and every name a
+module of the package imports is read by it.
 
 A name that only tests call belongs in ``tests/``; this guard keeps such
-names from drifting back into ``holoreg/__init__.py``, and keeps a module
-from importing what a rewrite stopped using.
+names from drifting back into ``src/``, and keeps a module from importing
+what a rewrite stopped using.
 """
 
 import ast
@@ -26,15 +27,40 @@ def _names_used(path: Path) -> set:
     return found
 
 
-def test_every_export_is_used_outside_the_tests():
+def _used_outside_the_tests() -> set:
     readers = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
                + sorted((ROOT / "demos").glob("*.py"))
                + sorted((ROOT / "bench").glob("*.py")))
-    used = set().union(*map(_names_used, readers))
+    return set().union(*map(_names_used, readers))
+
+
+def test_every_export_is_used_outside_the_tests():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    assert sorted(exported - used) == []
+    assert sorted(exported - _used_outside_the_tests()) == []
+
+
+# overrides that only the base class calls: argparse calls ``error`` on a
+# malformed command line
+OVERRIDES = {"_Parser.error"}
+
+
+def test_every_definition_is_used_outside_the_tests():
+    used = _used_outside_the_tests()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {child: f"{node.name}." for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = owners.get(node, "") + node.name
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if node.name not in used and not dunder and name not in OVERRIDES:
+                unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, "defined in src/ but read only by tests: " + ", ".join(unread)
 
 
 def _top_level_imports(tree) -> set:

@@ -64,10 +64,11 @@ def assert_split_matches_reference(N: FiniteGroup):
     assert (dec.p_kind, dec.m_exp, dec.r, dec.s) == shape, N.name
     kind, _, r, s = shape
     p_to_n, table = reference_words_and_table(N, len(dec.p_elems), kind, r, s)
-    assert dec.p_to_n == p_to_n, N.name
+    assert tuple(dec.grid[:dec.p_group.order].tolist()) == p_to_n, N.name
     assert dec.p_group.table.tolist() == table, N.name
-    alpha = tuple(aut_decompose(dec.pres, dec.factorization(N.conj(dec.x, t))[:2],
-                                dec.factorization(N.conj(dec.y, t))[:2]) for t in p_to_n)
+    exps = dec.exps[:, :2][dec.pos].tolist()  # N index -> (i, j)
+    alpha = tuple(aut_decompose(dec.pres, exps[N.conj(dec.x, t)], exps[N.conj(dec.y, t)])
+                  for t in p_to_n)
     assert dec.alpha == alpha, N.name
 
 

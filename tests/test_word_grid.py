@@ -92,8 +92,9 @@ def assert_grid_matches_reference(N: FiniteGroup, split_model) -> bool:
         return False
     verdict = classify(N)
     for d in filter(None, (dec, verdict.decomposition)):
-        assert [d.factorization(g) for g in range(N.order)] == ref_factors(d), N.name
-        assert d.p_to_n == ref_p_words(N, d.p_group, d.r, d.s), N.name
+        assert [tuple(row) for row in d.exps[d.pos].tolist()] == ref_factors(d), N.name
+        assert tuple(d.grid[:d.p_group.order].tolist()) == \
+            ref_p_words(N, d.p_group, d.r, d.s), N.name
     ndec = verdict.decomposition
     if not verdict.realizable or ndec is None:
         return False
