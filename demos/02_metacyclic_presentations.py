@@ -8,8 +8,7 @@ automorphism has a unique normal form theta^c phi_u psi_v.
 
 from holoreg import (CGroupAut, CGroupPresentation, aut_decompose,
                      automorphism_group, cgroup_aut_group, cgroup_group,
-                     geometric_sum, recognize_cgroup, standard_aut,
-                     unit_groups)
+                     geometric_sum, recognize_cgroup, unit_groups)
 
 M = CGroupPresentation(7, 3, 2)
 print(f"presentation C(7,3,2): z = {M.z}, theta order = {M.g_theta}, "
@@ -20,8 +19,8 @@ print("S(2, 3) mod 7 =", geometric_sum(2, 3, 7))
 print("(x y)^3 has coordinates", M.power(1, 1, 3))
 
 # the three generator families
-theta = standard_aut(M, "theta")
-phi3 = standard_aut(M, "phi", 3)
+theta = CGroupAut(M, 1, 1, 1)
+phi3 = CGroupAut(M, 0, 3, 1)
 print("theta sends y to x^z y:", theta.y_image())
 print("phi_3 after theta equals theta^3 after phi_3:",
       phi3.compose(theta) == CGroupAut(M, 3, 1, 1).compose(phi3))

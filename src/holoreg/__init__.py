@@ -20,7 +20,7 @@ from .groups import (BoundExceeded, FiniteGroup, GroupDefinitionError,
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
                       cgroup_aut_group, cgroup_auts, cgroup_group,
                       geometric_sum, multiplicative_order, recognize_cgroup,
-                      standard_aut, unit_groups)
+                      unit_groups)
 from .holomorph import (DEFAULT_HOL_BOUND, CrossedHom, HolElement,
                         HolElements, SkewBrace, all_regular_subgroups,
                         conjugation_perm, crossed_from_regular,

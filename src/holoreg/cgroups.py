@@ -116,12 +116,6 @@ class CGroupPresentation:
 
     # -- element arithmetic in (i, j) coordinates, meaning x^i y^j ---------
 
-    def mul(self, a, b):
-        i1, j1 = a
-        i2, j2 = b
-        return ((i1 + i2 * pow(self.k, j1, self.e)) % self.e if self.e > 1 else 0,
-                (j1 + j2) % self.d)
-
     def power(self, i: int, j: int, length: int):
         """(x^i y^j)^length = (i * S(k^j, length), j * length)."""
         if self.e == 1:
@@ -220,35 +214,6 @@ class CGroupAut:
         if self.pres.d > 1 and self.v != 1:
             parts.append(f"psi:{self.v}")
         return "*".join(parts) if parts else "id"
-
-
-def standard_aut(M: CGroupPresentation, kind: str, param: int = 1) -> CGroupAut:
-    """The generators theta, phi_u, psi_v, verified on the presentation relations."""
-    if kind == "theta":
-        aut = CGroupAut(M, param, 1, 1)
-    elif kind == "phi":
-        if math.gcd(param, M.e) != 1:
-            raise HomomorphismError(f"phi parameter {param} is not a unit mod {M.e}")
-        aut = CGroupAut(M, 0, param, 1)
-    elif kind == "psi":
-        if M.d > 1 and (math.gcd(param, M.d) != 1 or param % M.ord != 1 % M.ord):
-            raise HomomorphismError(
-                f"psi parameter {param} must be a unit mod {M.d} fixing k")
-        aut = CGroupAut(M, 0, 1, param)
-    else:
-        raise ValueError(f"unknown automorphism kind {kind!r}")
-    _verify_preserves_relations(aut)
-    return aut
-
-
-def _verify_preserves_relations(aut: CGroupAut):
-    p = aut.pres
-    xi = aut.apply(1 % p.e, 0)
-    yi = aut.apply(0, 1 % p.d)
-    if p.mul(yi, xi) != p.mul(p.power(*xi, p.k), yi):
-        raise HomomorphismError("conjugation relation y x y^-1 = x^k not preserved")
-    if p.power(*xi, p.e) != (0, 0) or p.power(*yi, p.d) != (0, 0):
-        raise HomomorphismError("generator order relation not preserved")
 
 
 def aut_decompose(M: CGroupPresentation, x_image, y_image) -> CGroupAut:

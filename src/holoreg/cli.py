@@ -24,7 +24,7 @@ from .holomorph import (DEFAULT_HOL_BOUND, _hol_perms, cyclic_regular_oracle,
                         skew_brace_from_regular, subgroup_generated_by_hol)
 from .realizability import (classify, classify_rump, corpus_representatives,
                             generate_corpus)
-from .specs import SpecError, load_cayley_table, parse_group_spec
+from .specs import _INTEGER, SpecError, load_cayley_table, parse_group_spec
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -250,6 +250,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """An option's integer, in the ASCII grammar of specs and tables."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="holoreg",
@@ -262,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--spec", help="group spec in the mini-language")
             cmd.add_argument("--table", help="path to a Cayley-table file")
         if name in ("oracle", "aut", "sweep"):
-            cmd.add_argument("--hol-bound", type=int, default=DEFAULT_HOL_BOUND,
+            cmd.add_argument("--hol-bound", type=_integer, default=DEFAULT_HOL_BOUND,
                              help=f"holomorph size bound (default {DEFAULT_HOL_BOUND})")
         if name == "sweep":
-            cmd.add_argument("--workers", type=int, default=1, help="parallel workers")
-            cmd.add_argument("--limit", type=int, default=None,
+            cmd.add_argument("--workers", type=_integer, default=1, help="parallel workers")
+            cmd.add_argument("--limit", type=_integer, default=None,
                              help="only sweep the first K corpus entries")
         cmd.add_argument("--out", help="write the report to this file")
     return parser

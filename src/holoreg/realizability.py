@@ -19,7 +19,7 @@ subgroup.  A brute-force oracle cross-checks every verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import Optional, Sequence
 
@@ -47,37 +47,57 @@ REASON_ALPHA = "fails-alpha-condition"
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A split N = M x| P with structured witnesses inside N.
+    """A split N = M x| P, built and checked from its witnesses inside N.
 
-    M is the normal Hall subgroup of odd order, held as its elements
-    ``m_elems`` of N with presentation witnesses x, y in N (M gets no table
-    of its own); P is a Sylow 2-subgroup with witnesses r, s satisfying the
-    dihedral or quaternion relations; alpha records conjugation by each
-    element of P as a canonical-form automorphism of M, derived from
-    conjugation by r and s alone.  Built only by ``_split`` and never changed afterwards.
+    M is the normal Hall subgroup of odd order, with presentation witnesses
+    x, y in N (M gets no table of its own); P is a Sylow 2-subgroup with
+    witnesses r, s meeting the relations of ``p_group``.  Building one
+    evaluates every word x^i y^j r^a s^b once and derives alpha, the
+    conjugation by each element of P as a canonical-form automorphism of
+    M; ``dataclasses.replace`` with new witnesses builds and checks the
+    split again.  Frozen.
 
-    Every element of N is one word x^i y^j r^a s^b.  Row k of ``exps`` is
-    (i, j, a, b) with k = (i d + j) |P| + t, where t is the index of r^a s^b
-    in ``p_group``: the index ``semidirect_product`` gives the label
-    ((i, j), (a, b)) in M x| P built from alpha.  ``grid[k]`` is that word
-    in N and ``pos`` its inverse permutation.
+    Row k of ``exps`` is (i, j, a, b) with k = (i d + j) |P| + t, where t is
+    the index of r^a s^b in ``p_group``: the index ``semidirect_product``
+    gives the label ((i, j), (a, b)) in M x| P built from alpha.
+    ``grid[k]`` is that word in N and ``pos`` its inverse permutation.
+
+    The one check that the words hit every element of N exactly once is
+    exact: x, y lie in M, r, s in P and |M| |P| = n, so the grid is a
+    bijection only if the words x^i y^j are exactly M and the words r^a s^b
+    exactly P.  Only conjugation by r and s is read off N (M, all odd-order
+    elements, is normal); ``action_from_generators`` extends it to P and
+    checks P's relations on it, which is exact by von Dyck's theorem.
     """
 
     group: FiniteGroup
-    m_elems: tuple
     pres: CGroupPresentation
     x: int
     y: int
-    p_elems: tuple
     p_group: FiniteGroup     # labelled by the words (a, b) for r^a s^b
     p_kind: str              # dihedral | quaternion | cyclic
-    m_exp: int               # |P| = 2^m_exp
     r: int
     s: int
-    alpha: tuple             # p_group index -> CGroupAut
-    exps: np.ndarray = field(compare=False)  # row k -> (i, j, a, b)
-    grid: np.ndarray = field(compare=False)  # row k -> x^i y^j r^a s^b in N
-    pos: np.ndarray = field(compare=False)   # N index -> row k
+    alpha: tuple = field(init=False)  # p_group index -> CGroupAut
+    exps: np.ndarray = field(init=False, compare=False)  # row k -> (i, j, a, b)
+    grid: np.ndarray = field(init=False, compare=False)  # row k -> x^i y^j r^a s^b in N
+    pos: np.ndarray = field(init=False, compare=False)   # N index -> row k
+
+    def __post_init__(self):
+        N, pres, P, x, y = self.group, self.pres, self.p_group, self.x, self.y
+        m, t = np.divmod(np.arange(pres.order * P.order), P.order)
+        exps = np.column_stack([m // pres.d, m % pres.d, np.array(P.labels)[t]])
+        grid = words(N, (x, y, self.r, self.s), exps)
+        pos = np.argsort(grid)
+        if not np.array_equal(grid[pos], np.arange(N.order)):
+            raise GroupDefinitionError("the words x^i y^j r^a s^b do not factor N uniquely")
+        for arr in (exps, grid, pos):
+            arr.setflags(write=False)
+        alpha = action_from_generators(P, *(  # from the (i, j) of each conjugate
+            aut_decompose(pres, *exps[pos[[N.conj(x, g), N.conj(y, g)]], :2].tolist())
+            for g in (self.r, self.s)))
+        for name, value in (("alpha", alpha), ("exps", exps), ("grid", grid), ("pos", pos)):
+            object.__setattr__(self, name, value)
 
     @property
     def alpha_image_size(self) -> int:
@@ -104,7 +124,8 @@ class Decomposition:
 
     def summary(self) -> str:
         return (f"e={self.pres.e} d={self.pres.d} k={self.pres.k} "
-                f"P={self.p_kind} m={self.m_exp} alpha_image={self.alpha_image_size}")
+                f"P={self.p_kind} m={self.p_group.order.bit_length() - 1} "
+                f"alpha_image={self.alpha_image_size}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +139,7 @@ class Verdict:
 
 
 def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]):
-    """Recognize a 2-subgroup as dihedral/quaternion/cyclic, with (kind, m, r, s).
+    """Recognize a 2-subgroup as dihedral/quaternion/cyclic, with (kind, r, s).
 
     A non-cyclic P is tested on one pair: r the first element of order |P|/2,
     s the first outside <r>.  The pair generates P, so it satisfies the
@@ -127,14 +148,14 @@ def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]):
     """
     order = len(p_elems)
     if order == 1:
-        return "cyclic", 0, p_elems[0], p_elems[0]
+        return "cyclic", p_elems[0], p_elems[0]
     m = order.bit_length() - 1
     if (1 << m) != order:
         return None
     orders = {g: G.order_of(g) for g in p_elems}
     cyclic_gen = next((g for g in p_elems if orders[g] == order), None)
     if cyclic_gen is not None:
-        return "cyclic", m, cyclic_gen, G.identity
+        return "cyclic", cyclic_gen, G.identity
     half = order // 2
     r = next((g for g in p_elems if orders[g] == half), None)
     if r is None:
@@ -145,9 +166,9 @@ def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]):
         return None
     s_sq = G.mul(s, s)
     if s_sq == G.identity:
-        return "dihedral", m, r, s
+        return "dihedral", r, s
     if m >= 3 and s_sq == G.power(r, half // 2):
-        return "quaternion", m, r, s
+        return "quaternion", r, s
     return None
 
 
@@ -158,31 +179,31 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
     holomorph of N has no cyclic regular subgroup.  P's shape, its table and
     its action all come from the one pair (r, s) of ``_two_group_witnesses``.
 
-    Past these checks ``_split`` cannot fail: conjugation by r or s is an
-    automorphism of M, which keeps the characteristic <x> (see
-    ``recognize_cgroup``), and r, s meet P's relations; so an error is a bug.
+    Past these checks building the ``Decomposition`` cannot fail:
+    conjugation by r or s is an automorphism of M, which keeps the
+    characteristic <x> (see ``recognize_cgroup``), and r, s meet P's
+    relations; so an error is a bug.
     """
     odd = _odd_part(N)
     if odd is None:
         return None
-    m_elems, pres, x, y = odd
     p_elems = sylow_subgroup(N, 2)
     shape = _two_group_witnesses(N, p_elems)
     if shape is None:
         return None
-    kind, m_exp, r, s = shape
+    kind, r, s = shape
     if kind == "cyclic":  # P labelled by the words (a, b) for r^a s^b, b = 0 when cyclic
         C = cyclic_group(len(p_elems))
         p_group = FiniteGroup(C.table, labels=[(a, 0) for a in C.labels], name=C.name)
     else:
         p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(len(p_elems))
-    return _split(N, m_elems, pres, x, y, p_elems, p_group, kind, m_exp, r, s)
+    return Decomposition(N, *odd, p_group, kind, r, s)
 
 
 @memoized
 def _odd_part(N: FiniteGroup) -> Optional[tuple]:
-    """(m_elems, pres, x, y) for the odd Hall part M of N, or None when M
-    does not exist or is not a C-group.
+    """(pres, x, y) for the odd Hall part M of N, or None when M does not
+    exist or is not a C-group.
 
     M is recognized inside N, from N's element orders (``recognize_cgroup``
     with Hall order |M|), so x and y are indices of N.  Memoized, so a
@@ -190,39 +211,7 @@ def _odd_part(N: FiniteGroup) -> Optional[tuple]:
     ``decompose`` made.
     """
     m_elems = normal_hall_odd_subgroup(N)
-    if m_elems is None:
-        return None
-    recognized = recognize_cgroup(N, len(m_elems))
-    return None if recognized is None else (m_elems, *recognized)
-
-
-def _split(N: FiniteGroup, m_elems: tuple, pres: CGroupPresentation,
-           x: int, y: int, p_elems: tuple, p_group: FiniteGroup, p_kind: str,
-           m_exp: int, r: int, s: int) -> Decomposition:
-    """The one builder of a Decomposition: every word x^i y^j r^a s^b
-    evaluated once, and the action alpha of P on M.
-
-    The one check that the words hit every element of N exactly once is
-    exact: x, y lie in M, r, s in P and |M| |P| = n, so the grid is a
-    bijection only if the words x^i y^j are exactly M and the words r^a s^b
-    exactly P.  Only conjugation by r and s is read off N (M, all odd-order
-    elements, is normal); ``action_from_generators`` extends it to P and
-    checks P's relations on it, which is exact by von Dyck's theorem.  No
-    check fails on the witnesses of ``decompose`` (see there).
-    """
-    m, t = np.divmod(np.arange(pres.order * p_group.order), p_group.order)
-    exps = np.column_stack([m // pres.d, m % pres.d, np.array(p_group.labels)[t]])
-    grid = words(N, (x, y, r, s), exps)
-    pos = np.argsort(grid)
-    if not np.array_equal(grid[pos], np.arange(N.order)):
-        raise GroupDefinitionError("the words x^i y^j r^a s^b do not factor N uniquely")
-    for arr in (exps, grid, pos):
-        arr.setflags(write=False)
-    alpha = action_from_generators(p_group, *(  # from the (i, j) of each conjugate
-        aut_decompose(pres, *exps[pos[[N.conj(x, g), N.conj(y, g)]], :2].tolist())
-        for g in (r, s)))
-    return Decomposition(N, m_elems, pres, x, y, p_elems, p_group, p_kind,
-                         m_exp, r, s, alpha, exps, grid, pos)
+    return None if m_elems is None else recognize_cgroup(N, len(m_elems))
 
 
 @memoized
@@ -255,10 +244,10 @@ def classify(N: FiniteGroup) -> Verdict:
 
 
 def _verify_witness(N: FiniteGroup, witness: HolElement):
+    """No order check: the twist is a bijection, so a cycle of length n
+    through the identity makes the witness an n-cycle, of order n."""
     if witness.cycle_length_through_identity() != N.order:
         raise GroupDefinitionError("constructed witness is not regular")
-    if witness.order() != N.order:
-        raise GroupDefinitionError("constructed witness has the wrong order")
 
 
 def cgroup_witness(N: FiniteGroup) -> HolElement:
@@ -300,7 +289,8 @@ def normalize_alpha(dec: Decomposition) -> Decomposition:
     along an automorphism of P moving an alpha-trivial element onto r; the
     new x, y are read off ``dec.grid`` along a canonical automorphism that
     conjugates the action of the new s, ``dec.alpha`` at its index, into the
-    phi family.  The split is rebuilt once if a witness moved, else never.
+    phi family.  The split is rebuilt, by ``replace``, once if a witness
+    moved, else never.
     """
     N, r, s = dec.group, dec.r, dec.s
     if not dec.alpha_r.is_identity:
@@ -325,16 +315,10 @@ def normalize_alpha(dec: Decomposition) -> Decomposition:
         x, y = (int(dec.grid[(i * d + j) * p.order + p.identity]) for i, j in
                 (pi_inv.apply(1 % dec.pres.e, 0), pi_inv.apply(0, 1 % d)))
     if (r, s, x, y) != (dec.r, dec.s, dec.x, dec.y):
-        dec = _rewitness(dec, r, s, x, y)
+        dec = replace(dec, x=x, y=y, r=r, s=s)
     if not dec.is_normalized:
         raise GroupDefinitionError("normalization failed to reach r trivial, s in the phi family")
     return dec
-
-
-def _rewitness(dec: Decomposition, r: int, s: int, x: int, y: int) -> Decomposition:
-    """The same split of the same N over new witnesses r, s, x, y."""
-    return _split(dec.group, dec.m_elems, dec.pres, x, y, dec.p_elems,
-                  dec.p_group, dec.p_kind, dec.m_exp, r, s)
 
 
 # -- explicit construction -----------------------------------------------------
@@ -399,7 +383,8 @@ def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> np.ndarray:
     fails, this image is trivial, which certifies non-realizability.
     """
     r2 = N.mul(dec.r, dec.r)
-    m0 = subgroup_generated(N, list(dec.m_elems) + [r2])
+    m_elems = dec.grid[dec.p_group.identity::dec.p_group.order]  # x^i y^j, i.e. M
+    m0 = subgroup_generated(N, m_elems.tolist() + [r2])
     Q, coset = quotient_group(N, m0)
     coset = np.asarray(coset, dtype=np.int32)
     images = coset[automorphism_group(N)]   # images[a, g]: coset of aut a of g

@@ -83,6 +83,27 @@ def cgroup_test_groups(cgroup_test_presentations):
 
 
 @pytest.fixture(scope="session")
+def ref_preserves_relations():
+    """``check(aut)``: raises HomomorphismError unless the images of x and
+    y under a canonical automorphism meet the defining relations x^e = 1,
+    y^d = 1 and y x y^-1 = x^k, computed in (i, j) coordinates."""
+    def mul(p, a, b):
+        (i1, j1), (i2, j2) = a, b
+        return ((i1 + i2 * pow(p.k, j1, p.e)) % p.e if p.e > 1 else 0,
+                (j1 + j2) % p.d)
+
+    def check(aut):
+        p = aut.pres
+        xi = aut.apply(1 % p.e, 0)
+        yi = aut.apply(0, 1 % p.d)
+        if mul(p, yi, xi) != mul(p, p.power(*xi, p.k), yi):
+            raise HomomorphismError("conjugation relation y x y^-1 = x^k not preserved")
+        if p.power(*xi, p.e) != (0, 0) or p.power(*yi, p.d) != (0, 0):
+            raise HomomorphismError("generator order relation not preserved")
+    return check
+
+
+@pytest.fixture(scope="session")
 def relabel():
     """``relabel(G, rng)``: G with its elements renumbered at random, index 0
     kept at 0.  G is a FiniteGroup, which comes back with its labels, label

@@ -14,7 +14,7 @@ from holoreg import (BoundExceeded, CGroupPresentation, FiniteGroup,
                      closed_form_products, commutator_subgroup,
                      construct, cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
-                     HolElement, is_regular_subgroup,
+                     HolElement, is_regular_subgroup, normal_hall_odd_subgroup,
                      parse_group_spec, quaternion_group, quotient_action_probe,
                      quotient_group, recognize_cgroup,
                      semidirect_product, subgroup_generated,
@@ -354,7 +354,8 @@ def test_criterion_9_structural_lemma_suite(corpus_reps):
         if big_p and not dec.alpha_r.is_identity:
             probe = quotient_action_probe(N, dec)
             _, coset = quotient_group(
-                N, subgroup_generated(N, list(dec.m_elems) + [N.mul(dec.r, dec.r)]))
+                N, subgroup_generated(N, list(normal_hall_odd_subgroup(N))
+                                      + [N.mul(dec.r, dec.r)]))
             for induced in probe:
                 ok = ok and induced[coset[dec.r]] == coset[dec.r]
                 ok = ok and induced[coset[dec.s]] == coset[dec.s]

@@ -8,8 +8,8 @@ from holoreg import (CGroupAut, CGroupPresentation, GroupDefinitionError,
                      HomomorphismError, aut_decompose, automorphism_group,
                      cgroup_aut_group, cgroup_group, cyclic_group,
                      dihedral_group, find_isomorphism, geometric_sum,
-                     multiplicative_order, recognize_cgroup, standard_aut,
-                     unit_groups, words)
+                     multiplicative_order, recognize_cgroup, unit_groups,
+                     words)
 
 
 def brute_geometric_sum(h, length, modulus):
@@ -70,22 +70,23 @@ def test_power_matches_repeated_table_multiplication(cgroup_test_groups):
                 assert G.labels.index(pres.power(i, j, length)) == expected
 
 
-def element_order(pres, i, j):
-    """The order of x^i y^j in C(e, d, k), stepping by the order of y^j."""
+def element_order(pres, G, i, j):
+    """The order of x^i y^j in C(e, d, k), stepping by the order of y^j:
+    the power formula gives the step, G's table multiplies the steps."""
     jo = pres.d // math.gcd(pres.d, j % pres.d) if pres.d > 1 else 1
-    cur = pres.power(i, j, jo)
-    step = jo
-    while cur != (0, 0):
-        cur = pres.mul(cur, pres.power(i, j, jo))
-        step += jo
-    return step
+    step = G.labels.index(pres.power(i, j, jo))
+    cur, length = step, jo
+    while cur != G.identity:
+        cur = G.mul(cur, step)
+        length += jo
+    return length
 
 
 def test_element_order_via_power_formula(cgroup_test_groups):
     for pres, G in cgroup_test_groups:
         for g in range(G.order):
             i, j = G.label(g)
-            assert element_order(pres, i, j) == G.order_of(g)
+            assert element_order(pres, G, i, j) == G.order_of(g)
 
 
 # -- presentation invariants -----------------------------------------------------
@@ -139,28 +140,28 @@ def test_theta_has_odd_order_for_odd_group(cgroup_test_presentations):
 
 def test_theta_shifts_y_by_z():
     M = CGroupPresentation(7, 3, 2)
-    theta = standard_aut(M, "theta")
+    theta = CGroupAut(M, 1, 1, 1)
     assert theta.y_image() == (M.z % 7, 1)  # z = 1, so y -> x y
 
 
 def test_phi_with_unit_one_is_identity():
     M = CGroupPresentation(7, 3, 2)
-    assert standard_aut(M, "phi", 1).is_identity
+    assert CGroupAut(M, 0, 1, 1).is_identity
 
 
 def test_psi_trivial_when_unit_group_trivial():
     M = CGroupPresentation(7, 3, 2)
     _, ukd = unit_groups(M)
     assert ukd == [1]
-    assert standard_aut(M, "psi", 1).is_identity
+    assert CGroupAut(M, 0, 1, 1).is_identity
 
 
 def test_standard_aut_rejects_non_units():
     M = CGroupPresentation(7, 3, 2)
     with pytest.raises(HomomorphismError):
-        standard_aut(M, "phi", 7)
+        CGroupAut(M, 0, 7, 1)
     with pytest.raises(HomomorphismError):
-        standard_aut(M, "psi", 2)  # 2 is a unit mod 3 but 2 != 1 mod ord = 3
+        CGroupAut(M, 0, 1, 2)  # 2 is a unit mod 3 but 2 != 1 mod ord = 3
 
 
 def test_unit_groups_full_and_restricted():
@@ -172,9 +173,9 @@ def test_unit_groups_full_and_restricted():
 
 def test_phi_theta_braiding():
     M = CGroupPresentation(7, 3, 2)
-    theta = standard_aut(M, "theta")
+    theta = CGroupAut(M, 1, 1, 1)
     for u in (2, 3, 6):
-        phi = standard_aut(M, "phi", u)
+        phi = CGroupAut(M, 0, u, 1)
         lhs = phi.compose(theta)
         rhs = CGroupAut(M, u, 1, 1).compose(phi)  # theta^u then phi
         assert lhs == rhs
@@ -182,7 +183,7 @@ def test_phi_theta_braiding():
 
 def test_theta_power_g_is_identity():
     M = CGroupPresentation(7, 3, 2)
-    theta = standard_aut(M, "theta")
+    theta = CGroupAut(M, 1, 1, 1)
     acc = CGroupAut(M, 0, 1, 1)
     for _ in range(M.g_theta):
         acc = theta.compose(acc)
@@ -193,12 +194,12 @@ def test_psi_commutes_with_theta_and_phi():
     M = CGroupPresentation(7, 9, 2)
     _, ukd = unit_groups(M)
     assert ukd == [1, 4, 7]
-    theta = standard_aut(M, "theta")
+    theta = CGroupAut(M, 1, 1, 1)
     for v in ukd:
-        psi = standard_aut(M, "psi", v)
+        psi = CGroupAut(M, 0, 1, v)
         assert psi.compose(theta) == theta.compose(psi)
         for u in (2, 3):
-            phi = standard_aut(M, "phi", u)
+            phi = CGroupAut(M, 0, u, 1)
             assert psi.compose(phi) == phi.compose(psi)
 
 

@@ -125,6 +125,19 @@ def test_invalid_limit_and_workers_exit_2(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["oracle", "--spec", "cyclic 3", "--hol-bound", "٦"],
+                                  ["aut", "--spec", "cyclic 3", "--hol-bound", "2_0"],
+                                  ["sweep", "--limit", "1_0"],
+                                  ["sweep", "--limit", " 1"],
+                                  ["sweep", "--workers", "١", "--limit", "0"]])
+def test_option_integers_follow_the_ascii_grammar(argv, capsys):
+    # the grammar of spec and table integers: ASCII digits, one optional sign
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["classify", "--spec", "cyclic 3", "--bogus"],
                                   ["classify", "--spec", "cyclic 3", "--hol-bound", "7"],
                                   [],
@@ -428,11 +441,11 @@ def test_error_writes_no_out_file(tmp_path, capsys):
 
 # a Latin square with identity 0 that is not associative: the loop L5
 LOOP5 = b"order 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
-BOUNDS = ["1", "6", "100", "20000", "0", "-5", "1e3", "٣"]
+BOUNDS = ["1", "6", "100", "20000", "0", "-5", "1e3", "٣", "2_0", "+6"]
 # options that some command does not take, or takes with a bad value;
 # --workers is never above 1, so no process pool starts
-STRAY = [["--bogus"], ["--workers", "1"], ["--workers", "0"], ["--limit", "1"],
-         ["--limit", "-1"], ["--hol-bound"], ["--spec", "cyclic 3"], ["--table", "missing.tbl"],
+STRAY = [["--bogus"], ["--workers", "1"], ["--workers", "0"], ["--workers", "١"],
+         ["--limit", "1"], ["--limit", "-1"], ["--limit", "1_0"], ["--hol-bound"], ["--spec", "cyclic 3"], ["--table", "missing.tbl"],
          ["->"]]
 
 

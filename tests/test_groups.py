@@ -695,7 +695,9 @@ def test_label_round_trip_in_presented_groups():
         i, j = G.label(g)
         for h in range(G.order):
             i2, j2 = G.label(h)
-            assert G.label(G.mul(g, h)) == pres.mul((i, j), (i2, j2))
+            # x^i y^j x^i2 y^j2 = x^(i + i2 k^j) y^(j + j2)
+            assert G.label(G.mul(g, h)) == ((i + i2 * pow(pres.k, j, pres.e)) % pres.e,
+                                            (j + j2) % pres.d)
 
 
 def test_twogroup_label_relation():

@@ -14,14 +14,15 @@ from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
                      closed_form_products, construct, corpus_representatives,
                      cyclic_group, cyclic_regular_oracle, decompose,
                      dihedral_group, direct_product, find_isomorphism,
-                     generate_corpus, normalize_alpha, parse_group_spec,
-                     quaternion_group, quotient_action_probe, quotient_group,
-                     semidirect_product, standard_aut, subgroup_generated,
+                     generate_corpus, normal_hall_odd_subgroup,
+                     normalize_alpha, parse_group_spec, quaternion_group,
+                     quotient_action_probe, quotient_group,
+                     semidirect_product, subgroup_generated,
                      twisted_partial_products)
 from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
-                                   REASON_P_SHAPE, _corpus, _rewitness)
-from holoreg import realizability, specs
+                                   REASON_P_SHAPE, Decomposition, _corpus)
+from holoreg import specs
 from holoreg.specs import action_from_generators
 
 
@@ -51,7 +52,7 @@ def test_decompose_order_84_group():
     dec = decompose(N)
     assert dec is not None
     assert dec.pres.order == 21
-    assert dec.p_kind == "dihedral" and dec.m_exp == 2
+    assert dec.p_kind == "dihedral" and dec.p_group.order == 4
     assert dec.alpha_image_size == 4
     with pytest.raises(dataclasses.FrozenInstanceError):
         dec.r = dec.s
@@ -93,7 +94,7 @@ def test_decompose_alpha_matches_conjugation():
     dec = decompose(N)
     for idx, t in enumerate(dec.grid[:dec.p_group.order].tolist()):
         aut = dec.alpha[idx]
-        for m in dec.m_elems:
+        for m in normal_hall_odd_subgroup(N):
             i, j, a, b = dec.exps[dec.pos[m]].tolist()
             assert (a, b) == (0, 0)
             assert dec.exps[dec.pos[N.conj(m, t)]].tolist() == [*aut.apply(i, j), 0, 0]
@@ -104,9 +105,9 @@ def test_action_check_rejects_a_non_action():
     # only s -> phi:6 is an action of the Klein group
     P = klein_group()
     pres = CGroupPresentation(7, 1, 1)
-    ident = standard_aut(pres, "phi", 1)
+    ident = CGroupAut(pres, 0, 1, 1)
     for u, is_action in ((6, True), (2, False)):
-        phi = standard_aut(pres, "phi", u)
+        phi = CGroupAut(pres, 0, u, 1)
         if is_action:
             alpha = action_from_generators(P, ident, phi)
             assert alpha == tuple(phi if b else ident for _, b in P.labels)
@@ -235,13 +236,13 @@ def _split_with_s_outside_phi_family():
         pytest.fail("the action should have image of order 2")
     if not dec.alpha_r.is_identity:
         if dec.alpha_s.is_identity:
-            dec = _rewitness(dec, dec.s, dec.r, dec.x, dec.y)
+            dec = dataclasses.replace(dec, r=dec.s, s=dec.r)
         else:
-            dec = _rewitness(dec, N.mul(dec.r, dec.s), dec.s, dec.x, dec.y)
+            dec = dataclasses.replace(dec, r=N.mul(dec.r, dec.s))
     # grid row (i d + j) |P| holds x^i y^j r^0 s^0
     x_z = int(dec.grid[(dec.pres.z % 7) * dec.pres.d * dec.p_group.order])
     theta_shifted_y = N.mul(x_z, dec.y)
-    return N, _rewitness(dec, dec.r, dec.s, dec.x, theta_shifted_y)
+    return N, dataclasses.replace(dec, y=theta_shifted_y)
 
 
 def test_normalize_conjugates_s_action_into_phi_family(split_model):
@@ -264,15 +265,15 @@ def test_normalize_rebuilds_the_split_at_most_once(monkeypatch):
     # nontrivially, and the s that takes its place acts outside the phi
     # family; both are read off the given split, which is rebuilt once
     _, mid = _split_with_s_outside_phi_family()
-    dec = _rewitness(mid, mid.s, mid.r, mid.x, mid.y)
+    dec = dataclasses.replace(mid, r=mid.s, s=mid.r)
     assert not dec.alpha_r.is_identity and mid.alpha_s.c != 0
-    calls, split = [], realizability._split
+    calls, build = [], Decomposition.__post_init__
 
-    def counting(*args):
-        calls.append(args)
-        return split(*args)
+    def counting(self):
+        calls.append(self)
+        build(self)
 
-    monkeypatch.setattr(realizability, "_split", counting)
+    monkeypatch.setattr(Decomposition, "__post_init__", counting)
     ndec = normalize_alpha(dec)
     assert len(calls) == 1 and ndec.is_normalized
     # the same witnesses as taking the two moves one at a time
@@ -368,7 +369,7 @@ def test_probe_matches_coset_by_coset_reference(corpus_reps):
     for N in groups:
         dec = decompose(N)
         Q, coset = quotient_group(N, subgroup_generated(
-            N, list(dec.m_elems) + [N.mul(dec.r, dec.r)]))
+            N, list(normal_hall_odd_subgroup(N)) + [N.mul(dec.r, dec.r)]))
         induced = set()
         for perm in automorphism_group(N):
             img = [None] * Q.order

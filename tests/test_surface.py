@@ -8,37 +8,53 @@ what a rewrite stopped using.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "holoreg"
 
 
-def _names_used(path: Path) -> set:
-    """The names a module reads or imports; strings (docstrings) do not count."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+def _parse(path: Path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _reads(tree) -> tuple:
+    """(names, attributes): the names a module reads or imports, and the
+    attributes it reads as ``obj.name``; strings (docstrings) do not count."""
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            found.update(alias.name for alias in node.names)
-    return found
+            names.update(alias.name for alias in node.names)
+    return names, attributes
 
 
-def _used_outside_the_tests() -> set:
-    readers = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-               + sorted((ROOT / "demos").glob("*.py"))
-               + sorted((ROOT / "bench").glob("*.py")))
-    return set().union(*map(_names_used, readers))
+def _readers() -> list:
+    return ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+            + sorted((ROOT / "demos").glob("*.py"))
+            + sorted((ROOT / "bench").glob("*.py")))
+
+
+def _read_outside_the_tests(trees) -> tuple:
+    """The (names, attributes) that any of ``trees`` reads."""
+    names, attributes = set(), set()
+    for tree in trees:
+        n, a = _reads(tree)
+        names |= n
+        attributes |= a
+    return names, attributes
 
 
 def test_every_export_is_used_outside_the_tests():
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    init = _parse(PACKAGE / "__init__.py")
     exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    assert sorted(exported - _used_outside_the_tests()) == []
+    names, attributes = _read_outside_the_tests(map(_parse, _readers()))
+    assert sorted(exported - names - attributes) == []
 
 
 # overrides that only the base class calls: argparse calls ``error`` on a
@@ -46,21 +62,49 @@ def test_every_export_is_used_outside_the_tests():
 OVERRIDES = {"_Parser.error"}
 
 
-def test_every_definition_is_used_outside_the_tests():
-    used = _used_outside_the_tests()
+def _unread_definitions(modules, names: set, attributes: set) -> list:
+    """``file:line name`` of each definition in ``modules`` (file name ->
+    tree) that nothing reads: a method counts as read only through an
+    attribute read, any other definition through a name, an import or an
+    attribute read."""
     unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        owners = {child: f"{node.name}." for node in ast.walk(tree)
+    for filename, tree in modules.items():
+        owners = {child: node.name for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) for child in node.body}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            name = owners.get(node, "") + node.name
+            owner = owners.get(node)
+            name = node.name if owner is None else f"{owner}.{node.name}"
+            read = node.name in attributes or (owner is None and node.name in names)
             dunder = node.name.startswith("__") and node.name.endswith("__")
-            if node.name not in used and not dunder and name not in OVERRIDES:
-                unread.append(f"{path.name}:{node.lineno} {name}")
+            if not read and not dunder and name not in OVERRIDES:
+                unread.append(f"{filename}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_definition_is_used_outside_the_tests():
+    modules = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    unread = _unread_definitions(modules, *_read_outside_the_tests(map(_parse, _readers())))
     assert not unread, "defined in src/ but read only by tests: " + ", ".join(unread)
+
+
+def test_a_method_is_not_read_through_a_local_name():
+    module = ast.parse(textwrap.dedent("""
+        class Box:
+            def key(self):
+                return 1
+
+        def helper():
+            key = 2
+            return key
+    """))
+    reader = ast.parse("helper()\nbox = Box()\n")
+    reads = _read_outside_the_tests([module, reader])
+    assert _unread_definitions({"box.py": module}, *reads) == ["box.py:3 Box.key"]
+    calls = ast.parse("helper()\nBox().key()\n")
+    assert _unread_definitions({"box.py": module},
+                               *_read_outside_the_tests([module, calls])) == []
 
 
 def _top_level_imports(tree) -> set:
@@ -79,7 +123,7 @@ def test_every_top_level_import_is_read():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parse(path)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         missing = sorted(_top_level_imports(tree) - read)
         if missing:

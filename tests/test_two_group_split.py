@@ -13,7 +13,7 @@ import pytest
 
 from holoreg import (FiniteGroup, aut_decompose, cyclic_group, decompose,
                      dihedral_group, direct_product, quaternion_group,
-                     semidirect_product, subgroup_generated)
+                     semidirect_product, subgroup_generated, sylow_subgroup)
 from holoreg.realizability import _two_group_witnesses
 
 
@@ -60,10 +60,11 @@ def reference_words_and_table(N: FiniteGroup, p_order: int, kind: str, r: int, s
 
 def assert_split_matches_reference(N: FiniteGroup):
     dec = decompose(N)
-    shape = reference_witnesses(N, dec.p_elems)
-    assert (dec.p_kind, dec.m_exp, dec.r, dec.s) == shape, N.name
+    shape = reference_witnesses(N, sylow_subgroup(N, 2))
+    m = dec.p_group.order.bit_length() - 1  # |P| = 2^m
+    assert (dec.p_kind, m, dec.r, dec.s) == shape, N.name
     kind, _, r, s = shape
-    p_to_n, table = reference_words_and_table(N, len(dec.p_elems), kind, r, s)
+    p_to_n, table = reference_words_and_table(N, dec.p_group.order, kind, r, s)
     assert tuple(dec.grid[:dec.p_group.order].tolist()) == p_to_n, N.name
     assert dec.p_group.table.tolist() == table, N.name
     exps = dec.exps[:, :2][dec.pos].tolist()  # N index -> (i, j)

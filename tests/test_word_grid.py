@@ -1,21 +1,23 @@
 """Every element of a split N = M x| P is one word x^i y^j r^a s^b, read off
-the one grid ``_split`` evaluates.  Each reader of the grid is compared with
-the plain loop it replaced, kept here as the reference, and the grid's one
-uniqueness check is covered for each witness fault the loops used to catch.
+the one grid a ``Decomposition`` evaluates when it is built.  Each reader of
+the grid is compared with the plain loop it replaced, kept here as the
+reference, and the grid's one uniqueness check is covered for each witness
+fault the loops used to catch.
 
 The loops: x^i y^j by repeated products, the words r^a s^b by ``N.power``,
 x^i y^j r^a s^b from those two, the isomorphism onto the abstract model
 M x| P through a label dict, and xi evaluated one element at a time.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from holoreg import (FiniteGroup, GroupDefinitionError, classify,
-                     construct, cyclic_group, decompose, dihedral_group,
-                     direct_product, parse_group_spec, quaternion_group,
-                     words)
-from holoreg.realizability import _rewitness
+from holoreg import (Decomposition, FiniteGroup, GroupDefinitionError,
+                     classify, construct, cyclic_group, decompose,
+                     dihedral_group, direct_product, parse_group_spec,
+                     quaternion_group, words)
 
 UNIQUE = r"^the words x\^i y\^j r\^a s\^b do not factor N uniquely$"
 
@@ -51,11 +53,10 @@ def ref_p_words(N, p_group, r, s):
 def ref_factors(dec):
     """factors[g] = (i, j, a, b) with g = x^i y^j r^a s^b."""
     N = dec.group
-    coords, _ = ref_cgroup_coordinates(N, dec.x, dec.y, dec.pres)
+    _, index_of = ref_cgroup_coordinates(N, dec.x, dec.y, dec.pres)
     p_to_n = ref_p_words(N, dec.p_group, dec.r, dec.s)
     out = [None] * N.order
-    for m in dec.m_elems:
-        i, j = coords[m]
+    for (i, j), m in index_of.items():
         for pi, t in enumerate(p_to_n):
             a, b = dec.p_group.label(pi)
             out[N.mul(m, t)] = (i, j, a, b)
@@ -170,29 +171,60 @@ def split_15_by_d8():
     return dec
 
 
+@pytest.fixture(scope="module")
+def split_7_3_by_klein():
+    """A split with e = 7, d = 3 and P the Klein group, so x and y have
+    different orders and both are nontrivial."""
+    N = parse_group_spec("semidirect (cgroup 7 3 2) (dihedral 4) alpha r->id s->phi:6")
+    dec = decompose(N)
+    assert (dec.pres.e, dec.pres.d, dec.p_kind, dec.p_group.order) == (7, 3, "dihedral", 4)
+    return dec
+
+
 def test_grid_check_rejects_an_x_of_smaller_order(split_15_by_d8):
     dec = split_15_by_d8
     x3 = dec.group.power(dec.x, 3)
     with pytest.raises(GroupDefinitionError, match=UNIQUE):
-        _rewitness(dec, dec.r, dec.s, x3, dec.y)
+        replace(dec, x=x3)
 
 
 def test_grid_check_rejects_r_squared(split_15_by_d8):
     dec = split_15_by_d8
     r2 = dec.group.mul(dec.r, dec.r)
     with pytest.raises(GroupDefinitionError, match=UNIQUE):
-        _rewitness(dec, r2, dec.s, dec.x, dec.y)
+        replace(dec, r=r2)
 
 
 def test_grid_check_rejects_s_inside_r(split_15_by_d8):
     dec = split_15_by_d8
     r3 = dec.group.power(dec.r, 3)
     with pytest.raises(GroupDefinitionError, match=UNIQUE):
-        _rewitness(dec, dec.r, r3, dec.x, dec.y)
+        replace(dec, s=r3)
 
 
 def test_decompositions_compare_without_their_arrays(split_15_by_d8):
     dec = split_15_by_d8
-    again = _rewitness(dec, dec.r, dec.s, dec.x, dec.y)
+    again = replace(dec)
     assert again == dec and again.grid is not dec.grid
     assert not any(a.flags.writeable for a in (dec.exps, dec.grid, dec.pos))
+
+
+def test_constructor_rejects_swapped_x_and_y(split_7_3_by_klein):
+    dec = split_7_3_by_klein
+    with pytest.raises(GroupDefinitionError, match=UNIQUE):
+        Decomposition(dec.group, dec.pres, dec.y, dec.x, dec.p_group, dec.p_kind,
+                      dec.r, dec.s)
+
+
+def test_constructor_rejects_r_at_the_identity(split_7_3_by_klein):
+    dec = split_7_3_by_klein
+    with pytest.raises(GroupDefinitionError, match=UNIQUE):
+        Decomposition(dec.group, dec.pres, dec.x, dec.y, dec.p_group, dec.p_kind,
+                      dec.group.identity, dec.s)
+
+
+def test_replace_checks_the_new_witnesses(split_7_3_by_klein):
+    dec = split_7_3_by_klein
+    with pytest.raises(GroupDefinitionError, match=UNIQUE):
+        replace(dec, r=dec.s)
+    assert replace(dec, r=dec.group.mul(dec.r, dec.s)).r != dec.r
