@@ -246,7 +246,12 @@ def aut_decompose(M: CGroupPresentation, x_image, y_image) -> CGroupAut:
 
 
 def cgroup_group(M: CGroupPresentation) -> FiniteGroup:
-    """The presented group as a Cayley table with (i, j) labels, index i*d + j."""
+    """The presented group as a Cayley table with (i, j) labels, index i*d + j.
+
+    (x^i1 y^j1)(x^i2 y^j2) = x^(i1 + i2 k^j1) y^(j1 + j2), the product of
+    Z/e x| Z/d with y acting as x -> x^k: the checked presentation makes k
+    a unit mod e whose order divides d, so that action is a homomorphism
+    and this is a group's table, with identity 0."""
     e, d, k = M.e, M.d, M.k
     n = e * d
     check_table_size(n)
@@ -261,7 +266,8 @@ def cgroup_group(M: CGroupPresentation) -> FiniteGroup:
     new_j = (j1 + j2) % d
     table = (new_i * d + new_j).astype(np.int32)
     labels = [(int(i), int(j)) for i in range(e) for j in range(d)]
-    return FiniteGroup(table, labels=labels, name=M.spec, label_style="cgroup")
+    return FiniteGroup._from_builder(table, 0, labels=labels, name=M.spec,
+                                     label_style="cgroup")
 
 
 @memoized

@@ -2,10 +2,12 @@
 
 Every group is an ``n x n`` table of element indices.  Structured labels
 (generator-exponent tuples) ride alongside the table so that symbolic
-formulas can be read back from a concrete group.  All objects are immutable
-after construction and every function here is pure, so values may be shared
-freely between threads.  Values computed from a group by other functions are
-cached per group through ``memoized``.
+formulas can be read back from a concrete group.  A table is validated as a
+group once: on construction when it comes from outside, and through its
+builder's checked inputs when a builder here or in ``cgroups`` makes it.
+All objects are immutable after construction and every function here is
+pure, so values may be shared freely between threads.  Values computed
+from a group by other functions are cached per group through ``memoized``.
 """
 
 from __future__ import annotations
@@ -50,18 +52,46 @@ def _as_int_table(table) -> np.ndarray:
     return arr
 
 
+def _label_tuple(labels, n: int) -> Optional[tuple]:
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise GroupDefinitionError("labels length must match group order")
+    return labels
+
+
+def _find_identity(table: np.ndarray) -> int:
+    idx = np.arange(table.shape[0], dtype=np.int32)
+    for e in range(table.shape[0]):
+        if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
+            return e
+    raise GroupDefinitionError("table has no two-sided identity")
+
+
 class FiniteGroup:
     """A finite group given by a Cayley table on element indices 0..n-1.
 
-    ``table[a, b]`` is the index of the product ``a*b``.  Construction
-    validates the identity, that every row holds the identity (which gives
-    ``inverses``), and associativity on all triples at every order (Light's
-    test over a generating sequence).  An associative table with an identity
-    and right inverses is a group, so it is a Latin square.  Both passes
-    read the table a block of rows at a time and allocate no n x n
-    temporary.  ``generators`` is the generating sequence Light's test
-    walked: each member the least index not reached from the identity by
-    right products with the earlier ones.
+    ``table[a, b]`` is the index of the product ``a*b``.  A table reaches a
+    group by one of two provenances:
+
+    - ``FiniteGroup(table)``, for a table from anywhere else (a file, user
+      code, a regular subgroup or a brace's circle group, Aut(C(e, d, k))),
+      validates the identity, that every row holds the identity (which
+      gives ``inverses``), and associativity on all triples at every order
+      (Light's test over a generating sequence).  An associative table with
+      an identity and right inverses is a group, so it is a Latin square.
+      Both passes read the table a block of rows at a time and allocate no
+      n x n temporary.
+    - ``FiniteGroup._from_builder``, for the table of a builder whose
+      checked inputs prove it a group (the closed forms, a C-group
+      presentation, a semidirect product under a checked action, a
+      quotient by a checked normal subgroup), takes the identity from the
+      builder and checks nothing.
+
+    Either way ``generators`` is the same greedy generating sequence: each
+    member the least index not reached from the identity by right products
+    with the earlier ones, the sequence Light's test walks.
     """
 
     def __init__(self, table, labels=None, name: str = "",
@@ -72,29 +102,39 @@ class FiniteGroup:
             raise GroupDefinitionError("empty Cayley table")
         if table.min() < 0 or table.max() >= n:
             raise GroupDefinitionError("table entries must be element indices")
+        labels = _label_tuple(labels, n)
+        self._fill(table, _find_identity(table), labels, name, label_style,
+                   self._light_column)
+
+    @classmethod
+    def _from_builder(cls, table: np.ndarray, identity: int, labels=None,
+                      name: str = "", label_style: Optional[str] = None) -> FiniteGroup:
+        """The group of an int32 ``table`` that its builder has proven a
+        group, with ``identity`` its identity index: no table check runs.
+        Only the builders ``tests/test_surface.py`` lists may call this, each
+        with the argument that makes its table exact."""
+        G = cls.__new__(cls)
+        G._fill(table, identity, _label_tuple(labels, len(table)), name, label_style,
+                lambda g: table[:, g])
+        return G
+
+    def _fill(self, table: np.ndarray, identity: int, labels, name: str,
+              label_style: Optional[str], right_column: Callable) -> None:
+        """Set every field; ``right_column(g)`` returns the column u -> u*g,
+        after whatever check of g the provenance asks for."""
+        n = table.shape[0]
         self.table = table
         self.order = n
         self.name = name
         self.label_style = label_style
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise GroupDefinitionError("labels length must match group order")
         self.labels = labels
-        self.identity = self._find_identity()
+        self.identity = identity
         self.inverses = self._right_inverses()
-        self.generators = self._check_associative()
+        self.generators = greedy_closure(n, identity, right_column)
         table.setflags(write=False)
         self.memo = {}  # filled only by ``memoized``
 
     # -- construction checks ------------------------------------------------
-
-    def _find_identity(self) -> int:
-        idx = np.arange(self.order, dtype=np.int32)
-        for e in range(self.order):
-            if np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx):
-                return e
-        raise GroupDefinitionError("table has no two-sided identity")
 
     def _row_blocks(self):
         """Slices of about 2^16 table entries each, a whole number of rows."""
@@ -131,27 +171,22 @@ class FiniteGroup:
         inv.setflags(write=False)
         return inv
 
-    def _check_associative(self) -> tuple:
-        """Light's test: (a*g)*b == a*(g*b) for all a, b, checked only for g
-        in a generating sequence, each g the least index not yet reached,
-        and for each g one block of rows a at a time.
+    def _light_column(self, g: int) -> np.ndarray:
+        """Light's test at g: (a*g)*b == a*(g*b) for all a, b, one block of
+        rows a at a time; returns the column u -> u*g.
 
-        Exact for any table with an identity: the g that pass contain the
-        identity and are closed under the product, and every element is a
-        left-nested product of the sequence.  Returns the sequence.
+        Walked by ``greedy_closure``, it is exact for any table with an
+        identity: the g that pass contain the identity and are closed under
+        the product, and every element is a left-nested product of the
+        sequence.
         """
         t = self.table
-        blocks = self._row_blocks()
-
-        def right_column(g):
-            col, row = t[:, g], t[g]
-            for rows in blocks:
-                if not np.array_equal(t.take(col[rows], axis=0), t[rows].take(row, axis=1)):
-                    self._check_latin()
-                    raise GroupDefinitionError(f"associativity fails at element {g}")
-            return col
-
-        return greedy_closure(self.order, self.identity, right_column)
+        col, row = t[:, g], t[g]
+        for rows in self._row_blocks():
+            if not np.array_equal(t.take(col[rows], axis=0), t[rows].take(row, axis=1)):
+                self._check_latin()
+                raise GroupDefinitionError(f"associativity fails at element {g}")
+        return col
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -329,7 +364,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     check_table_size(n)
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, labels=range(n), name=f"cyclic {n}", label_style="cyclic")
+    return FiniteGroup._from_builder(table, 0, labels=range(n), name=f"cyclic {n}",
+                                     label_style="cyclic")
 
 
 def _power_of_two_exponent(order: int) -> int:
@@ -358,7 +394,8 @@ def dihedral_group(order: int) -> FiniteGroup:
         raise GroupDefinitionError("dihedral group here requires order >= 4")
     table = _two_group_table(order, 0)
     labels = [(i // 2, i % 2) for i in range(order)]
-    return FiniteGroup(table, labels=labels, name=f"dihedral {order}", label_style="twogroup")
+    return FiniteGroup._from_builder(table, 0, labels=labels, name=f"dihedral {order}",
+                                     label_style="twogroup")
 
 
 def quaternion_group(order: int) -> FiniteGroup:
@@ -368,7 +405,8 @@ def quaternion_group(order: int) -> FiniteGroup:
         raise GroupDefinitionError("quaternion group requires order >= 8")
     table = _two_group_table(order, 1 << (m - 2))
     labels = [(i // 2, i % 2) for i in range(order)]
-    return FiniteGroup(table, labels=labels, name=f"quaternion {order}", label_style="twogroup")
+    return FiniteGroup._from_builder(table, 0, labels=labels, name=f"quaternion {order}",
+                                     label_style="twogroup")
 
 
 def _normalize_action(M: FiniteGroup, P: FiniteGroup, act) -> np.ndarray:
@@ -395,7 +433,8 @@ def semidirect_product(M: FiniteGroup, P: FiniteGroup, alpha,
 
     ``alpha`` is a (|P|, |M|) array whose row t is the automorphism a_t of
     M, given as its images.  Each row is checked to be an automorphism, and
-    a_(t g) = a_t a_g for every t and every g in ``P.generators``.
+    a_(t g) = a_t a_g for every t and every g in ``P.generators``; M and P
+    are groups, so the table is a group's, with identity (1, 1).
     """
     check_table_size(M.order * P.order)
     act = _normalize_action(M, P, alpha)
@@ -409,9 +448,9 @@ def semidirect_product(M: FiniteGroup, P: FiniteGroup, alpha,
     labels = [(a, b) for a in map(M.label, range(nm)) for b in p_labels]
     style = "semidirect" if M.label_style in ("cyclic", "cgroup") and \
         P.label_style == "twogroup" else None
-    return FiniteGroup(table, labels=labels,
-                       name=name or f"semidirect of ({M.name}) and ({P.name})",
-                       label_style=style)
+    return FiniteGroup._from_builder(
+        table, M.identity * np_ + P.identity, labels=labels,
+        name=name or f"semidirect of ({M.name}) and ({P.name})", label_style=style)
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
@@ -530,7 +569,8 @@ def commutator_subgroup(G: FiniteGroup) -> tuple:
 
 
 def quotient_group(G: FiniteGroup, normal_elems: Iterable[int], name: str = ""):
-    """Quotient by a normal subgroup; returns (Q, coset_index of each element)."""
+    """Quotient by a normal subgroup; returns (Q, coset_index of each element).
+    The subgroup is checked normal, so the cosets multiply as a group."""
     nset = tuple(sorted(int(x) for x in normal_elems))
     if not is_subgroup(G, nset):
         raise GroupDefinitionError("quotient requires a subgroup")
@@ -547,7 +587,8 @@ def quotient_group(G: FiniteGroup, normal_elems: Iterable[int], name: str = ""):
         reps.append(tuple(members.tolist()))
     firsts = [c[0] for c in reps]
     table = coset_index[t[np.ix_(firsts, firsts)]]
-    Q = FiniteGroup(table, labels=reps, name=name or f"quotient of ({G.name})")
+    Q = FiniteGroup._from_builder(table, coset_index.item(G.identity), labels=reps,
+                                  name=name or f"quotient of ({G.name})")
     return Q, tuple(coset_index.tolist())
 
 

@@ -194,7 +194,8 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
     kind, r, s = shape
     if kind == "cyclic":  # P labelled by the words (a, b) for r^a s^b, b = 0 when cyclic
         C = cyclic_group(len(p_elems))
-        p_group = FiniteGroup(C.table, labels=[(a, 0) for a in C.labels], name=C.name)
+        p_group = FiniteGroup._from_builder(C.table, C.identity,
+                                            labels=[(a, 0) for a in C.labels], name=C.name)
     else:
         p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(len(p_elems))
     return Decomposition(N, *odd, p_group, kind, r, s)

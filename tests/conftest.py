@@ -762,3 +762,25 @@ def ref_regular_subgroups():
         dfs({N.identity: perm_rows.index(list(range(n)))})
         return sorted(results)
     return enumerate_regular
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """(validated, built): lists to which every group made for the rest of
+    the test is appended, by its provenance: ``FiniteGroup(table)``, the
+    full table check, or ``FiniteGroup._from_builder``, a checked builder."""
+    validated, built = [], []
+    init, from_builder = FiniteGroup.__init__, FiniteGroup._from_builder.__func__
+
+    def counting_init(self, *args, **kwargs):
+        validated.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_builder(cls, *args, **kwargs):
+        G = from_builder(cls, *args, **kwargs)
+        built.append(G)
+        return G
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    monkeypatch.setattr(FiniteGroup, "_from_builder", classmethod(counting_builder))
+    return validated, built

@@ -7,13 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
-                     GroupDefinitionError, HomomorphismError,
-                     automorphism_group, cgroup_aut_group, cgroup_auts,
-                     cgroup_group, cgroup_pool, classify, classify_rump,
-                     closed_form_products, construct, corpus_representatives,
-                     cyclic_group, cyclic_regular_oracle, decompose,
-                     dihedral_group, direct_product, find_isomorphism,
+from holoreg import (CGroupAut, CGroupPresentation, GroupDefinitionError,
+                     HomomorphismError, automorphism_group, cgroup_aut_group,
+                     cgroup_auts, cgroup_group, cgroup_pool, classify,
+                     classify_rump, cli, closed_form_products, construct,
+                     corpus_representatives, cyclic_group,
+                     cyclic_regular_oracle, decompose, dihedral_group,
+                     direct_product, dump_cayley_table, find_isomorphism,
                      generate_corpus, normal_hall_odd_subgroup,
                      normalize_alpha, parse_group_spec, quaternion_group,
                      quotient_action_probe, quotient_group,
@@ -165,23 +165,30 @@ def test_every_positive_verdict_carries_regular_witness(corpus_reps):
             assert w.cycle_length_through_identity() == entry.group.order
 
 
-def test_classify_builds_only_p(corpus_reps, monkeypatch):
+def test_classify_builds_only_p(corpus_reps, constructions):
     # the split is checked inside N, and M recognized there: no second copy
-    # of N and no table of M is built
-    built = []
-    init = FiniteGroup.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
+    # of N and no table of M is built; P comes from its builder, so classify
+    # runs no full table check
+    validated, built = constructions
     for entry in corpus_reps:
         N = parse_group_spec(entry.spec)
+        validated.clear()
         built.clear()
-        with monkeypatch.context() as m:
-            m.setattr(FiniteGroup, "__init__", counting_init)
-            dec = classify(N).decomposition
-        assert built == [dec.p_group], entry.spec
+        dec = classify(N).decomposition
+        assert (validated, built) == ([], [dec.p_group]), entry.spec
+
+
+def test_a_table_file_gets_exactly_one_full_check(tmp_path, constructions):
+    # the converse: trust never reaches a table read from a file
+    validated, built = constructions
+    path = tmp_path / "d8.tbl"
+    dump_cayley_table(dihedral_group(8), path)
+    validated.clear()
+    built.clear()
+    text, code = cli.run(cli.Request("classify", table=str(path)))
+    assert code == 0 and "realizable: true" in text
+    assert [G.name for G in validated] == [f"table {path}"]
+    assert [G.name for G in built] == ["dihedral 8"]  # decompose's P
 
 
 def test_classify_agrees_with_oracle_on_small_corpus(corpus_reps):

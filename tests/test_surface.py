@@ -1,6 +1,7 @@
 """Every function, class and method the package defines, and every name it
 exports, is reached by the library, a demo or the bench, and every name a
-module of the package imports is read by it.
+module of the package imports is read by it.  Only the builders listed in
+``TRUSTED_BUILDERS`` make a group without the full table check.
 
 A name that only tests call belongs in ``tests/``; this guard keeps such
 names from drifting back into ``src/``, and keeps a module from importing
@@ -129,3 +130,62 @@ def test_every_top_level_import_is_read():
         if missing:
             unused[path.name] = missing
     assert unused == {}
+
+
+
+# The builders that may make a group through ``FiniteGroup._from_builder``,
+# which runs no table check, each with the argument that its table is a
+# group's.  A new caller fails the guard until it is added here.
+TRUSTED_BUILDERS = {
+    ("src/holoreg/groups.py", "cyclic_group"): "(a + b) mod n, the closed form of Z/n",
+    ("src/holoreg/groups.py", "dihedral_group"): "r^a s^b with s r s^-1 = r^-1, s^2 = 1",
+    ("src/holoreg/groups.py", "quaternion_group"):
+        "r^a s^b with s r s^-1 = r^-1, s^2 = r^(n/4)",
+    ("src/holoreg/groups.py", "semidirect_product"):
+        "M and P are groups, and _normalize_action checked a homomorphism P -> Aut(M)",
+    ("src/holoreg/groups.py", "quotient_group"): "is_subgroup and is_normal passed",
+    ("src/holoreg/cgroups.py", "cgroup_group"):
+        "CGroupPresentation checked that k is a unit mod e of order dividing d",
+    ("src/holoreg/realizability.py", "decompose"): "cyclic_group's table under new labels",
+}
+
+
+def _trusted_callers(modules) -> set:
+    """(file, innermost enclosing function) of every read of an attribute
+    ``_from_builder`` in ``modules`` (file -> tree); "<module>" outside any
+    function."""
+    found = set()
+
+    def visit(filename, node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Lambda):
+            scope = "<lambda>"
+        if isinstance(node, ast.Attribute) and node.attr == "_from_builder":
+            found.add((filename, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(filename, child, scope)
+
+    for filename, tree in modules.items():
+        visit(filename, tree, "<module>")
+    return found
+
+
+def test_only_the_listed_builders_skip_the_table_check():
+    paths = [PACKAGE / "__init__.py"] + _readers()
+    modules = {str(path.relative_to(ROOT)): _parse(path) for path in paths}
+    assert _trusted_callers(modules) == set(TRUSTED_BUILDERS)
+
+
+def test_the_trusted_caller_is_the_innermost_function():
+    module = ast.parse(textwrap.dedent("""
+        def outer():
+            def inner():
+                return FiniteGroup._from_builder(t, 0)
+            return inner
+
+        make = FiniteGroup._from_builder
+        later = lambda t: FiniteGroup._from_builder(t, 0)
+    """))
+    assert _trusted_callers({"m.py": module}) == {
+        ("m.py", "inner"), ("m.py", "<module>"), ("m.py", "<lambda>")}
