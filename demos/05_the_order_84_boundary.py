@@ -40,7 +40,7 @@ print("any pair with lcm 84?",
 
 # the structural reason: every automorphism of N collapses on the Klein
 # quotient, so no twist can drive a full cycle
-probe = quotient_action_probe(N, decompose(N))
+probe = quotient_action_probe(decompose(N))
 print("automorphisms induced on the Klein quotient:", len(probe))
 
 # the mirrored question (cyclic target group) accepts this group happily

@@ -231,16 +231,19 @@ class FiniteGroup:
     def orders(self) -> np.ndarray:
         """Element orders, one prime p | n at a time: with m the part of n
         prime to p, x^m has order the p-part of ord(x), which p-th powers of
-        x^m strip one factor p at a time."""
+        x^m strip one factor p at a time.  That p-part divides p^a, the
+        largest power of p dividing n, so a p-th powers suffice, and on a
+        table that is no group's the loop still ends."""
         n = self.order
         out = np.ones(n, dtype=np.int32)
         for p, q in _prime_powers(n).items():
             y = self._powers(np.arange(n, dtype=np.int32), n // q)
             moving = y != self.identity
-            while moving.any():
+            while q > 1 and moving.any():
                 out[moving] *= p
                 y = self._powers(y, p)
                 moving = y != self.identity
+                q //= p
         return out
 
     @cached_property

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -422,17 +422,18 @@ def regular_from_crossed(N: FiniteGroup, ch: CrossedHom) -> HolElements:
 # -- skew braces -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewBrace:
     """One carrier with two group operations sharing an identity.
 
     ``additive`` is the original group; ``circle_table`` defines the second
     operation, whose group structure is exposed as ``multiplicative``.
+    Braces compare and hash by identity, as their groups do.
     """
 
     additive: FiniteGroup
     circle_table: np.ndarray
-    multiplicative: FiniteGroup = field(compare=False)
+    multiplicative: FiniteGroup
 
 
 def skew_brace_from_regular(N: FiniteGroup, subgroup: HolElements) -> SkewBrace:

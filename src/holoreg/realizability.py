@@ -29,10 +29,10 @@ from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
                       cgroup_aut_group, cgroup_auts, recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms,
-                     automorphism_group, cyclic_group, dihedral_group,
-                     is_cgroup, memoized, normal_hall_odd_subgroup,
-                     quaternion_group, quotient_group, respects_product,
-                     subgroup_generated, sylow_subgroup, words)
+                     automorphism_group, dihedral_group, memoized,
+                     normal_hall_odd_subgroup, quaternion_group,
+                     quotient_group, respects_product, subgroup_generated,
+                     sylow_subgroup, words)
 from .holomorph import HolElement, _conjugations, conjugation_perm
 from .specs import (action_from_generators, build_semidirect_from_auts,
                     parse_group_spec, semidirect_spec)
@@ -51,52 +51,61 @@ class Decomposition:
 
     M is the normal Hall subgroup of odd order, with presentation witnesses
     x, y in N (M gets no table of its own); P is a Sylow 2-subgroup with
-    witnesses r, s meeting the relations of ``p_group``.  Building one
-    evaluates every word x^i y^j r^a s^b once and derives alpha, the
-    conjugation by each element of P as a canonical-form automorphism of
-    M; ``dataclasses.replace`` with new witnesses builds and checks the
-    split again.  Frozen.
+    witnesses r, s.  P's kind is read off s^2 (1 for dihedral, else
+    quaternion) and ``p_group`` is that closed form at order |N|/|M|.
+    Building one evaluates every word x^i y^j r^a s^b once and derives
+    alpha, the conjugation by each element of P as a canonical-form
+    automorphism of M; ``dataclasses.replace`` with new witnesses builds
+    and checks the split again.  Frozen.
 
     Row k of ``exps`` is (i, j, a, b) with k = (i d + j) |P| + t, where t is
     the index of r^a s^b in ``p_group``: the index ``semidirect_product``
     gives the label ((i, j), (a, b)) in M x| P built from alpha.
     ``grid[k]`` is that word in N and ``pos`` its inverse permutation.
 
-    The one check that the words hit every element of N exactly once is
-    exact: x, y lie in M, r, s in P and |M| |P| = n, so the grid is a
+    Two checks, both exact.  The words hit every element of N exactly
+    once: x, y lie in M, r, s in P and |M| |P| = n, so the grid is a
     bijection only if the words x^i y^j are exactly M and the words r^a s^b
-    exactly P.  Only conjugation by r and s is read off N (M, all odd-order
-    elements, is normal); ``action_from_generators`` extends it to P and
-    checks P's relations on it, which is exact by von Dyck's theorem.
+    exactly P.  And t -> r^a s^b, the first |P| words, respects the product
+    of ``p_group``: by von Dyck's theorem r and s then meet P's relations
+    in N, so they span a copy of ``p_group``.  Only conjugation by r and s
+    is read off N (M, all odd-order elements, is normal);
+    ``action_from_generators`` extends it to P.
     """
 
     group: FiniteGroup
     pres: CGroupPresentation
     x: int
     y: int
-    p_group: FiniteGroup     # labelled by the words (a, b) for r^a s^b
-    p_kind: str              # dihedral | quaternion | cyclic
     r: int
     s: int
+    p_kind: str = field(init=False)  # dihedral | quaternion
+    p_group: FiniteGroup = field(init=False, compare=False)  # labelled by the words (a, b)
     alpha: tuple = field(init=False)  # p_group index -> CGroupAut
     exps: np.ndarray = field(init=False, compare=False)  # row k -> (i, j, a, b)
     grid: np.ndarray = field(init=False, compare=False)  # row k -> x^i y^j r^a s^b in N
     pos: np.ndarray = field(init=False, compare=False)   # N index -> row k
 
     def __post_init__(self):
-        N, pres, P, x, y = self.group, self.pres, self.p_group, self.x, self.y
+        N, pres, x, y = self.group, self.pres, self.x, self.y
+        p_kind = "dihedral" if N.mul(self.s, self.s) == N.identity else "quaternion"
+        P = (dihedral_group if p_kind == "dihedral" else quaternion_group)(
+            N.order // pres.order)
         m, t = np.divmod(np.arange(pres.order * P.order), P.order)
         exps = np.column_stack([m // pres.d, m % pres.d, np.array(P.labels)[t]])
         grid = words(N, (x, y, self.r, self.s), exps)
         pos = np.argsort(grid)
         if not np.array_equal(grid[pos], np.arange(N.order)):
             raise GroupDefinitionError("the words x^i y^j r^a s^b do not factor N uniquely")
+        if not respects_product(P, N, grid[None, :P.order])[0]:
+            raise GroupDefinitionError(f"r and s do not meet the relations of {P.name}")
         for arr in (exps, grid, pos):
             arr.setflags(write=False)
         alpha = action_from_generators(P, *(  # from the (i, j) of each conjugate
             aut_decompose(pres, *exps[pos[[N.conj(x, g), N.conj(y, g)]], :2].tolist())
             for g in (self.r, self.s)))
-        for name, value in (("alpha", alpha), ("exps", exps), ("grid", grid), ("pos", pos)):
+        for name, value in (("p_kind", p_kind), ("p_group", P), ("alpha", alpha),
+                            ("exps", exps), ("grid", grid), ("pos", pos)):
             object.__setattr__(self, name, value)
 
     @property
@@ -138,24 +147,20 @@ class Verdict:
     witness: Optional[HolElement] = None
 
 
-def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]):
-    """Recognize a 2-subgroup as dihedral/quaternion/cyclic, with (kind, r, s).
+def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]) -> Optional[tuple]:
+    """(r, s) for a dihedral or generalized quaternion Sylow 2-subgroup P,
+    given as ``p_elems``; None for any other P, the cyclic ones (trivial
+    included) among them.
 
-    A non-cyclic P is tested on one pair: r the first element of order |P|/2,
-    s the first outside <r>.  The pair generates P, so it satisfies the
-    dihedral or quaternion relations only if P is that group (von Dyck), and
-    in those groups every s outside a cyclic index-2 <r> satisfies them.
+    P is tested on one pair: r the first element of order |P|/2, s the
+    first outside <r>.  The pair generates P, so it satisfies the dihedral
+    or quaternion relations only if P is that group (von Dyck), and in
+    those groups every s outside a cyclic index-2 <r> satisfies them.
     """
     order = len(p_elems)
-    if order == 1:
-        return "cyclic", p_elems[0], p_elems[0]
-    m = order.bit_length() - 1
-    if (1 << m) != order:
-        return None
     orders = {g: G.order_of(g) for g in p_elems}
-    cyclic_gen = next((g for g in p_elems if orders[g] == order), None)
-    if cyclic_gen is not None:
-        return "cyclic", cyclic_gen, G.identity
+    if order in orders.values():
+        return None
     half = order // 2
     r = next((g for g in p_elems if orders[g] == half), None)
     if r is None:
@@ -165,19 +170,19 @@ def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]):
     if G.conj(r, s) != G.inv(r):
         return None
     s_sq = G.mul(s, s)
-    if s_sq == G.identity:
-        return "dihedral", r, s
-    if m >= 3 and s_sq == G.power(r, half // 2):
-        return "quaternion", r, s
+    if s_sq == G.identity or (half >= 4 and s_sq == G.power(r, half // 2)):
+        return r, s
     return None
 
 
 def decompose(N: FiniteGroup) -> Optional[Decomposition]:
-    """Split N = M x| P with M an odd-order C-group and P cyclic/dihedral/quaternion.
+    """Split N = M x| P with M an odd-order C-group and P dihedral or quaternion.
 
-    Returns None when no such split exists, which already certifies that the
-    holomorph of N has no cyclic regular subgroup.  P's shape, its table and
-    its action all come from the one pair (r, s) of ``_two_group_witnesses``.
+    Returns None when no such split exists.  For a group that is not a
+    C-group this certifies that the holomorph of N has no cyclic regular
+    subgroup; a C-group, whose P is cyclic, also gets None.  P's shape,
+    its table and its action all come from the one pair (r, s) of
+    ``_two_group_witnesses``.
 
     Past these checks building the ``Decomposition`` cannot fail:
     conjugation by r or s is an automorphism of M, which keeps the
@@ -187,18 +192,8 @@ def decompose(N: FiniteGroup) -> Optional[Decomposition]:
     odd = _odd_part(N)
     if odd is None:
         return None
-    p_elems = sylow_subgroup(N, 2)
-    shape = _two_group_witnesses(N, p_elems)
-    if shape is None:
-        return None
-    kind, r, s = shape
-    if kind == "cyclic":  # P labelled by the words (a, b) for r^a s^b, b = 0 when cyclic
-        C = cyclic_group(len(p_elems))
-        p_group = FiniteGroup._from_builder(C.table, C.identity,
-                                            labels=[(a, 0) for a in C.labels], name=C.name)
-    else:
-        p_group = (dihedral_group if kind == "dihedral" else quaternion_group)(len(p_elems))
-    return Decomposition(N, *odd, p_group, kind, r, s)
+    shape = _two_group_witnesses(N, sylow_subgroup(N, 2))
+    return None if shape is None else Decomposition(N, *odd, *shape)
 
 
 @memoized
@@ -223,13 +218,14 @@ def classify(N: FiniteGroup) -> Verdict:
     the identity is verified to have full length.  Verdicts are memoized per
     group.
     """
-    if is_cgroup(N):
-        return Verdict(True, REASON_CGROUP, None, cgroup_witness(N))
+    recognized = recognize_cgroup(N)
+    if recognized is not None:
+        _, x, y = recognized
+        return Verdict(True, REASON_CGROUP, None, cgroup_witness(N, x, y))
     dec = decompose(N)
     if dec is None:
         reason = REASON_NOT_2NILPOTENT if _odd_part(N) is None else REASON_P_SHAPE
         return Verdict(False, reason, None, None)
-    # P is not cyclic here: with an odd C-group M that would make N a C-group
     if dec.p_is_klein_or_q8:
         ok = dec.alpha_image_size <= 2
         reason = REASON_CASE_1
@@ -251,17 +247,14 @@ def _verify_witness(N: FiniteGroup, witness: HolElement):
         raise GroupDefinitionError("constructed witness is not regular")
 
 
-def cgroup_witness(N: FiniteGroup) -> HolElement:
-    """A cyclic regular generator for a C-group, from the projection pair.
+def cgroup_witness(N: FiniteGroup, x: int, y: int) -> HolElement:
+    """A cyclic regular generator for a C-group N, from the witnesses x, y
+    of its presentation (``recognize_cgroup``) and the projection pair.
 
     With N = <x><y> of coprime orders, the pair f, h sending a generator of
     the cyclic group to x and y is fixed point free, and rho(h) lambda(f)
     evaluates to the holomorph element (y x^-1, conjugation by x).
     """
-    recognized = recognize_cgroup(N)
-    if recognized is None:
-        raise GroupDefinitionError("group is not a C-group")
-    _, x, y = recognized
     translation = N.mul(y, N.inv(x))
     witness = HolElement(N, translation, conjugation_perm(N, x))
     _verify_witness(N, witness)
@@ -374,7 +367,7 @@ def closed_form_products(dec: Decomposition, count: int) -> list:
 # -- diagnostics and companions ---------------------------------------------------
 
 
-def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> np.ndarray:
+def quotient_action_probe(dec: Decomposition) -> np.ndarray:
     """Automorphisms of N/(M x| P') induced by Aut(N), deduplicated: the
     sorted, read-only int32 image array over the cosets as ``quotient_group``
     numbers them, one row per map, whose rows get one ``respects_product``
@@ -383,6 +376,7 @@ def quotient_action_probe(N: FiniteGroup, dec: Decomposition) -> np.ndarray:
     The quotient is the Klein four-group P/P'; when the classifier condition
     fails, this image is trivial, which certifies non-realizability.
     """
+    N = dec.group
     r2 = N.mul(dec.r, dec.r)
     m_elems = dec.grid[dec.p_group.identity::dec.p_group.order]  # x^i y^j, i.e. M
     m0 = subgroup_generated(N, m_elems.tolist() + [r2])

@@ -50,19 +50,13 @@ def _tokenize(text: str) -> list:
 def parse_group_spec(text: str) -> FiniteGroup:
     """Build the group described by a mini-language spec string."""
     tokens = _tokenize(text)
-    group, rest = _parse_spec(tokens)
+    if tokens[:1] == ["semidirect"]:
+        group, rest = _parse_semidirect(tokens[1:])
+    else:
+        group, rest = _parse_atom(tokens)
     if rest:
         raise SpecError(f"trailing tokens in spec: {' '.join(rest)}")
     return group
-
-
-def _parse_spec(tokens: list):
-    if not tokens:
-        raise SpecError("empty group spec")
-    head = tokens[0]
-    if head == "semidirect":
-        return _parse_semidirect(tokens[1:])
-    return _parse_atom(tokens)
 
 
 def _take_int(tokens: list, what: str) -> tuple:
@@ -72,6 +66,8 @@ def _take_int(tokens: list, what: str) -> tuple:
 
 
 def _parse_atom(tokens: list):
+    if not tokens:
+        raise SpecError("empty group spec")
     head, rest = tokens[0], tokens[1:]
     try:
         if head == "cyclic":
@@ -115,22 +111,16 @@ def _parse_presentation(tokens: list):
 
 
 def _parse_parenthesized(tokens: list, parse):
+    """``parse`` applied to the tokens between a leading "(" and the next ")"."""
     if not tokens or tokens[0] != "(":
         raise SpecError("expected '(' in semidirect spec")
-    depth, i = 1, 1
-    while i < len(tokens) and depth:
-        if tokens[i] == "(":
-            depth += 1
-        elif tokens[i] == ")":
-            depth -= 1
-        i += 1
-    if depth:
+    if ")" not in tokens:
         raise SpecError("unbalanced parentheses in spec")
-    inner, rest = tokens[1:i - 1], tokens[i:]
-    value, leftover = parse(inner)
+    i = tokens.index(")")
+    value, leftover = parse(tokens[1:i])
     if leftover:
         raise SpecError(f"trailing tokens inside parentheses: {' '.join(leftover)}")
-    return value, rest
+    return value, tokens[i + 1:]
 
 
 def parse_aut_spec(text: str, pres: CGroupPresentation) -> CGroupAut:
@@ -161,7 +151,7 @@ def parse_aut_spec(text: str, pres: CGroupPresentation) -> CGroupAut:
 
 def _parse_semidirect(tokens: list):
     pres, tokens = _parse_parenthesized(tokens, _parse_presentation)
-    P, tokens = _parse_parenthesized(tokens, _parse_spec)
+    P, tokens = _parse_parenthesized(tokens, _parse_atom)
     if P.label_style != "twogroup":
         raise SpecError("semidirect acting factor must be dihedral or quaternion")
     if not tokens or tokens[0] != "alpha":
@@ -188,27 +178,26 @@ def _parse_semidirect(tokens: list):
 
 def action_from_generators(P: FiniteGroup, aut_r: CGroupAut,
                            aut_s: CGroupAut) -> tuple:
-    """alpha[t] = aut_r^a aut_s^b for each element t = r^a s^b of P, whose
-    labels are the words (a, b); b = 0 only for a cyclic P = <r>.
+    """alpha[t] = aut_r^a aut_s^b for each element t = r^a s^b of the
+    dihedral or quaternion P, whose labels are the words (a, b).
 
     By von Dyck's theorem this is an action exactly when aut_r and aut_s
     satisfy P's relations r^h = 1, s^2 = r^c (read off P's table) and
     s r s^-1 = r^-1; a HomomorphismError names the first that fails.
     """
-    half = 1 + max(a for a, _ in P.labels)  # the order of r
+    half = P.order // 2  # the order of r
     r_powers = [CGroupAut(aut_r.pres, 0, 1, 1)]
     for _ in range(half):
         r_powers.append(r_powers[-1].compose(aut_r))
     if not r_powers[half].is_identity:
         raise HomomorphismError("action of r violates its order relation")
-    if half < P.order:
-        s = P.labels.index((0, 1))
-        s_sq_exp, _ = P.label(P.mul(s, s))  # s^2 = r^s_sq_exp
-        if aut_s.compose(aut_s) != r_powers[s_sq_exp]:
-            raise HomomorphismError("action of s violates the s^2 relation")
-        if aut_s.compose(aut_r).compose(aut_s.inverse()) != aut_r.inverse():
-            raise HomomorphismError(
-                "action violates the conjugation relation s r s^-1 = r^-1")
+    s = P.labels.index((0, 1))
+    s_sq_exp, _ = P.label(P.mul(s, s))  # s^2 = r^s_sq_exp
+    if aut_s.compose(aut_s) != r_powers[s_sq_exp]:
+        raise HomomorphismError("action of s violates the s^2 relation")
+    if aut_s.compose(aut_r).compose(aut_s.inverse()) != aut_r.inverse():
+        raise HomomorphismError(
+            "action violates the conjugation relation s r s^-1 = r^-1")
     return tuple(r_powers[a].compose(aut_s) if b else r_powers[a]
                  for a, b in P.labels)
 

@@ -305,7 +305,7 @@ def test_criterion_9_structural_lemma_suite(corpus_reps):
     probe_checked = 0
     for entry in corpus_reps:
         dec = decompose(entry.group)
-        if dec is None or dec.p_kind == "cyclic":
+        if dec is None:
             continue
         N = entry.group
         P = dec.p_group
@@ -352,7 +352,7 @@ def test_criterion_9_structural_lemma_suite(corpus_reps):
         big_p = dec.p_group.order >= 16 or \
             (dec.p_kind == "dihedral" and dec.p_group.order == 8)
         if big_p and not dec.alpha_r.is_identity:
-            probe = quotient_action_probe(N, dec)
+            probe = quotient_action_probe(dec)
             _, coset = quotient_group(
                 N, subgroup_generated(N, list(normal_hall_odd_subgroup(N))
                                       + [N.mul(dec.r, dec.r)]))

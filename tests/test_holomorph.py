@@ -535,6 +535,13 @@ def test_rho_gives_the_opposite_brace():
     assert np.array_equal(brace.circle_table, N.table.T)
 
 
+def test_braces_compare_and_hash_by_identity():
+    N = dihedral_group(8)
+    brace, again = (skew_brace_from_regular(N, lambda_embedding(N)) for _ in range(2))
+    assert brace == brace and brace != again
+    assert len({brace, again, brace}) == 2
+
+
 def test_cyclic_witness_brace_has_cyclic_circle_group():
     N = dihedral_group(8)
     brace = skew_brace_from_regular(N, _cyclic_witness_subgroup(N))

@@ -69,11 +69,6 @@ def test_decompose_alternating_4_absent():
     assert decompose(alternating_4()) is None
 
 
-def test_decompose_odd_cgroup():
-    dec = decompose(cgroup_group(CGroupPresentation(7, 3, 2)))
-    assert dec.p_kind == "cyclic" and dec.p_group.order == 1
-
-
 def test_decompose_witnesses_satisfy_relations():
     for N in (dihedral_group(16), quaternion_group(16),
               faithful_order_84_group()):
@@ -188,7 +183,7 @@ def test_a_table_file_gets_exactly_one_full_check(tmp_path, constructions):
     text, code = cli.run(cli.Request("classify", table=str(path)))
     assert code == 0 and "realizable: true" in text
     assert [G.name for G in validated] == [f"table {path}"]
-    assert [G.name for G in built] == ["dihedral 8"]  # decompose's P
+    assert [G.name for G in built] == ["dihedral 8"]  # the split's P
 
 
 def test_classify_agrees_with_oracle_on_small_corpus(corpus_reps):
@@ -351,21 +346,21 @@ def test_constructed_xi_has_order_dividing_2d(corpus_reps):
 def test_probe_is_trivial_for_the_order_84_group():
     N = faithful_order_84_group()
     dec = decompose(N)
-    probe = quotient_action_probe(N, dec)
+    probe = quotient_action_probe(dec)
     assert len(probe) == 1
 
 
 def test_probe_is_full_for_untwisted_product():
     N = direct_product(cgroup_group(CGroupPresentation(7, 3, 2)), klein_group())
     dec = decompose(N)
-    probe = quotient_action_probe(N, dec)
+    probe = quotient_action_probe(dec)
     assert len(probe) == 6  # every automorphism of the Klein quotient
 
 
 def test_probe_nontrivial_for_dihedral_8():
     N = dihedral_group(8)
     dec = decompose(N)
-    probe = quotient_action_probe(N, dec)
+    probe = quotient_action_probe(dec)
     assert len(probe) > 1
 
 
@@ -383,7 +378,7 @@ def test_probe_matches_coset_by_coset_reference(corpus_reps):
             for g in range(N.order):
                 img[coset[g]] = coset[perm[g]]
             induced.add(tuple(img))
-        assert list(map(tuple, quotient_action_probe(N, dec).tolist())) == sorted(induced)
+        assert list(map(tuple, quotient_action_probe(dec).tolist())) == sorted(induced)
 
 
 # -- the companion classifier ------------------------------------------------------------

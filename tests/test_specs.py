@@ -71,6 +71,21 @@ def test_parse_rejects_malformed_specs(spec):
         parse_group_spec(spec)
 
 
+def test_each_semidirect_factor_is_one_atom(constructions):
+    # a nested spec in either slot ends at the first ")" and is refused
+    # before any table is made
+    validated, built = constructions
+    inner = "semidirect (cyclic 5) (dihedral 4) alpha r->id s->id"
+    for spec in (f"semidirect (cyclic 3) ({inner}) alpha r->id s->id",
+                 f"semidirect ({inner}) (dihedral 4) alpha r->id s->id",
+                 "semidirect ((cyclic 3)) (dihedral 4) alpha r->id s->id",
+                 "semidirect (cyclic 3) ((dihedral 4)) alpha r->id s->id",
+                 "semidirect (cyclic 3) () alpha r->id s->id"):
+        with pytest.raises(SpecError):
+            parse_group_spec(spec)
+    assert (validated, built) == ([], [])
+
+
 def test_parse_rejects_relation_breaking_action():
     # r has order 4 in dihedral 8 but phi:3 has order 6 mod 7
     with pytest.raises(SpecError):

@@ -146,7 +146,6 @@ TRUSTED_BUILDERS = {
     ("src/holoreg/groups.py", "quotient_group"): "is_subgroup and is_normal passed",
     ("src/holoreg/cgroups.py", "cgroup_group"):
         "CGroupPresentation checked that k is a unit mod e of order dividing d",
-    ("src/holoreg/realizability.py", "decompose"): "cyclic_group's table under new labels",
 }
 
 

@@ -467,18 +467,18 @@ def _nested_list_tables(H):
             and len(v) == H.order and all(isinstance(row, list) for row in v)]
 
 
-@pytest.mark.parametrize("make", [
-    lambda relabel: cyclic_group(1000),
-    lambda relabel: relabel(dihedral_group(256), np.random.default_rng(4)),
-    lambda relabel: parse_group_spec(
-        "semidirect (cyclic 63) (dihedral 16) alpha r->phi:62 s->id"),
-    lambda relabel: parse_group_spec(
-        "semidirect (cgroup 7 3 2) (dihedral 32) alpha r->id s->phi:6"),
+@pytest.mark.parametrize("make, splits", [
+    (lambda relabel: cyclic_group(1000), False),  # a C-group: no split, no P
+    (lambda relabel: relabel(dihedral_group(256), np.random.default_rng(4)), True),
+    (lambda relabel: parse_group_spec(
+        "semidirect (cyclic 63) (dihedral 16) alpha r->phi:62 s->id"), True),
+    (lambda relabel: parse_group_spec(
+        "semidirect (cgroup 7 3 2) (dihedral 32) alpha r->id s->phi:6"), True),
 ], ids=["cyclic-1000", "dihedral-256-relabelled", "split-1008", "split-672"])
-def test_classify_path_builds_no_nested_list_table(make, relabel):
+def test_classify_path_builds_no_nested_list_table(make, splits, relabel):
     G = make(relabel)
     _, built = _classify_path_groups(G)
-    assert len(built) == 2
+    assert len(built) == 1 + splits
     for H in built:
         assert _nested_list_tables(H) == [], H
 

@@ -51,7 +51,7 @@ def test_closed_forms_pass_the_full_check():
 
 
 def test_corpus_tables_pass_the_full_check(corpus_reps, constructions):
-    # P, M and N from each spec, and the P that decompose builds; each is
+    # P, M and N from each spec, and the P that the split builds; each is
     # checked before anything reads it, since code past the builders may
     # assume a group (``orders`` loops forever on a table with no identity)
     validated, built = constructions
@@ -74,17 +74,18 @@ def test_corpus_tables_pass_the_full_check(corpus_reps, constructions):
     lambda: direct_product(cgroup_group(CGroupPresentation(7, 3, 2)), cyclic_group(4)),
     lambda: cgroup_group(CGroupPresentation(3, 4, 2)),  # y acts on x by inversion
     lambda: direct_product(cyclic_group(5), cyclic_group(2)),
+    lambda: cgroup_group(CGroupPresentation(7, 3, 2)),  # P trivial
 ])
-def test_a_cyclic_p_passes_the_full_check(make, constructions):
-    _, built = constructions
+def test_a_cyclic_p_builds_no_split(make, constructions):
+    # a cyclic P with an odd C-group M makes N a C-group: decompose finds no
+    # split, classify settles N before it asks for one, and no P is made
+    validated, built = constructions
     N = make()
-    dec = decompose(N)
-    assert dec.p_kind == "cyclic"
-    assert [G.name for G in built[-2:]] == [f"cyclic {dec.p_group.order}"] * 2
-    assert built[-1] is dec.p_group and dec.p_group.labels[1] == (1, 0)
-    assert N in built
-    for G in built:
-        full_check(G)
+    built.clear()
+    assert decompose(N) is None
+    verdict = classify(N)
+    assert (verdict.reason, verdict.decomposition) == ("c-group", None)
+    assert (validated, built) == ([], [])
 
 
 def test_probe_quotients_pass_the_full_check(corpus_reps, constructions):
@@ -95,7 +96,7 @@ def test_probe_quotients_pass_the_full_check(corpus_reps, constructions):
     for N in groups_:
         dec = decompose(N)
         built.clear()
-        quotient_action_probe(N, dec)
+        quotient_action_probe(dec)
         assert [Q.order for Q in built] == [4], N
         full_check(built[0])
 
@@ -133,7 +134,6 @@ BUILDERS = {
         "semidirect (cyclic 5) (dihedral 8) alpha r->id s->phi:4"),
     "quotient_group": lambda: quotient_group(dihedral_group(16),
                                              center(dihedral_group(16))),
-    "decompose": lambda: decompose(cyclic_group(24)),
 }
 
 
@@ -192,6 +192,19 @@ def test_a_wrong_kpow_in_the_cgroup_formula_is_caught(monkeypatch):
     G = cgroup_group(pres)
     with pytest.raises(GroupDefinitionError, match="associativity fails"):
         full_check(G)
+
+
+def test_element_orders_end_on_a_table_with_no_identity(monkeypatch):
+    # k^(j+1) in place of k^j: x^i y^0 no longer fixes x, so index 0 is no
+    # identity; ``orders`` takes at most a p-th powers per prime p^a || n
+    pres = CGroupPresentation(7, 3, 2)
+    monkeypatch.setattr(cgroups, "pow",
+                        lambda base, exp, mod: builtins.pow(base, exp + 1, mod),
+                        raising=False)
+    G = cgroup_group(pres)
+    assert G.orders.shape == (G.order,)
+    with pytest.raises(GroupDefinitionError, match="no two-sided identity"):
+        FiniteGroup(G.table)
 
 
 # -- bad inputs are refused before any table is made -----------------------------------

@@ -1,8 +1,8 @@
 """The split's P, its table and its action against the searches they replaced.
 
 ``decompose`` now reads P's shape off one pair (r, s), takes P's table from
-the dihedral, quaternion or cyclic constructor, and extends conjugation by r
-and s to all of P.  The references below are the earlier derivations: a
+the dihedral or quaternion constructor, and extends conjugation by r and s
+to all of P.  The references below are the earlier derivations: a
 search over every pair under the dihedral relations and then the quaternion
 ones, the table of the words r^a s^b multiplied in N, and conjugation by
 every element of P.
@@ -107,3 +107,13 @@ def test_other_two_groups_have_no_split_shape():
         p_elems = tuple(range(N.order))
         assert reference_witnesses(N, p_elems) is None, N.name
         assert _two_group_witnesses(N, p_elems) is None, N.name
+
+
+def test_a_cyclic_p_has_no_split_shape():
+    # the reference names it cyclic; the split takes only dihedral and
+    # quaternion P, and a cyclic P with an odd C-group M is a C-group
+    for n in (1, 2, 4, 8, 16):
+        C = cyclic_group(n)
+        p_elems = tuple(range(n))
+        assert reference_witnesses(C, p_elems)[0] == "cyclic", n
+        assert _two_group_witnesses(C, p_elems) is None, n

@@ -17,7 +17,9 @@ import pytest
 from holoreg import (Decomposition, FiniteGroup, GroupDefinitionError,
                      classify, construct, cyclic_group, decompose,
                      dihedral_group, direct_product, parse_group_spec,
-                     quaternion_group, words)
+                     quaternion_group, recognize_cgroup, subgroup_generated,
+                     words)
+from holoreg.realizability import REASON_CASE_1, REASON_CASE_2
 
 UNIQUE = r"^the words x\^i y\^j r\^a s\^b do not factor N uniquely$"
 
@@ -212,15 +214,13 @@ def test_decompositions_compare_without_their_arrays(split_15_by_d8):
 def test_constructor_rejects_swapped_x_and_y(split_7_3_by_klein):
     dec = split_7_3_by_klein
     with pytest.raises(GroupDefinitionError, match=UNIQUE):
-        Decomposition(dec.group, dec.pres, dec.y, dec.x, dec.p_group, dec.p_kind,
-                      dec.r, dec.s)
+        Decomposition(dec.group, dec.pres, dec.y, dec.x, dec.r, dec.s)
 
 
 def test_constructor_rejects_r_at_the_identity(split_7_3_by_klein):
     dec = split_7_3_by_klein
     with pytest.raises(GroupDefinitionError, match=UNIQUE):
-        Decomposition(dec.group, dec.pres, dec.x, dec.y, dec.p_group, dec.p_kind,
-                      dec.group.identity, dec.s)
+        Decomposition(dec.group, dec.pres, dec.x, dec.y, dec.group.identity, dec.s)
 
 
 def test_replace_checks_the_new_witnesses(split_7_3_by_klein):
@@ -228,3 +228,34 @@ def test_replace_checks_the_new_witnesses(split_7_3_by_klein):
     with pytest.raises(GroupDefinitionError, match=UNIQUE):
         replace(dec, r=dec.s)
     assert replace(dec, r=dec.group.mul(dec.r, dec.s)).r != dec.r
+
+
+# -- the relation check ----------------------------------------------------------
+
+
+def test_constructor_rejects_witnesses_that_break_p_relations():
+    # in C3 x C4 x C2, r of order 4 and an involution s outside <r> factor N
+    # uniquely and both act trivially on C3, but s r s^-1 = r, not r^-1
+    N = direct_product(direct_product(cyclic_group(3), cyclic_group(4)), cyclic_group(2))
+    pres, x, y = recognize_cgroup(N, 3)
+    r = next(g for g in range(N.order) if N.order_of(g) == 4)
+    s = next(g for g in range(N.order)
+             if N.order_of(g) == 2 and g not in subgroup_generated(N, [r]))
+    with pytest.raises(GroupDefinitionError, match="^r and s do not meet the relations "
+                                                   "of dihedral 8$"):
+        Decomposition(N, pres, x, y, r, s)
+
+
+@pytest.mark.parametrize("P, kind, reason", [
+    (dihedral_group(8), "dihedral", REASON_CASE_2),
+    (quaternion_group(8), "quaternion", REASON_CASE_1),
+], ids=["dihedral", "quaternion"])
+def test_the_kind_of_p_is_read_off_s_squared(P, kind, reason):
+    N = direct_product(cyclic_group(3), P)
+    dec = decompose(N)
+    assert (dec.p_kind, dec.p_group.name) == (kind, P.name)
+    assert classify(N).reason == reason
+    with pytest.raises(TypeError):
+        Decomposition(dec.group, dec.pres, dec.x, dec.y, dec.r, dec.s, p_kind=kind)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(dec, p_kind=kind)
