@@ -12,14 +12,15 @@ group's element orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
 
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     _prime_powers, check_table_size, memoized, words)
+                     _prime_powers, check_table_size, dihedral_group,
+                     quaternion_group, words)
 
 
 def geometric_sum(h: int, length: int, modulus: int) -> int:
@@ -73,8 +74,6 @@ class CGroupPresentation:
     e: int
     d: int
     k: int
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)  # filled only by ``memoized``
 
     def __post_init__(self):
         if self.e < 1 or self.d < 1:
@@ -270,23 +269,78 @@ def cgroup_group(M: CGroupPresentation) -> FiniteGroup:
                                      label_style="cgroup")
 
 
-@memoized
-def cgroup_auts(M: CGroupPresentation) -> tuple:
-    """Every canonical automorphism theta^c phi_u psi_v of M, in (c, u, v) order.
+# -- the factors of a split: one by-value cache ---------------------------------
 
-    Memoized per presentation.
+
+FACTORS: dict = {}
+
+
+def factor(fn):
+    """Keep ``fn(*args)`` in ``FACTORS`` under the key (fn's name, *args).
+
+    ``FACTORS`` is the one cache of values shared between groups.  Its keys
+    are values (presentations and canonical automorphisms compare by their
+    numbers), so every spec and split that names a factor gets the same
+    object.  Entries live as long as the process and are few in practice:
+    the 202 corpus representatives name 12 presentations of M, 5 groups P
+    and 27 automorphisms of M.  It holds:
+
+    - ``m_factor(pres)``: ``cgroup_group(pres)``;
+    - ``p_factor(kind, order)``: ``dihedral_group(order)`` or
+      ``quaternion_group(order)``;
+    - ``aut_permutation(aut)``: the permutation of ``m_factor(aut.pres)``
+      that the canonical ``aut`` induces;
+    - ``cgroup_auts(pres)`` and ``cgroup_aut_group(pres)``.
+
+    Nothing keyed by a whole spec lives here, so every parse builds its own
+    N, and the public builders stay uncached.  A call that raises leaves no
+    entry.  ``FACTORS.clear()`` empties the cache.
     """
+    @wraps(fn)
+    def shared(*args):
+        key = (fn.__name__, *args)
+        try:
+            return FACTORS[key]
+        except KeyError:  # threads that race all get the first value stored
+            return FACTORS.setdefault(key, fn(*args))
+    return shared
+
+
+@factor
+def m_factor(pres: CGroupPresentation) -> FiniteGroup:
+    """The group C(e, d, k) of ``pres``."""
+    return cgroup_group(pres)
+
+
+@factor
+def p_factor(kind: str, order: int) -> FiniteGroup:
+    """The dihedral or quaternion group of ``order``, by ``kind``."""
+    return (dihedral_group if kind == "dihedral" else quaternion_group)(order)
+
+
+@factor
+def aut_permutation(aut: CGroupAut) -> np.ndarray:
+    """The read-only int32 permutation of ``m_factor(aut.pres)`` by ``aut``."""
+    M = m_factor(aut.pres)
+    index = {lab: i for i, lab in enumerate(M.labels)}
+    perm = np.array(aut.as_permutation(M.labels, index), dtype=np.int32)
+    perm.setflags(write=False)
+    return perm
+
+
+@factor
+def cgroup_auts(M: CGroupPresentation) -> tuple:
+    """Every canonical automorphism theta^c phi_u psi_v of M, in (c, u, v) order."""
     ue, ukd = unit_groups(M)
     return tuple(CGroupAut(M, c, u, v)
                  for c in range(M.g_theta) for u in ue for v in ukd)
 
 
-@memoized
+@factor
 def cgroup_aut_group(M: CGroupPresentation) -> FiniteGroup:
     """Aut(C(e,d,k)) in canonical coordinates, of order g_theta * phi(e) * |U_k(d)|.
 
-    Element i is ``cgroup_auts(M)[i]``, labelled by its (c, u, v).  Memoized
-    per presentation.
+    Element i is ``cgroup_auts(M)[i]``, labelled by its (c, u, v).
     """
     auts = cgroup_auts(M)
     index = {a: i for i, a in enumerate(auts)}

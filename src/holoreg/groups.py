@@ -294,12 +294,13 @@ class FiniteGroup:
 
 
 def memoized(fn):
-    """Compute ``fn(obj, ...)`` once per ``obj`` and keep it in ``obj.memo``.
+    """Compute ``fn(G, ...)`` once per FiniteGroup ``G`` and keep it in ``G.memo``.
 
-    ``obj`` is a FiniteGroup or a CGroupPresentation: both are immutable and
-    own the dict their memoized values live in, so a value lives exactly as
-    long as the object it was computed from.  Arguments after ``obj`` may
-    only cut the computation short by raising; they are not part of the key.
+    A group is immutable and owns the dict its memoized values live in, so
+    a value lives exactly as long as the group it was computed from.
+    Arguments after ``G`` may only cut the computation short by raising;
+    they are not part of the key.  Values shared between groups, keyed by
+    value, live in ``cgroups.FACTORS`` instead.
     """
     @wraps(fn)
     def wrapper(obj, *args, **kwargs):

@@ -217,11 +217,12 @@ def cyclic_regular_oracle(N: FiniteGroup,
     winners of translation sigma(a) are the conjugates sigma pi sigma^-1 of
     the winners pi of a.  The scan therefore walks only the pairs whose
     translation is the least element of its Aut(N)-orbit, all at once, and
-    drops a pair as soon as its walk is back at the identity: the pairs left
-    after n - 1 steps are exactly those whose cycle has length n.  Every
-    other translation b takes the conjugates of its orbit's winners by one
-    sigma with sigma(least) = b; each conjugate's row in ``perms`` is found
-    from its images of ``N.generators``, which determine it.  Winners come
+    drops a pair as soon as its walk is back at the identity, stopping early
+    once none is left: the pairs left after n - 1 steps are exactly those
+    whose cycle has length n.  Every other translation b takes the
+    conjugates of its orbit's winners by one sigma with sigma(least) = b;
+    each conjugate's row in ``perms`` is found from its images of
+    ``N.generators``, which determine it.  Winners come
     in (translation, twist) order, as arrays: a HolElement is built only
     when the result is indexed.  ``pair_steps`` counts the moves of the
     reduced scan, one per live pair per step.
@@ -243,6 +244,8 @@ def cyclic_regular_oracle(N: FiniteGroup,
     pos = np.full(len(offset), e)
     pair_steps = 0
     for _ in range(n - 1):
+        if not len(pos):
+            break  # no pair is live: the later steps would move nothing
         pair_steps += len(pos)
         pos = flat_table[flat_perms[offset + pos] * n + a_inv]
         live = pos != e

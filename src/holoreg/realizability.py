@@ -26,16 +26,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cgroups import (CGroupAut, CGroupPresentation, aut_decompose,
-                      cgroup_aut_group, cgroup_auts, recognize_cgroup)
+                      cgroup_aut_group, cgroup_auts, p_factor, recognize_cgroup)
 from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      HomomorphismError, all_homomorphisms,
-                     automorphism_group, dihedral_group, memoized,
-                     normal_hall_odd_subgroup, quaternion_group,
+                     automorphism_group, memoized, normal_hall_odd_subgroup,
                      quotient_group, respects_product, subgroup_generated,
                      sylow_subgroup, words)
 from .holomorph import HolElement, _conjugations, conjugation_perm
 from .specs import (action_from_generators, build_semidirect_from_auts,
-                    parse_group_spec, semidirect_spec)
+                    semidirect_spec)
 
 REASON_CGROUP = "c-group"
 REASON_CASE_1 = "theorem-case-1"
@@ -52,7 +51,8 @@ class Decomposition:
     M is the normal Hall subgroup of odd order, with presentation witnesses
     x, y in N (M gets no table of its own); P is a Sylow 2-subgroup with
     witnesses r, s.  P's kind is read off s^2 (1 for dihedral, else
-    quaternion) and ``p_group`` is that closed form at order |N|/|M|.
+    quaternion) and ``p_group`` is that group at order |N|/|M|, the shared
+    ``p_factor``.
     Building one evaluates every word x^i y^j r^a s^b once and derives
     alpha, the conjugation by each element of P as a canonical-form
     automorphism of M; ``dataclasses.replace`` with new witnesses builds
@@ -63,14 +63,15 @@ class Decomposition:
     gives the label ((i, j), (a, b)) in M x| P built from alpha.
     ``grid[k]`` is that word in N and ``pos`` its inverse permutation.
 
-    Two checks, both exact.  The words hit every element of N exactly
+    Three checks, all exact.  The words hit every element of N exactly
     once: x, y lie in M, r, s in P and |M| |P| = n, so the grid is a
     bijection only if the words x^i y^j are exactly M and the words r^a s^b
-    exactly P.  And t -> r^a s^b, the first |P| words, respects the product
-    of ``p_group``: by von Dyck's theorem r and s then meet P's relations
-    in N, so they span a copy of ``p_group``.  Only conjugation by r and s
-    is read off N (M, all odd-order elements, is normal);
-    ``action_from_generators`` extends it to P.
+    exactly P.  x and y meet the relations x^e = 1, y^d = 1 and
+    y x y^-1 = x^k of ``pres``, and t -> r^a s^b, the first |P| words,
+    respects the product of ``p_group``: by von Dyck's theorem x, y and r,
+    s then span copies of ``pres``'s group and of ``p_group``.  Only
+    conjugation by r and s is read off N (M, all odd-order elements, is
+    normal); ``action_from_generators`` extends it to P.
     """
 
     group: FiniteGroup
@@ -89,14 +90,16 @@ class Decomposition:
     def __post_init__(self):
         N, pres, x, y = self.group, self.pres, self.x, self.y
         p_kind = "dihedral" if N.mul(self.s, self.s) == N.identity else "quaternion"
-        P = (dihedral_group if p_kind == "dihedral" else quaternion_group)(
-            N.order // pres.order)
+        P = p_factor(p_kind, N.order // pres.order)
         m, t = np.divmod(np.arange(pres.order * P.order), P.order)
         exps = np.column_stack([m // pres.d, m % pres.d, np.array(P.labels)[t]])
         grid = words(N, (x, y, self.r, self.s), exps)
         pos = np.argsort(grid)
         if not np.array_equal(grid[pos], np.arange(N.order)):
             raise GroupDefinitionError("the words x^i y^j r^a s^b do not factor N uniquely")
+        if (N.power(x, pres.e), N.power(y, pres.d), N.conj(x, y)) != \
+                (N.identity, N.identity, N.power(x, pres.k)):
+            raise GroupDefinitionError(f"x and y do not meet the relations of {pres.spec}")
         if not respects_product(P, N, grid[None, :P.order])[0]:
             raise GroupDefinitionError(f"r and s do not meet the relations of {P.name}")
         for arr in (exps, grid, pos):
@@ -488,7 +491,8 @@ def generate_corpus(max_m_order: int = 21) -> list:
 
 @cache
 def _corpus(max_m_order: int) -> list:
-    two_groups = [parse_group_spec(spec) for spec in TWO_GROUP_SPECS]
+    two_groups = [p_factor(kind, int(order))
+                  for kind, order in map(str.split, TWO_GROUP_SPECS)]
     entries = []
     for pres in cgroup_pool(max_m_order):
         auts, A = cgroup_auts(pres), cgroup_aut_group(pres)

@@ -30,10 +30,10 @@ import re
 
 import numpy as np
 
-from .cgroups import CGroupAut, CGroupPresentation, cgroup_group
+from .cgroups import (CGroupAut, CGroupPresentation, aut_permutation,
+                      cgroup_group, m_factor, p_factor)
 from .groups import (FiniteGroup, GroupDefinitionError, HomomorphismError,
-                     check_table_size, cyclic_group, dihedral_group,
-                     quaternion_group, semidirect_product)
+                     check_table_size, cyclic_group, semidirect_product)
 
 
 class SpecError(ValueError):
@@ -65,7 +65,9 @@ def _take_int(tokens: list, what: str) -> tuple:
     return int(tokens[0]), tokens[1:]
 
 
-def _parse_atom(tokens: list):
+def _parse_atom(tokens: list, shared: bool = False):
+    """A fresh group, or with ``shared`` (a semidirect spec's acting slot)
+    the shared ``p_factor`` for a dihedral or quaternion atom."""
     if not tokens:
         raise SpecError("empty group spec")
     head, rest = tokens[0], tokens[1:]
@@ -73,12 +75,9 @@ def _parse_atom(tokens: list):
         if head == "cyclic":
             n, rest = _take_int(rest, "cyclic order")
             return cyclic_group(n), rest
-        if head == "dihedral":
-            n, rest = _take_int(rest, "dihedral order")
-            return dihedral_group(n), rest
-        if head == "quaternion":
-            n, rest = _take_int(rest, "quaternion order")
-            return quaternion_group(n), rest
+        if head in ("dihedral", "quaternion"):
+            n, rest = _take_int(rest, f"{head} order")  # __wrapped__ builds afresh
+            return (p_factor if shared else p_factor.__wrapped__)(head, n), rest
     except GroupDefinitionError as exc:
         raise SpecError(str(exc)) from exc
     if head == "cgroup":
@@ -151,7 +150,7 @@ def parse_aut_spec(text: str, pres: CGroupPresentation) -> CGroupAut:
 
 def _parse_semidirect(tokens: list):
     pres, tokens = _parse_parenthesized(tokens, _parse_presentation)
-    P, tokens = _parse_parenthesized(tokens, _parse_atom)
+    P, tokens = _parse_parenthesized(tokens, lambda atom: _parse_atom(atom, shared=True))
     if P.label_style != "twogroup":
         raise SpecError("semidirect acting factor must be dihedral or quaternion")
     if not tokens or tokens[0] != "alpha":
@@ -207,15 +206,15 @@ def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
     """Semidirect product of a presented C-group by a dihedral or quaternion
     group P, from the images of r and s in canonical automorphism coordinates.
 
-    P's relations are checked by ``action_from_generators``; only aut_r and
-    aut_s become permutations of M, composed for each r^a s^b.  The name is
-    ``semidirect_spec``, the spec string that parses back to the product.
+    P's relations are checked by ``action_from_generators``; M and the
+    permutations of M that aut_r and aut_s induce are the shared
+    ``m_factor`` and ``aut_permutation``, composed for each r^a s^b.  The
+    name is ``semidirect_spec``, the spec string that parses back to the
+    product.
     """
     action_from_generators(P, aut_r, aut_s)
-    M = cgroup_group(pres)
-    index_m = {lab: i for i, lab in enumerate(M.labels)}
-    perm_r, perm_s = (np.array(aut.as_permutation(M.labels, index_m), dtype=np.int32)
-                      for aut in (aut_r, aut_s))
+    M = m_factor(pres)
+    perm_r, perm_s = aut_permutation(aut_r), aut_permutation(aut_s)
     r_powers = [np.arange(M.order, dtype=np.int32)]
     while len(r_powers) < P.order // 2:
         r_powers.append(perm_r[r_powers[-1]])

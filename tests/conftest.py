@@ -12,6 +12,7 @@ from holoreg import (BoundExceeded, CGroupPresentation, CrossedHom,
                      build_semidirect_from_auts, center, cgroup_group,
                      corpus_representatives, generate_corpus, is_cgroup,
                      is_subgroup, quotient_group, subgroup_generated, words)
+from holoreg.cgroups import FACTORS
 from holoreg.groups import (_check_count, _fingerprints, _normalize_action,
                             check_table_size, find_isomorphism, generating_set,
                             greedy_closure)
@@ -19,6 +20,13 @@ from holoreg.holomorph import (DEFAULT_HOL_BOUND, DEFAULT_SUBGROUP_HOL_BOUND,
                                _composition_index, _conjugations, _hol_perms)
 
 SUBGROUP_ENUM_BOUND = 128
+
+
+@pytest.fixture(autouse=True)
+def empty_factor_cache():
+    """Every test starts with an empty ``cgroups.FACTORS``, so no factor
+    made under one test's monkeypatch reaches another test."""
+    FACTORS.clear()
 
 
 @pytest.fixture(scope="session")

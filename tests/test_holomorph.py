@@ -1,6 +1,8 @@
 """Holomorph pairs, regular subgroups, crossed pairs, braces, and fpf pairs."""
 
+import inspect
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,8 @@ from holoreg import (CGroupPresentation, CrossedHom, FiniteGroup,
                      crossed_from_regular, cyclic_group,
                      cyclic_regular_oracle, dihedral_group, direct_product,
                      find_isomorphism, is_regular_subgroup,
-                     lambda_embedding, quaternion_group, recognize_cgroup,
+                     lambda_embedding, parse_group_spec, quaternion_group,
+                     recognize_cgroup,
                      regular_from_crossed,
                      regular_subgroup_as_group,
                      regular_subgroups_isomorphic_to, rho_embedding,
@@ -241,6 +244,44 @@ def test_oracle_matches_brute_force_cycle_lengths(hol_elements):
         assert found.pair_steps == sum(
             min(length, N.order - 1) for h, length in zip(hol_elements(N), lengths)
             if h.translation in least)
+
+
+def _scan_steps(N) -> int:
+    """The steps the oracle's scan of N takes: the line of its loop that
+    counts pair steps, traced."""
+    code = cyclic_regular_oracle.__code__
+    lines, start = inspect.getsourcelines(cyclic_regular_oracle)
+    counting = start + next(i for i, line in enumerate(lines)
+                            if line.strip() == "pair_steps += len(pos)")
+    steps = 0
+
+    def in_oracle(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == counting
+        return in_oracle
+
+    sys.settrace(lambda frame, event, arg: in_oracle if frame.f_code is code else None)
+    try:
+        cyclic_regular_oracle(N)
+    finally:
+        sys.settrace(None)
+    return steps
+
+
+def test_oracle_scan_stops_when_no_pair_is_live(hol_elements):
+    # it walks as many steps as the longest walked cycle, at most n - 1
+    c2 = cyclic_group(2)
+    short = 0
+    for N in (cyclic_group(9), klein_group(), dihedral_group(8), quaternion_group(8),
+              direct_product(direct_product(c2, c2), c2), direct_product(cyclic_group(4), c2),
+              cgroup_group(CGroupPresentation(7, 3, 2)),
+              parse_group_spec("semidirect (cyclic 3) (dihedral 8) alpha r->phi:2 s->id")):
+        least = {min(int(p[a]) for p in automorphism_group(N)) for a in range(N.order)}
+        longest = max(h.cycle_length_through_identity() for h in hol_elements(N)
+                      if h.translation in least)
+        assert _scan_steps(N) == min(longest, N.order - 1), N
+        short += longest < N.order - 1
+    assert short == 2  # C4 x C2 walks 4 steps, the order-24 group 12
 
 
 def hopf_galois_count(N):

@@ -23,6 +23,7 @@ from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
                                    REASON_P_SHAPE, Decomposition, _corpus)
 from holoreg import specs
+from holoreg.cgroups import FACTORS
 from holoreg.specs import action_from_generators
 
 
@@ -162,15 +163,21 @@ def test_every_positive_verdict_carries_regular_witness(corpus_reps):
 
 def test_classify_builds_only_p(corpus_reps, constructions):
     # the split is checked inside N, and M recognized there: no second copy
-    # of N and no table of M is built; P comes from its builder, so classify
-    # runs no full table check
+    # of N and no table of M is built; P is the shared factor, so classify
+    # builds it only when no spec has named it yet, and runs no full check
     validated, built = constructions
     for entry in corpus_reps:
         N = parse_group_spec(entry.spec)
+        FACTORS.clear()  # the split must make its own P
         validated.clear()
         built.clear()
         dec = classify(N).decomposition
         assert (validated, built) == ([], [dec.p_group]), entry.spec
+        again = parse_group_spec(entry.spec)  # makes its M and N, shares P
+        assert len(built) == 3 and built[2] is again is not N, entry.spec
+        built.clear()
+        assert classify(again).decomposition.p_group is dec.p_group, entry.spec
+        assert (validated, built) == ([], []), entry.spec
 
 
 def test_a_table_file_gets_exactly_one_full_check(tmp_path, constructions):
@@ -184,6 +191,11 @@ def test_a_table_file_gets_exactly_one_full_check(tmp_path, constructions):
     assert code == 0 and "realizable: true" in text
     assert [G.name for G in validated] == [f"table {path}"]
     assert [G.name for G in built] == ["dihedral 8"]  # the split's P
+    # read again, the file is checked again; the split's P is shared
+    validated.clear()
+    built.clear()
+    assert cli.run(cli.Request("classify", table=str(path))) == (text, code)
+    assert ([G.name for G in validated], built) == ([f"table {path}"], [])
 
 
 def test_classify_agrees_with_oracle_on_small_corpus(corpus_reps):

@@ -432,7 +432,8 @@ def test_checks_compute_no_generating_set(monkeypatch, corpus_reps):
     M, P = cyclic_group(15), dihedral_group(8)
     semidirect_product(M, P, np.tile(np.arange(15, dtype=np.int32), (8, 1)))
     assert key not in M.memo and key not in P.memo
-    for entry in corpus_reps:
+    shared = {}  # the M and P of every spec are the shared factors, kept
+    for entry in corpus_reps:  # with their memos from one spec to the next
         factors.clear()
         N = parse_group_spec(entry.spec)  # fresh: nothing memoized yet
         verdict = classify(N)
@@ -440,6 +441,8 @@ def test_checks_compute_no_generating_set(monkeypatch, corpus_reps):
         if verdict.decomposition is not None:
             seen.append(verdict.decomposition.p_group)
         assert not any(key in G.memo for G in seen), entry.spec
+        shared.update((id(G), G) for G in seen[1:])
+    assert len(shared) == 12 + 5
 
 
 # -- the classify path reads the table as an array -----------------------------

@@ -21,6 +21,7 @@ from holoreg import (CGroupPresentation, FiniteGroup, GroupDefinitionError,
                      parse_group_spec, quaternion_group, quotient_action_probe,
                      quotient_group, semidirect_product)
 from holoreg import cgroups, groups
+from holoreg.cgroups import FACTORS, p_factor
 from holoreg.groups import is_action
 from holoreg.specs import SpecError
 from test_surface import TRUSTED_BUILDERS
@@ -51,22 +52,29 @@ def test_closed_forms_pass_the_full_check():
 
 
 def test_corpus_tables_pass_the_full_check(corpus_reps, constructions):
-    # P, M and N from each spec, and the P that the split builds; each is
-    # checked before anything reads it, since code past the builders may
-    # assume a group (``orders`` loops forever on a table with no identity)
+    # N from each spec, and P and M the first time a spec names them, when
+    # the shared factors are made; each is checked before anything reads it,
+    # since code past the builders may assume a group (``orders`` loops
+    # forever on a table with no identity).  The split reads the same P, so
+    # classify builds nothing.
     validated, built = constructions
     for entry in corpus_reps:
-        built.clear()
+        before = len(built)
         N = parse_group_spec(entry.spec)
-        assert len(built) == 3 and built[2] is N, entry.spec
-        for G in built:
+        assert built[-1] is N, entry.spec
+        for G in built[before:]:
             full_check(G)
         validated.clear()
+        made = len(built)
         dec = classify(N).decomposition
-        assert validated == [] and built[3:] == [dec.p_group], entry.spec
-        assert [G.order for G in built[:2]] == [dec.p_group.order,
-                                                 N.order // dec.p_group.order], entry.spec
-        full_check(dec.p_group)
+        assert (validated, len(built)) == ([], made), entry.spec
+        assert dec.p_group is p_factor(dec.p_kind, dec.p_group.order), entry.spec
+    # one build per N and one per distinct M and P: 202 + 12 + 5
+    distinct = {e.factors[0] for e in corpus_reps} | {e.factors[1].name for e in corpus_reps}
+    assert len(built) == len(corpus_reps) + len(distinct) == 202 + 17
+    for value in FACTORS.values():  # every group the cache holds
+        if isinstance(value, FiniteGroup):
+            full_check(value)
 
 
 @pytest.mark.parametrize("make", [

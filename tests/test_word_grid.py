@@ -9,6 +9,7 @@ x^i y^j r^a s^b from those two, the isomorphism onto the abstract model
 M x| P through a label dict, and xi evaluated one element at a time.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,38 @@ def test_constructor_rejects_witnesses_that_break_p_relations():
     with pytest.raises(GroupDefinitionError, match="^r and s do not meet the relations "
                                                    "of dihedral 8$"):
         Decomposition(N, pres, x, y, r, s)
+
+
+def test_constructor_rejects_witnesses_that_break_m_relations():
+    # y^2 has order 3 and x, y^2 factor N with r, s, but y^2 x y^-2 = x^4,
+    # not x^2; construct would make a witness that is not regular
+    N = parse_group_spec("semidirect (cgroup 7 3 2) (dihedral 4) alpha r->id s->id")
+    dec = decompose(N)
+    with pytest.raises(GroupDefinitionError, match="^x and y do not meet the relations "
+                                                   "of cgroup 7 3 2$"):
+        replace(dec, y=N.power(dec.y, 2))
+
+
+def test_every_power_choice_is_accepted_exactly_when_it_meets_m_relations(corpus_reps):
+    # (x^u, y^w) for units u mod e and w mod d: the words still factor N, and
+    # x^u, y^w meet the relations of C(e, d, k) exactly when k^w = k mod e
+    tried = refused = 0
+    for entry in corpus_reps:
+        N = entry.group
+        dec = decompose(N)
+        e, d, k = dec.pres.e, dec.pres.d, dec.pres.k
+        for u in (u for u in range(1, max(e, 2)) if math.gcd(u, e) == 1):
+            for w in (w for w in range(1, max(d, 2)) if math.gcd(w, d) == 1):
+                meets = pow(k, w, e) == k % e
+                tried += 1
+                try:
+                    replace(dec, x=N.power(dec.x, u), y=N.power(dec.y, w))
+                except GroupDefinitionError as exc:
+                    assert not meets and "do not meet the relations" in str(exc), entry.spec
+                    refused += 1
+                else:
+                    assert meets, entry.spec
+    assert (tried, refused) == (1923, 78)
 
 
 @pytest.mark.parametrize("P, kind, reason", [
