@@ -320,10 +320,12 @@ def p_factor(kind: str, order: int) -> FiniteGroup:
 
 @factor
 def aut_permutation(aut: CGroupAut) -> np.ndarray:
-    """The read-only int32 permutation of ``m_factor(aut.pres)`` by ``aut``."""
-    M = m_factor(aut.pres)
-    index = {lab: i for i, lab in enumerate(M.labels)}
-    perm = np.array(aut.as_permutation(M.labels, index), dtype=np.int32)
+    """The read-only int32 permutation of ``m_factor(aut.pres)`` by ``aut``,
+    read off ``cgroup_group``'s labels without building M: x^i y^j is
+    element i d + j."""
+    coords = [divmod(g, aut.pres.d) for g in range(aut.pres.order)]
+    index = {c: g for g, c in enumerate(coords)}
+    perm = np.array(aut.as_permutation(coords, index), dtype=np.int32)
     perm.setflags(write=False)
     return perm
 

@@ -216,33 +216,40 @@ class FiniteGroup:
     def order_of(self, a: int) -> int:
         return int(self.orders[a])
 
-    def _powers(self, elems: np.ndarray, k: int) -> np.ndarray:
-        """x^k for every x in ``elems``, by binary powering: O(log k) gathers."""
-        t = self.table
-        result = np.full(len(elems), self.identity, dtype=np.int32)
-        while k:
-            if k & 1:
-                result = t[result, elems]
-            elems = t[elems, elems]
-            k >>= 1
-        return result
-
     @cached_property
     def orders(self) -> np.ndarray:
         """Element orders, one prime p | n at a time: with m the part of n
         prime to p, x^m has order the p-part of ord(x), which p-th powers of
         x^m strip one factor p at a time.  That p-part divides p^a, the
         largest power of p dividing n, so a p-th powers suffice, and on a
-        table that is no group's the loop still ends."""
-        n = self.order
+        table that is no group's the loop still ends.
+
+        Each x^m is the product of the squarings x^(2^i) over the bits i of
+        m, and the squarings are made once for all primes, no further than
+        the largest m needs; every product is one gather from the flat
+        table."""
+        n, e = np.intp(self.order), self.identity
+        flat = self.table.ravel()
+
+        def power(sq: list, k: int) -> np.ndarray:
+            """x^k from sq[i] = x^(2^i), which it extends as far as k needs."""
+            result = None
+            for i in range(k.bit_length()):
+                if i == len(sq):
+                    sq.append(flat[sq[-1] * (n + 1)])
+                if k >> i & 1:
+                    result = sq[i] if result is None else flat[result * n + sq[i]]
+            return result
+
         out = np.ones(n, dtype=np.int32)
-        for p, q in _prime_powers(n).items():
-            y = self._powers(np.arange(n, dtype=np.int32), n // q)
-            moving = y != self.identity
+        squares = [np.arange(n, dtype=np.intp)]
+        for p, q in _prime_powers(self.order).items():
+            y = power(squares, self.order // q)
+            moving = y != e
             while q > 1 and moving.any():
                 out[moving] *= p
-                y = self._powers(y, p)
-                moving = y != self.identity
+                y = power([y], p)
+                moving = y != e
                 q //= p
         return out
 
@@ -344,7 +351,7 @@ class Homomorphism:
     images: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(map(int, self.images)))
+        object.__setattr__(self, "images", tuple(np.asarray(self.images).tolist()))
         if len(self.images) != self.source.order:
             raise HomomorphismError("images must list one target index per source element")
         if not respects_product(self.source, self.target, [self.images])[0]:
@@ -531,15 +538,16 @@ def greedy_closure(n: int, identity: int, right_column: Callable) -> tuple:
     index order, not yet reached from ``identity`` by right products with
     the earlier ones.  ``right_column(g)`` returns the n indices u * g, or
     raises when g fails its caller's check; ``_grow_orbit`` grows the
-    reached set from the set already reached.  Returns the sequence: every
+    reached set by each new member's column.  Returns the sequence: every
     index was reached or is a member."""
-    reached = {identity: None}
-    gens, cols = [], []  # cols[i][u] = u * gens[i]
+    reached = [False] * n
+    reached[identity] = True
+    members, gens, cols = [identity], [], []  # cols[i][u] = u * gens[i]
     for g in range(n):
-        if g not in reached:
+        if not reached[g]:
             gens.append(g)
             cols.append(right_column(g).tolist())
-            _grow_orbit(reached, cols, len(cols) - 1)
+            _grow_orbit(members, reached, cols, len(cols) - 1)
     return tuple(gens)
 
 
@@ -654,7 +662,7 @@ def normal_hall_odd_subgroup(G: FiniteGroup) -> Optional[tuple]:
     """The normal Hall subgroup of odd order (all odd-order elements), if it exists."""
     n = G.order
     odd_part = n // _prime_powers(n).get(2, 1)
-    elems = tuple(g for g in range(n) if int(G.orders[g]) % 2 == 1)
+    elems = tuple(np.flatnonzero(G.orders % 2 == 1).tolist())
     if len(elems) != odd_part or not is_subgroup(G, elems):
         return None
     return elems  # closed set of all odd-order elements is automatically normal
@@ -839,20 +847,24 @@ def _check_count(count: int, max_count: Optional[int]):
         raise BoundExceeded(f"more than {max_count} homomorphisms found")
 
 
-def _grow_orbit(orbit: dict, perms: list, start: int = 0) -> None:
-    """Close ``orbit`` under the list-form ``perms``, given that it is
-    closed under perms[:start].  ``orbit`` is a tree of parent pointers:
-    orbit[q] = (p, j) when perms[j] maps p, reached earlier, to q, and the
-    root maps to None."""
-    fresh: list = []
-    for elems, first in ((list(orbit), start), (fresh, 0)):
-        later = list(enumerate(perms))[first:]
-        for p in elems:
-            for j, perm in later:
-                q = perm[p]
-                if q not in orbit:
-                    orbit[q] = (p, j)
-                    fresh.append(q)
+def _grow_orbit(orbit: list, reached: list, perms: list, start: int = 0,
+                steps: Optional[list] = None) -> None:
+    """Close the list ``orbit`` under the list-form ``perms``, given that
+    it is closed under perms[:start]: its points are moved by perms[start:],
+    the points it gains by every perm.  ``reached[q]`` flags the points of
+    ``orbit``.  ``steps``, when given, runs along ``orbit`` as a tree of
+    parent pointers: the step of q is (p, j) when perms[j] maps p, reached
+    earlier, to q."""
+    every = list(enumerate(perms))
+    later, old = every[start:], len(orbit)
+    for i, p in enumerate(orbit):  # orbit grows as it is walked
+        for j, perm in later if i < old else every:
+            q = perm[p]
+            if not reached[q]:
+                reached[q] = True
+                orbit.append(q)
+                if steps is not None:
+                    steps.append((p, j))
 
 
 def _inner_orbit_sizes(G: FiniteGroup, gens: Sequence[int]) -> list:
@@ -908,26 +920,28 @@ def _automorphisms(G: FiniteGroup, max_count: Optional[int]) -> np.ndarray:
         if i == 0:
             found.extend(G.generator_conjugations.tolist())
         pinned = [[g] for g in gens[:i]]
-        orbit = {gens[i]: None}
-        _grow_orbit(orbit, found)
+        orbit, steps, in_orbit = [gens[i]], [None], [False] * n
+        in_orbit[gens[i]] = True
+        _grow_orbit(orbit, in_orbit, found, 0, steps)
         outside: set = set()
         for c in cands[i]:
             _check_count(above * count * max(len(orbit), inner[i]), max_count)
-            if c in orbit or c in outside:
+            if in_orbit[c] or c in outside:
                 continue
             images = search(pinned + [[c]] + cands[i + 1:], first_only=True)
             if images:
                 found.append(images[0])
-                _grow_orbit(orbit, found, len(found) - 1)
+                _grow_orbit(orbit, in_orbit, found, len(found) - 1, steps)
             else:  # what the known automorphisms move c to is outside too
-                stray = {c: None}
-                _grow_orbit(stray, found)
+                stray, seen = [c], [False] * n
+                seen[c] = True
+                _grow_orbit(stray, seen, found)
                 outside.update(stray)
         count *= len(orbit)
         _check_count(above * count, max_count)
         arrays = [np.array(s, dtype=np.int32) for s in found]
         transversal: dict = {}  # a parent comes before its children
-        for q, step in orbit.items():
+        for q, step in zip(orbit, steps):
             transversal[q] = (np.arange(n, dtype=np.int32) if step is None
                               else arrays[step[1]][transversal[step[0]]])
         levels.append(np.array(list(transversal.values())))

@@ -44,12 +44,8 @@ class HolElement:
         if len(self.twist) != self.group.order:
             raise GroupDefinitionError("twist must be a permutation of the group")
 
-    def act(self, x: int) -> int:
-        """Apply the map x -> pi(x) * a^-1."""
-        g = self.group
-        return g.mul(self.twist[x], g.inv(self.translation))
-
     def action_perm(self) -> tuple:
+        """The map x -> pi(x) * a^-1, as the tuple of its images."""
         g = self.group
         return tuple(g.table[self.twist, g.inv(self.translation)].tolist())
 
@@ -70,10 +66,10 @@ class HolElement:
         return result
 
     def cycle_length_through_identity(self) -> int:
-        e = self.group.identity
-        cur, length = self.act(e), 1
+        perm, e = self.action_perm(), self.group.identity
+        cur, length = perm[e], 1
         while cur != e:
-            cur, length = self.act(cur), length + 1
+            cur, length = perm[cur], length + 1
         return length
 
 

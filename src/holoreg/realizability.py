@@ -168,7 +168,7 @@ def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]) -> Optional[tup
     r = next((g for g in p_elems if orders[g] == half), None)
     if r is None:
         return None
-    r_span = set(subgroup_generated(G, [r]))
+    r_span = set(subgroup_generated(G, [r], limit=half))
     s = next(g for g in p_elems if g not in r_span)
     if G.conj(r, s) != G.inv(r):
         return None

@@ -137,7 +137,7 @@ def test_hol_action_is_faithful_with_stabilizer_the_twists(hol_elements):
     assert len(actions) == len(elements)  # faithful
     identity_perm = tuple(range(N.order))
     stabilizer = {(h.translation, h.twist) for h in elements
-                  if h.act(N.identity) == N.identity}
+                  if h.action_perm()[N.identity] == N.identity}
     twists = {(N.identity, p) for p in
               (tuple(int(x) for x in row) for row in automorphism_group(N))}
     assert stabilizer == twists
@@ -157,9 +157,9 @@ def test_left_translations_are_regular():
     assert is_regular_subgroup(N, lam)
     # lambda(eta) acts by left multiplication
     for a in range(N.order):
-        h = lam[a]
+        perm = lam[a].action_perm()
         for x in range(N.order):
-            assert h.act(x) == N.mul(a, x)
+            assert perm[x] == N.mul(a, x)
 
 
 def test_stabilizer_copy_is_not_regular():

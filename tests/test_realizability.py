@@ -7,21 +7,23 @@ import sys
 import numpy as np
 import pytest
 
-from holoreg import (CGroupAut, CGroupPresentation, GroupDefinitionError,
-                     HomomorphismError, automorphism_group, cgroup_aut_group,
+from holoreg import (CGroupAut, CGroupPresentation, FiniteGroup,
+                     GroupDefinitionError, HomomorphismError,
+                     automorphism_group, cgroup_aut_group,
                      cgroup_auts, cgroup_group, cgroup_pool, classify,
                      classify_rump, cli, closed_form_products, construct,
                      corpus_representatives, cyclic_group,
                      cyclic_regular_oracle, decompose, dihedral_group,
                      direct_product, dump_cayley_table, find_isomorphism,
-                     generate_corpus, normal_hall_odd_subgroup,
+                     generate_corpus, load_cayley_table, normal_hall_odd_subgroup,
                      normalize_alpha, parse_group_spec, quaternion_group,
                      quotient_action_probe, quotient_group,
                      semidirect_product, subgroup_generated,
                      twisted_partial_products)
 from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
-                                   REASON_P_SHAPE, Decomposition, _corpus)
+                                   REASON_P_SHAPE, Decomposition, _corpus,
+                                   _verify_witness)
 from holoreg import specs
 from holoreg.cgroups import FACTORS
 from holoreg.specs import action_from_generators
@@ -196,6 +198,25 @@ def test_a_table_file_gets_exactly_one_full_check(tmp_path, constructions):
     built.clear()
     assert cli.run(cli.Request("classify", table=str(path))) == (text, code)
     assert ([G.name for G in validated], built) == ([f"table {path}"], [])
+
+
+def test_the_input_form_does_not_change_the_verdict(corpus_reps, relabel, tmp_path):
+    # each representative as its parsed spec (a trusted build), as its bare
+    # table (the full check) and as a seeded relabelling of that table; every
+    # tenth also through a table file written and read back
+    rng = np.random.default_rng(37)
+    path = tmp_path / "rep.tbl"
+    for i, entry in enumerate(corpus_reps):
+        N = parse_group_spec(entry.spec)
+        forms = [N, FiniteGroup(N.table), FiniteGroup(relabel(N.table, rng))]
+        if i % 10 == 0:
+            dump_cayley_table(N, path)
+            forms.append(load_cayley_table(path))
+        verdicts = [classify(G) for G in forms]
+        assert len({v.reason for v in verdicts}) == 1, entry.spec
+        for G, verdict in zip(forms, verdicts):
+            if verdict.realizable:
+                _verify_witness(G, verdict.witness)
 
 
 def test_classify_agrees_with_oracle_on_small_corpus(corpus_reps):

@@ -101,6 +101,20 @@ def test_quaternion_action_s_squared_relation():
     assert G.order == 40
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("semidirect (cgroup 7 3 2) (dihedral 8) alpha r->phi:3 s->id",
+     "action of r violates its order relation"),
+    ("semidirect (cyclic 5) (quaternion 8) alpha r->phi:2 s->id",
+     "action of s violates the s^2 relation"),
+    ("semidirect (cgroup 7 3 2) (dihedral 4) alpha r->phi:6 s->theta:1*phi:6",
+     "action violates the conjugation relation s r s^-1 = r^-1"),
+])
+def test_each_broken_relation_is_named(spec, message):
+    with pytest.raises(SpecError) as info:
+        parse_group_spec(spec)
+    assert str(info.value) == message
+
+
 def test_table_round_trip(tmp_path):
     path = tmp_path / "group.tbl"
     for G in (cyclic_group(6), dihedral_group(8),
