@@ -33,8 +33,7 @@ from .groups import (FiniteGroup, GroupDefinitionError, Homomorphism,
                      quotient_group, respects_product, subgroup_generated,
                      sylow_subgroup, words)
 from .holomorph import HolElement, _conjugations, conjugation_perm
-from .specs import (action_from_generators, build_semidirect_from_auts,
-                    semidirect_spec)
+from .specs import build_semidirect_from_auts, semidirect_spec
 
 REASON_CGROUP = "c-group"
 REASON_CASE_1 = "theorem-case-1"
@@ -69,9 +68,11 @@ class Decomposition:
     exactly P.  x and y meet the relations x^e = 1, y^d = 1 and
     y x y^-1 = x^k of ``pres``, and t -> r^a s^b, the first |P| words,
     respects the product of ``p_group``: by von Dyck's theorem x, y and r,
-    s then span copies of ``pres``'s group and of ``p_group``.  Only
-    conjugation by r and s is read off N (M, all odd-order elements, is
-    normal); ``action_from_generators`` extends it to P.
+    s then span copies of ``pres``'s group and of ``p_group``.  alpha[t]
+    is read off N for every t: the conjugates of x and y by ``grid[t]``
+    (M, all odd-order elements, is normal), decomposed by
+    ``aut_decompose``.  Since t -> ``grid[t]`` respects P's product, so
+    does t -> alpha[t], and no relation of the action is checked again.
     """
 
     group: FiniteGroup
@@ -104,9 +105,9 @@ class Decomposition:
             raise GroupDefinitionError(f"r and s do not meet the relations of {P.name}")
         for arr in (exps, grid, pos):
             arr.setflags(write=False)
-        alpha = action_from_generators(P, *(  # from the (i, j) of each conjugate
-            aut_decompose(pres, *exps[pos[[N.conj(x, g), N.conj(y, g)]], :2].tolist())
-            for g in (self.r, self.s)))
+        g = grid[:P.order, None]  # g x g^-1 and g y g^-1 for each g in P
+        conjugates = N.table[N.table[g, [x, y]], N.inverses[g]]
+        alpha = tuple(aut_decompose(pres, *ij) for ij in exps[pos[conjugates], :2].tolist())
         for name, value in (("p_kind", p_kind), ("p_group", P), ("alpha", alpha),
                             ("exps", exps), ("grid", grid), ("pos", pos)):
             object.__setattr__(self, name, value)
@@ -178,36 +179,48 @@ def _two_group_witnesses(G: FiniteGroup, p_elems: Sequence[int]) -> Optional[tup
     return None
 
 
-def decompose(N: FiniteGroup) -> Optional[Decomposition]:
-    """Split N = M x| P with M an odd-order C-group and P dihedral or quaternion.
+def decompose(N: FiniteGroup) -> Decomposition | str:
+    """Split N = M x| P with M an odd-order C-group and P dihedral or
+    quaternion, or the reason of the first step of the theorem that N fails.
 
-    Returns None when no such split exists.  For a group that is not a
-    C-group this certifies that the holomorph of N has no cyclic regular
-    subgroup; a C-group, whose P is cyclic, also gets None.  P's shape,
-    its table and its action all come from the one pair (r, s) of
-    ``_two_group_witnesses``.
+    The steps, in order:
+
+      * N has no normal Hall subgroup M of odd order, or M is not a
+        C-group: ``REASON_NOT_2NILPOTENT``;
+      * N has an element of order |N|/|M|, that is, its Sylow 2-subgroup P
+        is cyclic: ``REASON_CGROUP``;
+      * ``_two_group_witnesses`` gives no pair (r, s), so P is neither
+        dihedral nor quaternion: ``REASON_P_SHAPE``.
+
+    The order is exact by a lemma: N is a C-group exactly when M exists, is
+    a C-group, and N has an element of order |N|/|M|.  A C-group has a
+    cyclic Sylow 2-subgroup, so by Burnside's normal p-complement theorem
+    it has a normal 2-complement, which is M, and M's Sylow subgroups are
+    cyclic too.  Conversely an element of order |N|/|M|, a power of 2,
+    spans a Sylow 2-subgroup, so every Sylow subgroup of N is cyclic.  By
+    the structure theorem, a reason other than ``REASON_CGROUP`` certifies
+    that the holomorph of N has no cyclic regular subgroup.
 
     Past these checks building the ``Decomposition`` cannot fail:
-    conjugation by r or s is an automorphism of M, which keeps the
-    characteristic <x> (see ``recognize_cgroup``), and r, s meet P's
+    conjugation by an element of P is an automorphism of M, which keeps
+    the characteristic <x> (see ``recognize_cgroup``), and r, s meet P's
     relations; so an error is a bug.
     """
-    odd = _odd_part(N)
+    odd = _odd_cgroup(N)
     if odd is None:
-        return None
+        return REASON_NOT_2NILPOTENT
+    if (N.orders == N.order // odd[0].order).any():
+        return REASON_CGROUP
     shape = _two_group_witnesses(N, sylow_subgroup(N, 2))
-    return None if shape is None else Decomposition(N, *odd, *shape)
+    return REASON_P_SHAPE if shape is None else Decomposition(N, *odd, *shape)
 
 
-@memoized
-def _odd_part(N: FiniteGroup) -> Optional[tuple]:
+def _odd_cgroup(N: FiniteGroup) -> Optional[tuple]:
     """(pres, x, y) for the odd Hall part M of N, or None when M does not
     exist or is not a C-group.
 
     M is recognized inside N, from N's element orders (``recognize_cgroup``
-    with Hall order |M|), so x and y are indices of N.  Memoized, so a
-    failing ``classify`` reads its reason off the same pass that
-    ``decompose`` made.
+    with Hall order |M|), so x and y are indices of N.
     """
     m_elems = normal_hall_odd_subgroup(N)
     return None if m_elems is None else recognize_cgroup(N, len(m_elems))
@@ -217,18 +230,17 @@ def _odd_part(N: FiniteGroup) -> Optional[tuple]:
 def classify(N: FiniteGroup) -> Verdict:
     """Decide whether the holomorph of N contains a cyclic regular subgroup.
 
-    Every positive verdict carries a holomorph element whose cycle through
-    the identity is verified to have full length.  Verdicts are memoized per
-    group.
+    ``decompose`` makes the one pass of the theorem; a C-group is then
+    recognized whole, for the witnesses of its presentation.  Every positive
+    verdict carries a holomorph element whose cycle through the identity is
+    verified to have full length.  Verdicts are memoized per group.
     """
-    recognized = recognize_cgroup(N)
-    if recognized is not None:
-        _, x, y = recognized
-        return Verdict(True, REASON_CGROUP, None, cgroup_witness(N, x, y))
     dec = decompose(N)
-    if dec is None:
-        reason = REASON_NOT_2NILPOTENT if _odd_part(N) is None else REASON_P_SHAPE
-        return Verdict(False, reason, None, None)
+    if dec == REASON_CGROUP:
+        _, x, y = recognize_cgroup(N)
+        return Verdict(True, REASON_CGROUP, None, cgroup_witness(N, x, y))
+    if isinstance(dec, str):
+        return Verdict(False, dec, None, None)
     if dec.p_is_klein_or_q8:
         ok = dec.alpha_image_size <= 2
         reason = REASON_CASE_1
@@ -401,7 +413,7 @@ def classify_rump(G: FiniteGroup) -> bool:
     subgroup isomorphic to G exactly when G is 2-nilpotent with a C-group odd
     part and a Sylow 2-subgroup that is trivial, cyclic, or contains a cyclic
     subgroup of index 2."""
-    if _odd_part(G) is None:
+    if _odd_cgroup(G) is None:
         return False
     p_elems = sylow_subgroup(G, 2)
     size = len(p_elems)

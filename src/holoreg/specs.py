@@ -175,14 +175,19 @@ def _parse_semidirect(tokens: list):
     return group, tokens
 
 
-def _checked_action_perms(P: FiniteGroup, aut_r: CGroupAut,
-                          aut_s: CGroupAut) -> tuple:
-    """The permutations of ``m_factor(aut_r.pres)`` by aut_r^a for a < h,
-    the order of r, and by aut_s, once aut_r and aut_s are checked against
-    P's relations r^h = 1, s^2 = r^c (read off P's table) and s r s^-1 =
-    r^-1; a HomomorphismError names the first that fails.  Canonical
-    automorphisms act faithfully on M, so two of them are equal exactly
-    when their permutations are."""
+def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
+                               aut_r: CGroupAut, aut_s: CGroupAut) -> FiniteGroup:
+    """Semidirect product of a presented C-group by a dihedral or quaternion
+    group P, from the images of r and s in canonical automorphism coordinates.
+
+    M and the permutations of M that aut_r and aut_s induce are the shared
+    ``m_factor`` and ``aut_permutation``.  P's relations r^h = 1, s^2 = r^c
+    (read off P's table) and s r s^-1 = r^-1 are checked on them, exactly,
+    as canonical automorphisms act faithfully on M; a HomomorphismError
+    names the first that fails.  They are then composed for each r^a s^b.
+    The name is ``semidirect_spec``, the spec string that parses back to
+    the product.
+    """
     perm_r, perm_s = aut_permutation(aut_r), aut_permutation(aut_s)
     r_powers = [np.arange(len(perm_r), dtype=np.int32)]
     for _ in range(P.order // 2):
@@ -196,38 +201,6 @@ def _checked_action_perms(P: FiniteGroup, aut_r: CGroupAut,
     if not np.array_equal(perm_s[perm_r], r_powers[-1][perm_s]):
         raise HomomorphismError(
             "action violates the conjugation relation s r s^-1 = r^-1")
-    return r_powers, perm_s
-
-
-def action_from_generators(P: FiniteGroup, aut_r: CGroupAut,
-                           aut_s: CGroupAut) -> tuple:
-    """alpha[t] = aut_r^a aut_s^b for each element t = r^a s^b of the
-    dihedral or quaternion P, whose labels are the words (a, b).
-
-    By von Dyck's theorem this is an action exactly when aut_r and aut_s
-    satisfy P's relations, which ``_checked_action_perms`` checks on their
-    permutations of M before any ``CGroupAut`` is composed.
-    """
-    _checked_action_perms(P, aut_r, aut_s)
-    r_powers = [CGroupAut(aut_r.pres, 0, 1, 1)]
-    while len(r_powers) < P.order // 2:
-        r_powers.append(r_powers[-1].compose(aut_r))
-    return tuple(r_powers[a].compose(aut_s) if b else r_powers[a]
-                 for a, b in P.labels)
-
-
-def build_semidirect_from_auts(pres: CGroupPresentation, P: FiniteGroup,
-                               aut_r: CGroupAut, aut_s: CGroupAut) -> FiniteGroup:
-    """Semidirect product of a presented C-group by a dihedral or quaternion
-    group P, from the images of r and s in canonical automorphism coordinates.
-
-    M and the permutations of M that aut_r and aut_s induce are the shared
-    ``m_factor`` and ``aut_permutation``; ``_checked_action_perms`` checks
-    P's relations on them, and they are composed for each r^a s^b.  The
-    name is ``semidirect_spec``, the spec string that parses back to the
-    product.
-    """
-    r_powers, perm_s = _checked_action_perms(P, aut_r, aut_s)
     perms = [r_powers[a][perm_s] if b else r_powers[a] for a, b in P.labels]
     return semidirect_product(m_factor(pres), P, perms,
                               name=semidirect_spec(pres, P, aut_r, aut_s))

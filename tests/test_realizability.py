@@ -24,9 +24,9 @@ from holoreg.realizability import (REASON_ALPHA, REASON_CASE_1, REASON_CASE_2,
                                    REASON_CGROUP, REASON_NOT_2NILPOTENT,
                                    REASON_P_SHAPE, Decomposition, _corpus,
                                    _verify_witness)
-from holoreg import specs
+from holoreg import realizability, specs
 from holoreg.cgroups import FACTORS
-from holoreg.specs import action_from_generators
+from holoreg.specs import build_semidirect_from_auts
 
 
 def klein_group():
@@ -69,7 +69,7 @@ def test_decompose_quaternion_8():
 
 
 def test_decompose_alternating_4_absent():
-    assert decompose(alternating_4()) is None
+    assert decompose(alternating_4()) == REASON_NOT_2NILPOTENT
 
 
 def test_decompose_witnesses_satisfy_relations():
@@ -107,11 +107,14 @@ def test_action_check_rejects_a_non_action():
     for u, is_action in ((6, True), (2, False)):
         phi = CGroupAut(pres, 0, u, 1)
         if is_action:
-            alpha = action_from_generators(P, ident, phi)
-            assert alpha == tuple(phi if b else ident for _, b in P.labels)
+            N = build_semidirect_from_auts(pres, P, ident, phi)
+            x = N.labels.index(((1, 0), (0, 0)))
+            for a, b in P.labels:
+                g = N.labels.index(((0, 0), (a, b)))
+                assert N.conj(x, g) == N.power(x, u ** b), (a, b)
         else:
             with pytest.raises(HomomorphismError, match="s\\^2 relation"):
-                action_from_generators(P, ident, phi)
+                build_semidirect_from_auts(pres, P, ident, phi)
 
 
 # -- classify --------------------------------------------------------------------
@@ -152,6 +155,33 @@ def test_classify_reasons():
                     ).reason == REASON_P_SHAPE
     assert classify(alternating_4()).reason == REASON_NOT_2NILPOTENT
     assert classify(faithful_order_84_group()).reason == REASON_ALPHA
+    # decompose returns each reason that settles N without a split
+    assert decompose(cyclic_group(8)) == REASON_CGROUP
+    assert decompose(direct_product(cyclic_group(2), cyclic_group(4))) == REASON_P_SHAPE
+    assert decompose(direct_product(cyclic_group(3), cyclic_group(3))) == \
+        REASON_NOT_2NILPOTENT
+    assert isinstance(decompose(faithful_order_84_group()), Decomposition)
+
+
+def test_classify_recognizes_once_per_step(monkeypatch, corpus_reps):
+    # a fresh corpus group is recognized once, for its odd part; a C-group
+    # twice, for its odd part and then whole, for its witnesses
+    calls = []
+    recognize = realizability.recognize_cgroup
+
+    def counted(G, hall=None):
+        calls.append(hall)
+        return recognize(G, hall)
+    monkeypatch.setattr(realizability, "recognize_cgroup", counted)
+    for entry in corpus_reps:
+        calls.clear()
+        classify(parse_group_spec(entry.spec))
+        assert len(calls) == 1, entry.spec
+    for spec in ("cyclic 8", "cgroup 7 3 2", "cyclic 1"):
+        calls.clear()
+        N = parse_group_spec(spec)
+        assert classify(N).reason == REASON_CGROUP, spec
+        assert calls == [len(normal_hall_odd_subgroup(N)), None], spec
 
 
 def test_every_positive_verdict_carries_regular_witness(corpus_reps):
@@ -566,10 +596,11 @@ def test_automorphism_count_matches_split_formula(corpus_reps):
     # automorphisms keeping M and P are the pairs (mu, sigma) in
     # Aut(M) x Aut(P) with c_mu o alpha o sigma = alpha
     for entry in corpus_reps:
-        pres, P, aut_r, aut_s = entry.factors
-        auts, A = cgroup_auts(pres), cgroup_aut_group(pres)
+        dec = decompose(entry.group)
+        P = dec.p_group
+        auts, A = cgroup_auts(dec.pres), cgroup_aut_group(dec.pres)
         index = {a: i for i, a in enumerate(auts)}
-        alpha = np.array([index[a] for a in action_from_generators(P, aut_r, aut_s)])
+        alpha = np.array([index[a] for a in dec.alpha])
         rs = [P.labels.index((1, 0)), P.labels.index((0, 1))]
         conj = A.table[A.table, A.inverses[:, None]]  # conj[mu, a] = mu a mu^-1
         images = conj[:, alpha[automorphism_group(P)[:, rs]]]  # [mu, sigma, r|s]

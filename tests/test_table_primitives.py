@@ -458,7 +458,7 @@ def _classify_path_groups(G):
         verdict.witness.cycle_length_through_identity()
     dec = verdict.decomposition or decompose(G)
     built = [G]
-    if dec is not None:
+    if not isinstance(dec, str):
         built.append(dec.p_group)
     return verdict, built
 
@@ -537,7 +537,7 @@ def small_presentations():
 
 def test_recognize_cgroup_on_every_small_presentation():
     # every valid C(e, d, k) of order <= 120, the 195 of odd order among
-    # them: ``_odd_part`` and so ``classify_rump`` treat an odd Hall part as
+    # them: ``decompose`` and ``classify_rump`` treat an odd Hall part as
     # a C-group exactly when ``recognize_cgroup`` accepts it
     cases = 0
     for pres in small_presentations():
@@ -614,7 +614,7 @@ def test_odd_part_matches_reference_on_its_own_table(corpus_reps, relabel, as_su
         M, to_parent = as_subgroup(N, m_elems)
         ref = ref_recognize_cgroup(M)
         want = None if ref is None else (ref[0], to_parent[ref[1]], to_parent[ref[2]])
-        assert realizability._odd_part(N) == want, N
+        assert recognize_cgroup(N, len(m_elems)) == want, N
         outcomes.add(want is None)
     assert outcomes == {True, False}
 
@@ -635,4 +635,26 @@ def test_recognizer_closes_no_subgroup_and_tests_no_normality(monkeypatch, corpu
     recognized = [recognize_cgroup(N) is not None for N in fresh]
     corpus_count = len(corpus_reps)  # no corpus group is a C-group
     assert recognized == [False] * corpus_count + [True] * (len(fresh) - corpus_count)
-    assert all(realizability._odd_part(N) is not None for N in fresh)
+    assert all(recognize_cgroup(N, len(normal_hall_odd_subgroup(N))) is not None
+               for N in fresh)
+
+
+def test_every_cgroup_reaches_the_cgroup_step_through_decompose():
+    # Burnside's normal p-complement theorem puts the odd-part step first:
+    # every C(e, d, k) of order <= 120, and each direct product with C2, C4
+    # and C8, has an odd Hall part that is a C-group, so ``decompose``
+    # reaches its C-group test; a product is a C-group exactly when the
+    # C(e, d, k) has odd order
+    twos = [cyclic_group(2 ** a) for a in (1, 2, 3)]
+    odd = 0
+    for pres in small_presentations():
+        G = cgroup_group(pres)
+        assert decompose(G) == realizability.REASON_CGROUP, pres
+        for C in twos:
+            H = direct_product(G, C)
+            step = decompose(H)
+            assert step != realizability.REASON_NOT_2NILPOTENT, (pres, C.order)
+            assert (step == realizability.REASON_CGROUP) == (pres.order % 2 == 1) == \
+                (recognize_cgroup(H) is not None), (pres, C.order)
+        odd += pres.order % 2
+    assert odd == 195

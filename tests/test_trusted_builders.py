@@ -85,12 +85,12 @@ def test_corpus_tables_pass_the_full_check(corpus_reps, constructions):
     lambda: cgroup_group(CGroupPresentation(7, 3, 2)),  # P trivial
 ])
 def test_a_cyclic_p_builds_no_split(make, constructions):
-    # a cyclic P with an odd C-group M makes N a C-group: decompose finds no
-    # split, classify settles N before it asks for one, and no P is made
+    # a cyclic P with an odd C-group M makes N a C-group: decompose stops
+    # at that step with no split, and no P is made
     validated, built = constructions
     N = make()
     built.clear()
-    assert decompose(N) is None
+    assert decompose(N) == "c-group"
     verdict = classify(N)
     assert (verdict.reason, verdict.decomposition) == ("c-group", None)
     assert (validated, built) == ([], [])

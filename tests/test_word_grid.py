@@ -92,7 +92,7 @@ def ref_xi_images(dec):
 def assert_grid_matches_reference(N: FiniteGroup, split_model) -> bool:
     """Compare every grid reader on N; True when N had a normalized split."""
     dec = decompose(N)
-    if dec is None:
+    if isinstance(dec, str):
         return False
     verdict = classify(N)
     for d in filter(None, (dec, verdict.decomposition)):
